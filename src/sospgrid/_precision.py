@@ -6,6 +6,8 @@ numerics run through this module, backed by gmpy2.mpfr when gmpy2 is
 installed and by mpmath.mpf otherwise, with a configurable precision of at
 least 128 bits.  Both backends are supported; mpmath's mpf does not mix with
 Fraction, so rational data meets hp values only after hp() or to_fraction().
+An hp value becomes rational only through to_fraction(), which is exact;
+never through float(), which keeps 53 bits.
 """
 
 from __future__ import annotations

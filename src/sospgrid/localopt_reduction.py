@@ -9,28 +9,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
-from sospgrid._precision import hp, hp_sqrt
+from sospgrid._precision import hp, to_fraction
 from sospgrid.polytope_lattice import (
     _ceil_sqrt_rational,
     box_grid_step,
     face_frame,
     map_to_grid,
 )
-from sospgrid.snap_solver import line_search, max_feasible_step
-from sospgrid.stationarity import (
-    Polytope,
-    active_set,
-    projected_hessian_min_eig,
-    proximal_gradient,
-    project,
-    verify_sosp,
-)
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from sospgrid.snap_solver import snap_update
+from sospgrid.stationarity import Polytope, active_set, verify_sosp
 
 
 @dataclass(frozen=True)
@@ -53,13 +42,12 @@ class ReductionInstance:
                  L, L1, L2):
         self.objective = objective
         self.poly = poly
-        self.eps_g = _frac(eps_g)
-        self.eps_h = _frac(eps_h)
-        self.L, self.L1, self.L2 = _frac(L), _frac(L1), _frac(L2)
+        self.eps_g = to_fraction(eps_g)
+        self.eps_h = to_fraction(eps_h)
+        self.L, self.L1, self.L2 = to_fraction(L), to_fraction(L1), to_fraction(L2)
         self.eps = min(self.eps_g, self.eps_h)
         self.L_max = max(self.L, self.L1, self.L2, Fraction(1))
         d = poly.d
-        self.d = d
         self.weight = self.eps**4 / (100 * d * self.L_max**2)
         if poly.box_bounds is not None:
             lo, hi = poly.box_bounds
@@ -76,24 +64,19 @@ class ReductionInstance:
 
     def round_point(self, x) -> tuple:
         """Rounding step of the neighbor map (floor-to-gamma or MapToGrid)."""
+        u = tuple(to_fraction(c) for c in x)
         if self.gamma is not None:
             lo, _ = self.poly.box_bounds
             g = self.gamma
-            out = []
-            for c, a in zip(x, lo):
-                u = _frac(float(c)) if not isinstance(c, (int, Fraction)) else _frac(c)
-                out.append(a + math.floor((u - a) / g) * g)
-            return tuple(out)
-        u = tuple(_frac(float(c)) if not isinstance(c, (int, Fraction)) else _frac(c)
-                  for c in x)
+            return tuple(a + math.floor((c - a) / g) * g for c, a in zip(u, lo))
         y, _ = map_to_grid(self.poly, u, self.delta)
         return y
 
     def on_grid(self, x) -> bool:
         if self.gamma is not None:
             lo, _ = self.poly.box_bounds
-            return all((_frac(c) - a) % self.gamma == 0 for c, a in zip(x, lo))
-        u = tuple(_frac(c) for c in x)
+            return all((to_fraction(c) - a) % self.gamma == 0 for c, a in zip(x, lo))
+        u = tuple(to_fraction(c) for c in x)
         I = tuple(j for j in range(self.poly.m) if self.poly.slack(j, u) == 0)
         frame = face_frame(self.poly, I)
         diff = [c - r for c, r in zip(u, frame.x_ref)]
@@ -102,10 +85,6 @@ class ReductionInstance:
             if coeff % (self.delta / nu) != 0:
                 return False
         return True
-
-    def grid_point(self, x) -> tuple:
-        """Snap an arbitrary feasible point onto the grid."""
-        return self.round_point(x)
 
     # ---- potential / neighbor ------------------------------------------
 
@@ -118,39 +97,13 @@ class ReductionInstance:
         f = self.objective(x)[0]
         return hp(f) + hp(self.weight * self.dim_null(x))
 
-    def _snap_update(self, x) -> tuple:
-        """One step h(x) of the three-case update (high-precision path)."""
-        fx, grad, hess = self.objective(x)
-        gpi = proximal_gradient(x, grad, self.L1, self.poly)
-        gsq = sum(hp(g) * hp(g) for g in gpi)
-        if gsq > hp(self.eps_g) ** 2:
-            step = tuple(hp(c) - hp(g) / hp(self.L1) for c, g in zip(x, grad))
-            if self.poly.box_bounds is not None:
-                lo, hi = self.poly.box_bounds
-                return tuple(min(max(s, hp(l)), hp(h))
-                             for s, l, h in zip(step, lo, hi))
-            return project(self.poly, tuple(Fraction(float(s)) for s in step),
-                           exact=True)
-        act = active_set(self.poly, tuple(float(c) for c in x))
-        delta_eig = min(1e-12, float(self.eps_h) / 100)
-        lam, v = projected_hessian_min_eig(hess, act.projector, delta_eig)
-        if v is not None and lam < -hp(self.eps_h):
-            d = self.d
-            P = act.projector
-            qpi = tuple(sum(hp(P[i][k]) * hp(grad[k]) for k in range(d))
-                        for i in range(d))
-            dot = sum(q * c for q, c in zip(qpi, v))
-            if dot > 0:
-                direction = tuple(-c for c in v)
-            elif dot < 0:
-                direction = tuple(v)
-            else:
-                neg = tuple(-c for c in v)
-                direction = tuple(v) if tuple(v) >= neg else neg
-            y, _, _ = line_search(self.objective, self.poly, x, direction,
-                                  self.eps_h, self.L2, L_max=self.L_max)
-            return y
-        return tuple(x)
+    def _rounded_update(self, x) -> tuple:
+        """Rounding(h(x)), with h the solver's three-case update."""
+        _, grad, hess = self.objective(x)
+        _, y, _, _ = snap_update(self.objective, self.poly, x, grad, hess,
+                                 self.eps_g, self.eps_h, self.L1, self.L2,
+                                 L_max=self.L_max)
+        return self.round_point(y)
 
     def neighbor(self, x) -> tuple:
         """g(x) = Rounding(h(x)); fixed point exactly at verified SOSPs."""
@@ -158,7 +111,7 @@ class ReductionInstance:
                           self.eps_g, self.eps_h, self.L1)
         if rep.passed:
             return tuple(x)
-        return self.round_point(self._snap_update(x))
+        return self._rounded_update(x)
 
     def improvement_check(self, x) -> Verdict:
         """Non-SOSP grid points must strictly decrease the potential."""
@@ -167,7 +120,7 @@ class ReductionInstance:
         p_x = self.potential(x)
         if rep.passed:
             return Verdict("solution", tuple(x), tuple(x), p_x, p_x)
-        y = self.round_point(self._snap_update(x))
+        y = self._rounded_update(x)
         p_y = self.potential(y)
         if p_y < p_x:
             kind = ("improved-C2"

@@ -11,16 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from sospgrid._precision import hp, hp_sqrt
+from sospgrid._precision import hp, hp_sqrt, to_fraction
 from sospgrid.stationarity import Polytope, independent_rows, projector_from_rows, _solve_frac
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    raise ValueError(f"rational value required, got {type(x).__name__}")
 
 
 def _ceil_sqrt_rational(q: Fraction) -> Fraction:
@@ -49,7 +41,7 @@ def _ceil_int_ge_sqrt(q: Fraction) -> int:
 def frac_gcd(values: Sequence[Fraction]) -> Fraction:
     g = Fraction(0)
     for v in values:
-        v = abs(_frac(v))
+        v = abs(to_fraction(v))
         g = v if g == 0 else Fraction(math.gcd(g.numerator * v.denominator,
                                                v.numerator * g.denominator),
                                       g.denominator * v.denominator)
@@ -60,12 +52,12 @@ def box_grid_step(intervals: Sequence[tuple], eps, L_max) -> Fraction:
     """gamma = gamma_GCD / ceil(1000 d^{3/2} L_MAX^3 gamma_GCD / eps^5)."""
     lengths = []
     for a, b in intervals:
-        ln = _frac(b) - _frac(a)
+        ln = to_fraction(b) - to_fraction(a)
         if ln <= 0:
             raise ValueError("intervals must have positive length")
         lengths.append(ln)
     d = len(lengths)
-    eps, L = _frac(eps), _frac(L_max)
+    eps, L = to_fraction(eps), to_fraction(L_max)
     if eps <= 0:
         raise ValueError("eps must be positive")
     gcd = frac_gcd(lengths)
@@ -160,10 +152,10 @@ def _round_to_multiple(c: Fraction, step: Fraction) -> Fraction:
 
 def map_to_grid(poly: Polytope, x, delta) -> tuple[tuple, RoundingCertificate]:
     """Round x onto the lattice of its face, ray-shooting on exit (exact)."""
-    delta = _frac(delta)
+    delta = to_fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    x0 = tuple(_frac(c) for c in x)
+    x0 = tuple(to_fraction(c) for c in x)
     if not poly.contains(x0):
         raise ValueError("point is not feasible")
     d = poly.d
@@ -216,7 +208,7 @@ def map_to_grid(poly: Polytope, x, delta) -> tuple[tuple, RoundingCertificate]:
 
 def lattice_cardinality_bound(m: int, d: int, diameter, eps_r) -> Fraction:
     """Sum over face dimensions of C(m, d-d') (D d sqrt(d)/eps_r + 1)^{d'}."""
-    D, er = _frac(diameter), _frac(eps_r)
+    D, er = to_fraction(diameter), to_fraction(eps_r)
     if er <= 0:
         raise ValueError("eps_r must be positive")
     root_d = _ceil_sqrt_rational(Fraction(d))

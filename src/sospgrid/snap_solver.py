@@ -1,6 +1,9 @@
 """SNAP-style driver: projected-gradient steps, negative-curvature line
 search with maximal-step detection, and convergence to an (eps_G, eps_H)
 second-order stationary point of a smooth objective over a polytope.
+
+snap_update is the three-case update h(x); the local-search reduction
+rounds the same h(x) onto its grid.
 """
 
 from __future__ import annotations
@@ -8,17 +11,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 from sospgrid._precision import hp, hp_sqrt
 from sospgrid.stationarity import (
-    INF,
+    ActiveSet,
     Polytope,
     SospReport,
     active_set,
+    default_delta_eig,
     projected_hessian_min_eig,
-    project,
+    projected_step,
     proximal_gradient,
     verify_sosp,
 )
@@ -66,8 +69,10 @@ def _hpvec(x) -> tuple:
     return tuple(hp(c) for c in x)
 
 
-def _norm(v):
-    return hp_sqrt(sum(hp(c) * hp(c) for c in v))
+def _dist(y, x):
+    """||y - x|| in high precision (off a box, a step lands on a rational y)."""
+    diff = [hp(a) - hp(b) for a, b in zip(y, x)]
+    return hp_sqrt(sum(c * c for c in diff))
 
 
 def _fval(objective: Callable, x):
@@ -75,21 +80,11 @@ def _fval(objective: Callable, x):
     return hp(objective(x)[0])
 
 
-def pgd_step(objective: Callable, poly: Polytope, x, L1) -> tuple:
-    """pi_X(x - grad/L1)."""
-    x = _hpvec(x)
-    _, grad, _ = objective(x)
-    step = tuple(c - hp(g) / hp(L1) for c, g in zip(x, grad))
-    if poly.box_bounds is not None:
-        lo, hi = poly.box_bounds
-        return tuple(min(max(s, hp(l)), hp(h)) for s, l, h in zip(step, lo, hi))
-    return _hpvec(project(poly, tuple(Fraction(float(s)) for s in step), exact=True))
-
-
 def _newton_candidate(poly: Polytope, x, grad, hess):
-    """pi_X(x - H^{-1} g), or None if H is singular (within hp precision)."""
+    """pi_X(x - H^{-1} g), the projected step with H^{-1} g at L = 1, or
+    None if H is singular (within hp precision)."""
     d = len(x)
-    M = [[hp(hess[i][j]) for j in range(d)] + [-hp(grad[i])] for i in range(d)]
+    M = [[hp(hess[i][j]) for j in range(d)] + [hp(grad[i])] for i in range(d)]
     for col in range(d):
         piv = max(range(col, d), key=lambda r: abs(M[r][col]))
         if M[piv][col] == 0:
@@ -101,27 +96,19 @@ def _newton_candidate(poly: Polytope, x, grad, hess):
             factor = M[r][col] / M[col][col]
             for c in range(col, d + 1):
                 M[r][c] -= factor * M[col][c]
-    step = tuple(x[i] + M[i][d] / M[i][i] for i in range(d))
-    if poly.box_bounds is not None:
-        lo, hi = poly.box_bounds
-        return tuple(min(max(s, hp(l)), hp(h)) for s, l, h in zip(step, lo, hi))
-    cand = project(poly, tuple(Fraction(float(s)) for s in step), exact=True)
-    return _hpvec(cand)
+    return projected_step(poly, x, tuple(M[i][d] / M[i][i] for i in range(d)), 1)
 
 
-def curvature_direction(objective: Callable, poly: Polytope, x, eps_h,
-                        delta_eig=None) -> tuple:
+def curvature_direction(grad, hess, act: ActiveSet, eps_h, delta_eig=None):
     """Unit negative-curvature direction in the active null space, signed
-    against the projected gradient; lexicographic tie-break."""
-    x = _hpvec(x)
-    _, grad, hess = objective(x)
-    act = active_set(poly, tuple(float(c) for c in x))
+    against the projected gradient; lexicographic tie-break.  None when the
+    projected Hessian has no eigenvalue below -eps_h."""
     if delta_eig is None:
-        delta_eig = min(1e-12, float(eps_h) / 100) if float(eps_h) > 0 else 1e-12
+        delta_eig = default_delta_eig(eps_h)
     lam, v = projected_hessian_min_eig(hess, act.projector, delta_eig)
     if v is None or not (lam < -hp(eps_h)):
-        raise ValueError("no negative curvature direction at this point")
-    d = len(x)
+        return None
+    d = len(v)
     P = act.projector
     qpi = tuple(sum(hp(P[i][k]) * hp(grad[k]) for k in range(d)) for i in range(d))
     dot = sum(q * c for q, c in zip(qpi, v))
@@ -201,6 +188,26 @@ def line_search(objective: Callable, poly: Polytope, x, d, eps_h, L2,
                         "Taylor/Lipschitz contract breached along d")
 
 
+def snap_update(objective: Callable, poly: Polytope, x, grad, hess, eps_g, eps_h,
+                L1, L2, L_max=None, delta_eig=None):
+    """One step h(x) of the three-case update from the evaluated derivatives.
+
+    Returns (kind, y, max_step, new_active): a projected gradient step
+    pi_X(x - grad/L1) while ||g_pi(x)|| > eps_G, else a line search along
+    the negative-curvature direction, else the terminal step y = x.
+    """
+    gpi = proximal_gradient(x, grad, L1, poly)
+    if sum(hp(g) * hp(g) for g in gpi) > hp(eps_g) ** 2:
+        return StepKind.PGD, projected_step(poly, x, grad, L1), False, ()
+    act = active_set(poly, x)
+    direction = curvature_direction(grad, hess, act, eps_h, delta_eig)
+    if direction is not None:
+        y, hit_max, blockers = line_search(objective, poly, x, direction,
+                                           eps_h, L2, L_max=L_max)
+        return StepKind.NEGATIVE_CURVATURE, y, hit_max, blockers
+    return StepKind.TERMINAL, tuple(x), False, ()
+
+
 def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
              max_iter: int = 1000, adaptive: bool = False,
              delta_eig=None) -> SnapTrace:
@@ -210,92 +217,54 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
     local-smoothness estimate (the terminal test still uses the honest L1).
     """
     x = _hpvec(x0)
-    if not poly.contains(tuple(float(c) for c in x), tol=1e-9):
+    if not poly.contains(x, tol=1e-9):
         raise ValueError("infeasible start point")
     trace = SnapTrace()
-    eps_g_h, eps_h_h = hp(eps_g), hp(eps_h)
     L1_h = hp(L1)
-    lo_hi = poly.box_bounds
     L_hat = hp(1)
-    if delta_eig is None:
-        delta_eig = min(1e-12, float(eps_h) / 100) if float(eps_h) > 0 else 1e-12
-
-    def prox_point(pt, grad, L):
-        step = tuple(c - g / L for c, g in zip(pt, grad))
-        if lo_hi is not None:
-            lo, hi = lo_hi
-            return tuple(min(max(s, hp(l)), hp(h)) for s, l, h in zip(step, lo, hi))
-        return _hpvec(project(poly, tuple(Fraction(float(s)) for s in step), exact=True))
-
+    kind = None
     for _ in range(max_iter):
         trace.iterations += 1
         fx, grad, hess = objective(x)
         fx, grad = hp(fx), _hpvec(grad)
-        gpi = proximal_gradient(x, grad, L1, poly)
-        gnorm = _norm(gpi)
-        if gnorm > eps_g_h:
-            if adaptive:
-                y, fy = None, None
-                for _ in range(200):
-                    y = prox_point(x, grad, L_hat)
-                    move = _norm(tuple(a - b for a, b in zip(y, x)))
-                    fy = _fval(objective, y)
-                    if fy <= fx - L_hat * move * move / 18:
-                        break
-                    L_hat = 2 * L_hat
-                else:
-                    raise SnapViolation("pgd", "backtracking failed to find decrease")
-                L_hat = max(L_hat / 2, hp(1e-8))
-                shortfall = False
-                # Ill-conditioned patches make the scalar step crawl; a
-                # projected Newton candidate is accepted only when it beats
-                # the backtracked step, so the decrease certificate stands.
-                cand = _newton_candidate(poly, x, grad, hess)
-                if cand is not None:
-                    f_cand = _fval(objective, cand)
-                    if f_cand < fy:
-                        y, fy = cand, f_cand
-            else:
-                y = prox_point(x, grad, L1_h)
+        kind, y, hit_max, blockers = snap_update(objective, poly, x, grad, hess,
+                                                 eps_g, eps_h, L1, L2,
+                                                 delta_eig=delta_eig)
+        if kind is StepKind.TERMINAL:
+            trace.steps.append(SnapStep(StepKind.TERMINAL, x, x, 0))
+            break
+        shortfall = False
+        if kind is StepKind.PGD and adaptive:
+            for _ in range(200):
+                y = projected_step(poly, x, grad, L_hat)
+                move = _dist(y, x)
                 fy = _fval(objective, y)
-                target = fx - gnorm * gnorm / (18 * L1_h)
-                shortfall = fy > target
+                if fy <= fx - L_hat * move * move / 18:
+                    break
+                L_hat = 2 * L_hat
+            else:
+                raise SnapViolation("pgd", "backtracking failed to find decrease")
+            L_hat = max(L_hat / 2, hp(1e-8))
+            # Ill-conditioned patches make the scalar step crawl; a
+            # projected Newton candidate is accepted only when it beats
+            # the backtracked step, so the decrease certificate stands.
+            cand = _newton_candidate(poly, x, grad, hess)
+            if cand is not None:
+                f_cand = _fval(objective, cand)
+                if f_cand < fy:
+                    y, fy = cand, f_cand
+        else:
+            fy = _fval(objective, y)
+            if kind is StepKind.PGD:
+                move = _dist(y, x)
+                shortfall = fy > fx - L1_h * move * move / 18
                 if fy > fx:
                     raise SnapViolation("pgd", "projected gradient step increased f")
-            trace.steps.append(SnapStep(StepKind.PGD, x, y, fx - fy,
-                                        decrease_shortfall=shortfall))
-            x = y
-            continue
-        act = active_set(poly, tuple(float(c) for c in x))
-        lam, v = projected_hessian_min_eig(hess, act.projector, delta_eig)
-        if v is not None and lam < -eps_h_h:
-            d = len(x)
-            P = act.projector
-            qpi = tuple(sum(hp(P[i][k]) * grad[k] for k in range(d)) for i in range(d))
-            dot = sum(q * c for q, c in zip(qpi, v))
-            if dot > 0:
-                direction = tuple(-c for c in v)
-            elif dot < 0:
-                direction = tuple(v)
-            else:
-                neg = tuple(-c for c in v)
-                direction = tuple(v) if tuple(v) >= neg else neg
-            y, hit_max, blockers = line_search(objective, poly, x, direction,
-                                               eps_h, L2)
-            fy = _fval(objective, y)
-            trace.steps.append(SnapStep(StepKind.NEGATIVE_CURVATURE, x, y,
-                                        fx - fy, max_step=hit_max,
-                                        new_active=blockers))
-            x = y
-            continue
-        report = verify_sosp(objective, poly, tuple(float(c) for c in x),
-                             eps_g, eps_h, L1, delta_eig=delta_eig)
-        trace.steps.append(SnapStep(StepKind.TERMINAL, x, x, 0))
-        trace.final_report = report
-        trace.converged = report.passed
-        return trace
-    trace.final_report = verify_sosp(objective, poly,
-                                     tuple(float(c) for c in x),
-                                     eps_g, eps_h, L1, delta_eig=delta_eig)
-    trace.converged = False
+        trace.steps.append(SnapStep(kind, x, y, fx - fy, max_step=hit_max,
+                                    new_active=blockers,
+                                    decrease_shortfall=shortfall))
+        x = y
+    trace.final_report = verify_sosp(objective, poly, x, eps_g, eps_h, L1,
+                                     delta_eig=delta_eig)
+    trace.converged = kind is StepKind.TERMINAL and trace.final_report.passed
     return trace

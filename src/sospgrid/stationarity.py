@@ -3,24 +3,22 @@
 Polytopes {x : Ax <= b}, Euclidean projection, proximal gradient, active
 sets with null-space projectors, projected-Hessian eigenvalues, and the
 (eps_G, eps_H)-SOSP verifier.  Exact-rational and high-precision float
-paths are both supported; polytope data is always rational.
+paths are both supported; polytope data is always rational.  A
+high-precision value becomes rational only through to_fraction, which is
+exact: the projected step off a box projects the exact rational value of
+its high-precision step.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from sospgrid._precision import hp, hp_sqrt
+from sospgrid._precision import hp, hp_sqrt, to_fraction
 
 INF = float("inf")
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _is_exact_vec(x) -> bool:
@@ -50,7 +48,7 @@ def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
     kept: list[list[Fraction]] = []
     idx: list[int] = []
     for i, row in enumerate(rows):
-        work = [_frac(v) for v in row]
+        work = [to_fraction(v) for v in row]
         for basis in kept:
             lead = next((j for j, v in enumerate(basis) if v != 0), None)
             if lead is not None and work[lead] != 0:
@@ -67,8 +65,8 @@ class Polytope:
 
     def __init__(self, A: Sequence[Sequence], b: Sequence,
                  box_bounds: Optional[tuple[tuple, tuple]] = None):
-        self.A = tuple(tuple(_frac(v) for v in row) for row in A)
-        self.b = tuple(_frac(v) for v in b)
+        self.A = tuple(tuple(to_fraction(v) for v in row) for row in A)
+        self.b = tuple(to_fraction(v) for v in b)
         if len(self.A) != len(self.b):
             raise ValueError("A and b size mismatch")
         if not self.A:
@@ -77,14 +75,15 @@ class Polytope:
         self.m = len(self.A)
         if box_bounds is not None:
             lo, hi = box_bounds
-            self.box_bounds = (tuple(_frac(v) for v in lo), tuple(_frac(v) for v in hi))
+            self.box_bounds = (tuple(to_fraction(v) for v in lo),
+                               tuple(to_fraction(v) for v in hi))
         else:
             self.box_bounds = None
 
     @classmethod
     def box(cls, lo: Sequence, hi: Sequence) -> "Polytope":
-        lo = [_frac(v) for v in lo]
-        hi = [_frac(v) for v in hi]
+        lo = [to_fraction(v) for v in lo]
+        hi = [to_fraction(v) for v in hi]
         if len(lo) != len(hi) or any(l > h for l, h in zip(lo, hi)):
             raise ValueError("invalid box bounds")
         d = len(lo)
@@ -129,17 +128,13 @@ class ActiveSet:
     dim_null: int
 
 
-def project(poly: Polytope, v, exact: bool = True):
+def project(poly: Polytope, v) -> tuple:
     """Euclidean projection of v onto the polytope (exact rational QP)."""
-    w = [_frac(c) for c in v]
+    w = [to_fraction(c) for c in v]
     if poly.box_bounds is not None:
         lo, hi = poly.box_bounds
-        out = [min(max(c, l), h) for c, l, h in zip(w, lo, hi)]
-    else:
-        out = _project_general(poly, w)
-    if exact:
-        return tuple(out)
-    return tuple(float(c) for c in out)
+        return tuple(min(max(c, l), h) for c, l, h in zip(w, lo, hi))
+    return tuple(_project_general(poly, w))
 
 
 def _project_general(poly: Polytope, w: list[Fraction]) -> list[Fraction]:
@@ -171,20 +166,29 @@ def _project_general(poly: Polytope, w: list[Fraction]) -> list[Fraction]:
     return best
 
 
+def projected_step(poly: Polytope, x, g, L) -> tuple:
+    """pi_X(x - g/L) for a step computed in high precision.
+
+    On a box the step is clamped in high precision.  On any other polytope
+    the exact rational value of the step is projected exactly and the
+    rational result is kept, so it lies in the polytope exactly.
+    """
+    step = tuple(hp(c) - hp(gi) / hp(L) for c, gi in zip(x, g))
+    if poly.box_bounds is not None:
+        lo, hi = poly.box_bounds
+        return tuple(min(max(s, hp(l)), hp(h)) for s, l, h in zip(step, lo, hi))
+    return project(poly, step)
+
+
 def proximal_gradient(x, grad, L1, poly: Polytope):
     """g_pi(x) = L1 * (pi_X(x - grad/L1) - x)."""
     exact = _is_exact_vec(x) and _is_exact_vec(grad) and isinstance(L1, (int, Fraction))
     if exact:
-        L1 = _frac(L1)
-        step = tuple(_frac(c) - _frac(g) / L1 for c, g in zip(x, grad))
-        proj = project(poly, step, exact=True)
-        return tuple(L1 * (p - _frac(c)) for p, c in zip(proj, x))
-    step = tuple(hp(c) - hp(g) / hp(L1) for c, g in zip(x, grad))
-    if poly.box_bounds is not None:
-        lo, hi = poly.box_bounds
-        proj = tuple(min(max(s, hp(l)), hp(h)) for s, l, h in zip(step, lo, hi))
-    else:
-        proj = project(poly, tuple(Fraction(float(s)) for s in step), exact=True)
+        L1 = to_fraction(L1)
+        step = tuple(to_fraction(c) - to_fraction(g) / L1 for c, g in zip(x, grad))
+        proj = project(poly, step)
+        return tuple(L1 * (p - to_fraction(c)) for p, c in zip(proj, x))
+    proj = projected_step(poly, x, grad, L1)
     return tuple(hp(L1) * (hp(p) - hp(c)) for p, c in zip(proj, x))
 
 
@@ -276,6 +280,11 @@ def _jacobi_eigen(M: list[list], tol) -> tuple[list, list[list]]:
     return eigvals, eigvecs
 
 
+def default_delta_eig(eps_h) -> float:
+    """Jacobi tolerance of the curvature test: 1e-12, or eps_h/100 if smaller."""
+    return min(1e-12, float(eps_h) / 100) if float(eps_h) > 0 else 1e-12
+
+
 def projected_hessian_min_eig(H, P, delta_eig=1e-12):
     """(lambda, v): min eigenvalue of P H P restricted to range(P).
 
@@ -311,7 +320,7 @@ def projected_hessian_min_eig(H, P, delta_eig=1e-12):
 
 def is_psd(M: list[list[Fraction]]) -> bool:
     """Exact PSD test for a symmetric rational matrix."""
-    A = [[_frac(v) for v in row] for row in M]
+    A = [[to_fraction(v) for v in row] for row in M]
     n = len(A)
     live = list(range(n))
     while live:
@@ -334,11 +343,11 @@ def is_psd(M: list[list[Fraction]]) -> bool:
 def psd_on_tangent(H, P, eps) -> bool:
     """Exact test that y^T H y >= -eps ||y||^2 for all y in range(P)."""
     d = len(H)
-    Hf = [[_frac(H[i][j]) for j in range(d)] for i in range(d)]
-    Pf = [[_frac(P[i][j]) for j in range(d)] for i in range(d)]
+    Hf = [[to_fraction(H[i][j]) for j in range(d)] for i in range(d)]
+    Pf = [[to_fraction(P[i][j]) for j in range(d)] for i in range(d)]
     PH = [[sum(Pf[i][k] * Hf[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
     PHP = [[sum(PH[i][k] * Pf[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-    M = [[PHP[i][j] + _frac(eps) * Pf[i][j] for j in range(d)] for i in range(d)]
+    M = [[PHP[i][j] + to_fraction(eps) * Pf[i][j] for j in range(d)] for i in range(d)]
     return is_psd(M)
 
 
@@ -369,11 +378,11 @@ def verify_sosp(objective: Callable, poly: Polytope, x, eps_g, eps_h, L1,
     gpi = proximal_gradient(x, grad, L1, poly)
     act = active_set(poly, x)
     if delta_eig is None:
-        delta_eig = min(1e-12, float(eps_h) / 100) if float(eps_h) > 0 else 1e-12
+        delta_eig = default_delta_eig(eps_h)
     lam, _ = projected_hessian_min_eig(hess, act.projector, delta_eig)
     if exact:
-        sq = sum(_frac(g) * _frac(g) for g in gpi)
-        pass_first = sq <= _frac(eps_g) ** 2
+        sq = sum(to_fraction(g) * to_fraction(g) for g in gpi)
+        pass_first = sq <= to_fraction(eps_g) ** 2
         pass_second = (act.dim_null == 0) or psd_on_tangent(hess, act.projector, eps_h)
         gnorm = hp_sqrt(hp(sq))
     else:

@@ -34,6 +34,11 @@ def hard_n2(inst_n2):
 
 
 @pytest.fixture(scope="session")
+def moderate_n1(inst_n1):
+    return build(inst_n1, "moderate")
+
+
+@pytest.fixture(scope="session")
 def n1_file(tmp_path_factory, inst_n1):
     path = tmp_path_factory.mktemp("instances") / "n1.json"
     path.write_text(json.dumps({"n": inst_n1.n, "C": list(inst_n1.table)}))

@@ -148,3 +148,29 @@ def test_general_polytope_path_uses_map_to_grid():
     y = ri.round_point((Fraction(1, 3), Fraction(2, 5)))
     assert ri.on_grid(y) and poly.contains(y)
     assert not ri.on_grid((Fraction(1, 3), Fraction(2, 5)))
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["box", "cut"])
+def test_improvement_on_moderate_hard_instance(moderate_n1, cut):
+    """On the n = 1 hard instance a step moves the point by far less than
+    2^-53, so the update and the rounding must both be exact for every
+    non-SOSP grid point to lower the potential."""
+    h = moderate_n1
+    rec = h.lipschitz_report()
+    poly = h.domain_polytope()
+    if cut:
+        poly = poly.with_cut((1, 1), Fraction(3, 2))
+    eps = Fraction(1, 100)
+    ri = ReductionInstance(h.objective(exact=False), poly, eps, eps,
+                           rec.L, rec.L1, rec.L2)
+    rng = random.Random(17)
+    checked = 0
+    while checked < 40:
+        raw = tuple(Fraction(rng.randrange(0, 10**6 + 1), 10**6) for _ in range(2))
+        if not poly.contains(raw):
+            continue
+        checked += 1
+        v = ri.improvement_check(ri.round_point(raw))
+        assert v.kind != "violation", raw
+        if v.kind != "solution":
+            assert v.p_gx < v.p_x

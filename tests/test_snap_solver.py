@@ -15,10 +15,9 @@ from sospgrid.snap_solver import (
     curvature_direction,
     line_search,
     max_feasible_step,
-    pgd_step,
     snap_run,
 )
-from sospgrid.stationarity import Polytope, verify_sosp
+from sospgrid.stationarity import Polytope, active_set, projected_step, verify_sosp
 
 
 def saddle_objective(scale_neg=2):
@@ -76,10 +75,17 @@ def audit_trace(trace, eps_g, eps_h, L1, L2, poly, x0):
     return kinds
 
 
+def curvature_at(obj, poly, x, eps_h):
+    """curvature_direction at x from the objective's derivatives there."""
+    _, grad, hess = obj(x)
+    return curvature_direction(grad, hess, active_set(poly, x), eps_h)
+
+
 def test_pgd_step_clamps_to_box():
     poly = Polytope.box((0, 0), (1, 1))
     obj = quartic_objective()
-    y = pgd_step(obj, poly, (Fraction(1), Fraction(1, 2)), 11)
+    x = (Fraction(1), Fraction(1, 2))
+    y = projected_step(poly, x, obj(x)[1], 11)
     assert 0 <= float(y[0]) <= 1 and 0 <= float(y[1]) <= 1
 
 
@@ -98,24 +104,23 @@ def test_max_feasible_step_ratio_test():
 def test_curvature_direction_points_down_the_saddle():
     poly = Polytope.box((0, 0), (1, 1))
     obj = saddle_objective()
-    d = curvature_direction(obj, poly, (Fraction(1, 2), Fraction(1, 2)),
-                            Fraction(1, 100))
+    d = curvature_at(obj, poly, (Fraction(1, 2), Fraction(1, 2)),
+                     Fraction(1, 100))
     assert abs(float(d[0])) <= 1e-9
     assert abs(abs(float(d[1])) - 1) <= 1e-9
-    with pytest.raises(ValueError):
-        # convex objective: no negative curvature anywhere
-        curvature_direction(lambda p: ((p[0] - Fraction(1, 2)) ** 2,
-                                       (2 * (p[0] - Fraction(1, 2)), 0),
-                                       ((2, 0), (0, 2))),
-                            poly, (Fraction(1, 2), Fraction(1, 2)),
-                            Fraction(1, 100))
+    # convex objective: no negative curvature anywhere
+    assert curvature_at(lambda p: ((p[0] - Fraction(1, 2)) ** 2,
+                                   (2 * (p[0] - Fraction(1, 2)), 0),
+                                   ((2, 0), (0, 2))),
+                        poly, (Fraction(1, 2), Fraction(1, 2)),
+                        Fraction(1, 100)) is None
 
 
 def test_line_search_guarantees_curvature_decrease():
     poly = Polytope.box((0, 0), (1, 1))
     obj = saddle_objective()
     x = (Fraction(1, 2), Fraction(1, 2))
-    d = curvature_direction(obj, poly, x, Fraction(1, 100))
+    d = curvature_at(obj, poly, x, Fraction(1, 100))
     y, hit_max, blockers = line_search(obj, poly, x, d, Fraction(1, 100), 4)
     fx, fy = obj(x)[0], obj(tuple(Fraction(float(c)) for c in y))[0]
     required = Fraction(6, 100) * Fraction(1, 100) ** 3 / Fraction(16)
@@ -200,6 +205,25 @@ def test_snap_run_random_starts_satisfy_contracts(adaptive):
         assert verify_sosp(obj, poly, trace.final_point, eps, eps, 11).passed
 
 
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_snap_run_on_cut_polytope(adaptive):
+    """Off a box a gradient step lands on the exact projection: the walk
+    toward the excluded minimum (1, 1) reaches the cut x + y <= 1/2 exactly,
+    then leaves along it to a verified SOSP."""
+    poly = Polytope.box((-2, -2), (2, 2)).with_cut((1, 1), Fraction(1, 2))
+    obj = quartic_objective()
+    x0 = (Fraction(1, 5), Fraction(1, 5))
+    eps = Fraction(1, 100)
+    trace = snap_run(obj, poly, x0, eps, eps, 11, 12, max_iter=2000,
+                     adaptive=adaptive)
+    assert trace.converged
+    assert any(s.kind is StepKind.PGD and poly.slack(4, s.dst) == 0
+               for s in trace.steps)
+    audit_trace(trace, eps, eps, 11, 12, poly, x0)
+    assert trace.final_report.x == trace.final_point
+    assert verify_sosp(obj, poly, trace.final_point, eps, eps, 11).passed
+
+
 def test_snap_run_terminal_step_at_sosp_start():
     poly = Polytope.box((-2, -2), (2, 2))
     obj = quartic_objective()
@@ -207,3 +231,16 @@ def test_snap_run_terminal_step_at_sosp_start():
                      Fraction(1, 100), Fraction(1, 100), 11, 12)
     assert trace.converged and trace.iterations <= 1
     assert trace.final_report is not None and trace.final_report.passed
+
+
+def test_snap_run_reports_on_its_final_point(moderate_n1):
+    """final_report certifies the iterate the solver ends on, not a copy."""
+    h = moderate_n1
+    rec = h.lipschitz_report()
+    rng = random.Random(4)  # the start of `sospgrid solve --seed 4`
+    x0 = (Fraction(rng.randrange(1, 1000), 1000),
+          Fraction(rng.randrange(1, 1000), 1000))
+    trace = snap_run(h.objective(exact=False), h.domain_polytope(), x0,
+                     1e-2, 1e-2, rec.L1, rec.L2, max_iter=20000, adaptive=True)
+    assert trace.converged
+    assert trace.final_report.x == trace.final_point

@@ -1,0 +1,22 @@
+"""Rules on the package source, checked by reading its files."""
+
+from __future__ import annotations
+
+import pathlib
+import re
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "sospgrid"
+
+# A float() on the way to a rational drops a >= 128-bit value to 53 bits.
+FLOAT_TO_RATIONAL = re.compile(r"(Fraction|_frac|to_fraction)\(float\(")
+
+
+def test_no_float_round_trip_to_rational():
+    """High-precision values become rational only through to_fraction, which
+    is exact.  cli.py is exempt: it parses user text, where a float literal
+    is the input."""
+    hits = [f"{path.name}:{lineno}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if FLOAT_TO_RATIONAL.search(line)]
+    assert hits == []

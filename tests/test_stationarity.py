@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sospgrid._precision import hp, to_fraction
 from sospgrid.stationarity import (
     Polytope,
     active_set,
@@ -86,6 +87,22 @@ def test_proximal_gradient_definition():
     g = proximal_gradient(x, grad, L1, poly)
     # step = x - grad/L1 = (1.4, 0.25) -> projected to (1, 0.25)
     assert g == (L1 * (1 - x[0]), L1 * (Fraction(1, 4) - x[1]))
+
+
+def test_proximal_gradient_hp_off_box_projects_the_exact_step():
+    """Off a box the high-precision step is projected as its exact rational
+    value.  With L1 as large as the hard instances' (2^73 N), a 53-bit copy
+    of the step would put g_pi off by about L1 * 2^-53."""
+    poly = Polytope.box((0, 0), (1, 1)).with_cut((1, 1), Fraction(3, 2))
+    L1 = 2**80
+    x = (Fraction(3, 4), Fraction(3, 4))
+    grad = (hp(-L1) / 3, hp(L1) / 7)  # the step leaves the box and the cut
+    gpi = proximal_gradient(x, grad, L1, poly)
+    step = tuple(hp(c) - hp(g) / hp(L1) for c, g in zip(x, grad))
+    proj = project(poly, tuple(to_fraction(s) for s in step))
+    assert not poly.contains(tuple(to_fraction(s) for s in step))
+    for got, c, p in zip(gpi, x, proj):
+        assert abs(to_fraction(got) - L1 * (p - c)) <= Fraction(1, 10**20)
 
 
 def test_active_set_and_projector():
