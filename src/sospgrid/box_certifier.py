@@ -12,20 +12,32 @@ negation).
 Certification is a sampling certificate, not a proof: on a dense interior
 grid (plus targeted near-edge offsets and a Newton-polished stationary
 candidate) every sample must satisfy |Gx| > eps0, |Gy| > eps0 or
-lambda_min < -eps0.  X cells contain a genuine SOSP and are expected to
-fail certification; they serve as the negative control.
+lambda_min < -eps0.  Each sample's verdict is exact.  Sample coordinates
+are rationals p/q, the patch coefficients are scaled to integers over
+their common denominator, and the gradient and Hessian on the whole grid
+are integer matrices over one known scale per sample.  The gradient tests
+are integer comparisons; the curvature test is sqrt-free (lambda_min <
+-eps0 iff H + eps0 I has a negative diagonal entry or determinant).  Only
+the Newton polish and the irrational 1/sqrt(gap) offsets use
+high-precision floats, and their points are made rational before they are
+sampled.  The reported worst margin is rounded to float once, from exact
+integers.  Boundary cells are checked the same way: the proximal step is
+exact in rationals and ||g_pi||^2 > eps0^2 needs no square root.  X cells
+contain a genuine SOSP and are expected to fail certification; they serve
+as the negative control.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._precision import hp, hp_sqrt
+from ._precision import hp, hp_sqrt, to_fraction
 from .biquintic import BoxPatch
 from .color_field import ColorField, Direction
 from .hard_instance import HardInstance
@@ -303,53 +315,112 @@ class CriterionReport:
         }
 
 
-def _hp_coeff_matrix(patch: BoxPatch):
-    return np.array([[hp(c) for c in row] for row in patch.coeffs], dtype=object)
+def _scaled_coeffs(patch: BoxPatch):
+    """Integer coefficient matrix K = D * C over the common denominator D."""
+    D = math.lcm(*(c.denominator for row in patch.coeffs for c in row))
+    K = np.array([[c.numerator * (D // c.denominator) for c in row]
+                  for row in patch.coeffs], dtype=object)
+    return K, D
 
 
-def _power_rows(coords, order: int):
-    """Rows of x^p, d/dx x^p and d^2/dx^2 x^p for p = 0..order-1."""
-    zero, one = hp(0), hp(1)
-    p0 = np.empty((len(coords), order), dtype=object)
-    p1 = np.empty_like(p0)
-    p2 = np.empty_like(p0)
-    for i, t in enumerate(coords):
-        powers = [one]
-        for _ in range(order - 1):
-            powers.append(powers[-1] * t)
-        for p in range(order):
-            p0[i, p] = powers[p]
-            p1[i, p] = p * powers[p - 1] if p >= 1 else zero
-            p2[i, p] = p * (p - 1) * powers[p - 2] if p >= 2 else zero
-    return p0, p1, p2
+def _scaled_rows(coords):
+    """Integer rows q^5 t^p, q^5 (t^p)' and q^5 (t^p)'' (p = 0..5) of each
+    coordinate t = p/q, and the scales q^5."""
+    r0, r1, r2, scales = [], [], [], []
+    for t in coords:
+        num, den = t.numerator, t.denominator
+        pn = [num ** e for e in range(6)]
+        qn = [den ** e for e in range(8)]
+        r0.append([pn[e] * qn[5 - e] for e in range(6)])
+        r1.append([0] + [e * pn[e - 1] * qn[6 - e] for e in range(1, 6)])
+        r2.append([0, 0] + [e * (e - 1) * pn[e - 2] * qn[7 - e]
+                            for e in range(2, 6)])
+        scales.append(qn[5])
+    return tuple(np.array(r, dtype=object) for r in (r0, r1, r2, scales))
 
 
-def _interior_coords(resolution: int, extra: Iterable = ()):
-    coords = [hp(i + 1) / hp(resolution + 1) for i in range(resolution)]
-    for t in extra:
-        t = hp(t)
-        if 0 < t < 1:
-            coords.append(t)
-    return coords
+class _Fields(NamedTuple):
+    """Exact derivative fields on a sample grid, all over one scale: the
+    value of gx at sample (i, j) is gx[i, j] / scale[i, j], and so on."""
+
+    gx: np.ndarray
+    gy: np.ndarray
+    hxx: np.ndarray
+    hyy: np.ndarray
+    hxy: np.ndarray
+    scale: np.ndarray
 
 
-def _criterion_fields(C, xs, ys=None):
-    """Gx, Gy and lambda_min(Hessian) on the xs x ys sample grid."""
-    if ys is None:
-        ys = xs
-    x0, x1, x2 = _power_rows(xs, 6)
-    y0, y1, y2 = _power_rows(ys, 6)
-    gx = (x1 @ C) @ y0.T
-    gy = (x0 @ C) @ y1.T
-    hxx = (x2 @ C) @ y0.T
-    hyy = (x0 @ C) @ y2.T
-    hxy = (x1 @ C) @ y1.T
-    half = hp(1) / 2
-    mean = (hxx + hyy) * half
-    gap = (hxx - hyy) * half
-    rad = np.frompyfunc(hp_sqrt, 1, 1)(gap * gap + hxy * hxy)
-    lam = mean - rad
-    return gx, gy, lam
+def _fields(K, D: int, xs, ys) -> _Fields:
+    """Gradient and Hessian of the patch on the xs x ys grid of rationals."""
+    x0, x1, x2, sx = _scaled_rows(xs)
+    y0, y1, y2, sy = _scaled_rows(ys)
+    x0k, x1k = x0 @ K, x1 @ K
+    return _Fields(gx=x1k @ y0.T, gy=x0k @ y1.T, hxx=(x2 @ K) @ y0.T,
+                   hyy=x0k @ y2.T, hxy=x1k @ y1.T,
+                   scale=np.outer(sx, sy) * D)
+
+
+# Bits carried by an integer square root before its one rounding to float.
+_SQRT_BITS = 120
+
+
+def _isqrt_shifted(value: int):
+    """(r, k) with r = floor(sqrt(value) * 2^k) carrying >= _SQRT_BITS bits."""
+    k = max(0, _SQRT_BITS - value.bit_length() // 2)
+    return math.isqrt(value << 2 * k), k
+
+
+def _neg_lambda_min(hxx: int, hyy: int, hxy: int, scale: int) -> float:
+    """-lambda_min of the Hessian [[hxx, hxy], [hxy, hyy]] / scale.
+
+    -lambda_min = (sqrt(Q) - T) / (2 scale) with T = hxx + hyy and
+    Q = (hxx - hyy)^2 + 4 hxy^2.  For T > 0 the difference is rewritten as
+    -4 det / (sqrt(Q) + T), so that no step cancels.
+    """
+    t = hxx + hyy
+    r, k = _isqrt_shifted((hxx - hyy) ** 2 + 4 * hxy * hxy)
+    if t <= 0:
+        return (r - (t << k)) / (2 * scale << k)
+    det = hxx * hyy - hxy * hxy
+    return (-2 * det << k) / (scale * (r + (t << k)))
+
+
+_neg_lambda_grid = np.frompyfunc(_neg_lambda_min, 4, 1)
+
+
+def _record(report: CriterionReport, xs, ys, F: _Fields, eps: Fraction):
+    """Decide the three criteria exactly at every sample of the grid.
+
+    |g| > eps is |G| * den > num * scale for eps = num/den; lambda_min <
+    -eps holds iff H + eps I is not positive semidefinite, i.e. one of its
+    diagonal entries or its determinant is negative.
+    """
+    num, den = eps.numerator, eps.denominator
+    eps_scaled = F.scale * num
+    abs_gx, abs_gy = abs(F.gx), abs(F.gy)
+    ok_gx = abs_gx * den > eps_scaled
+    ok_gy = abs_gy * den > eps_scaled
+    a = F.hxx * den + eps_scaled
+    b = F.hyy * den + eps_scaled
+    c = F.hxy * den
+    ok_lam = (a < 0) | (b < 0) | (a * b < c * c)
+    report.sample_count += ok_gx.size
+    report.gx_count += int(ok_gx.sum())
+    report.gy_count += int(ok_gy.sum())
+    report.lambda_count += int(ok_lam.sum())
+    # Each margin is rounded to float once, from exact integers, so the
+    # worst sample is the first one with the least rounded margin.
+    margin = np.maximum(np.maximum(abs_gx, abs_gy) / F.scale,
+                        _neg_lambda_grid(F.hxx, F.hyy, F.hxy, F.scale)
+                        ).astype(float)
+    i, j = np.unravel_index(np.argmin(margin), margin.shape)
+    if margin[i, j] < report.worst_margin:
+        report.worst_margin = float(margin[i, j])
+        report.worst_point = (float(xs[i]), float(ys[j]))
+    for i, j in zip(*np.nonzero(~(ok_gx | ok_gy | ok_lam))):
+        report.failing.append((float(xs[i]), float(ys[j])))
+        report.passed = False
 
 
 def _newton_polish(patch: BoxPatch, x0, y0, iters: int = 40):
@@ -387,42 +458,20 @@ def certify_no_sosp(patch: BoxPatch, eps0: float = EPS0, resolution: int = 51,
     """Sample the three no-SOSP criteria over the cell interior.
 
     Every sample must satisfy |Gx| > eps0, |Gy| > eps0 or
-    lambda_min < -eps0.  The worst sample is Newton-polished toward the
-    nearest interior stationary point so that genuine SOSPs (X cells) are
-    actually found rather than straddled by the grid.  Cells whose worst
-    margin falls below 10*eps0 are re-sampled at the refinement
-    resolution.
+    lambda_min < -eps0, decided exactly at a rational sample point.  The
+    worst sample is Newton-polished toward the nearest interior stationary
+    point so that genuine SOSPs (X cells) are actually found rather than
+    straddled by the grid.  Cells whose worst margin falls below 10*eps0
+    are re-sampled at the refinement resolution.
     """
+    offsets = [t for t in map(to_fraction, extra_offsets) if 0 < t < 1]
     report = CriterionReport(cell=(patch.a, patch.b), resolution=resolution)
     # The coefficient matrix is expressed in cell-local coordinates.
-    C = _hp_coeff_matrix(patch)
-    coords = _interior_coords(resolution, extra_offsets)
-    gx, gy, lam = _criterion_fields(C, coords)
-    eps0_hp = hp(eps0)
-
-    def record(cx, cy, vgx, vgy, vlam):
-        report.sample_count += 1
-        ok_gx = abs(vgx) > eps0_hp
-        ok_gy = abs(vgy) > eps0_hp
-        ok_lam = vlam < -eps0_hp
-        if ok_gx:
-            report.gx_count += 1
-        if ok_gy:
-            report.gy_count += 1
-        if ok_lam:
-            report.lambda_count += 1
-        margin = float(max(abs(vgx), abs(vgy), -vlam))
-        if margin < report.worst_margin:
-            report.worst_margin = margin
-            report.worst_point = (float(cx), float(cy))
-        if not (ok_gx or ok_gy or ok_lam):
-            report.failing.append((float(cx), float(cy)))
-            report.passed = False
-
-    n = len(coords)
-    for i in range(n):
-        for j in range(n):
-            record(coords[i], coords[j], gx[i, j], gy[i, j], lam[i, j])
+    K, D = _scaled_coeffs(patch)
+    eps = Fraction(eps0)
+    coords = [Fraction(i + 1, resolution + 1)
+              for i in range(resolution)] + offsets
+    _record(report, coords, coords, _fields(K, D, coords, coords), eps)
 
     if polish:
         starts = {report.worst_point}
@@ -433,13 +482,12 @@ def certify_no_sosp(patch: BoxPatch, eps0: float = EPS0, resolution: int = 51,
             polished = _newton_polish(patch, wx, wy)
             if polished is None:
                 continue
-            px, py = polished
-            pgx, pgy, plam = _criterion_fields(C, [px], [py])
-            record(px, py, pgx[0, 0], pgy[0, 0], plam[0, 0])
+            px, py = ([to_fraction(t)] for t in polished)
+            _record(report, px, py, _fields(K, D, px, py), eps)
 
     if (report.worst_margin < 10 * eps0 and _refine
             and resolution < _refine):
-        fine = certify_no_sosp(patch, eps0, _refine, extra_offsets,
+        fine = certify_no_sosp(patch, eps0, _refine, offsets,
                                polish=polish, _refine=0)
         fine.refined = True
         fine.resolution = _refine
@@ -460,10 +508,10 @@ def _targeted_offsets(data: CornerData):
         gap = hi - lo
         if gap <= 4:
             continue
-        g = hp(gap)
-        inv = 1 / g
-        inv_sqrt = 1 / hp_sqrt(g)
-        offsets += [inv, 1 - inv, inv_sqrt, 1 - inv_sqrt]
+        inv = 1 / gap
+        inv_sqrt = 1 / hp_sqrt(gap)
+        offsets += [inv, 1 - inv, to_fraction(inv_sqrt),
+                    to_fraction(1 - inv_sqrt)]
     return offsets
 
 
@@ -508,30 +556,34 @@ def boundary_prox_check(h: HardInstance, cells: Iterable | None = None,
     The box proximal gradient decouples per coordinate: either the step
     stays interior (g_pi = -grad f, and the gradient criteria apply) or a
     component overshoots the domain wall, in which case its contribution
-    is at least the distance to the wall times L1.
+    is at least the distance to the wall times L1.  The step is exact in
+    rationals and the test is ||g_pi||^2 > eps0^2.
     """
     N = h.domain_high
-    L1 = hp(h.lipschitz_report().L1)
+    L1 = h.lipschitz_report().L1
+    eps_sq = Fraction(eps0) ** 2
     if cells is None:
         last = N - 1
         cells = sorted({(a, b) for a in range(N) for b in range(N)
                         if a in (0, last) or b in (0, last)})
     reports = []
-    ticks = [hp(i) / (resolution - 1) for i in range(resolution)]
+    ticks = [Fraction(i, resolution - 1) for i in range(resolution)]
     for (a, b) in cells:
         rep = BoundaryReport(cell=(a, b), resolution=resolution)
-        patch = h.patch(a, b)
-        for tx in ticks:
-            for ty in ticks:
+        F = _fields(*_scaled_coeffs(h.patch(a, b)), ticks, ticks)
+        for i, tx in enumerate(ticks):
+            for j, ty in enumerate(ticks):
                 x, y = a + tx, b + ty
-                _, (fx, fy), _ = patch.eval(x, y, exact=False)
-                sx = min(max(x - fx / L1, 0), N)
-                sy = min(max(y - fy / L1, 0), N)
-                norm = hp_sqrt((L1 * (sx - x)) ** 2 + (L1 * (sy - y)) ** 2)
-                if float(norm) < rep.worst_norm:
-                    rep.worst_norm = float(norm)
+                scale = L1 * F.scale[i, j]
+                sx = min(max(x - Fraction(F.gx[i, j]) / scale, 0), N)
+                sy = min(max(y - Fraction(F.gy[i, j]) / scale, 0), N)
+                norm_sq = L1 * L1 * ((sx - x) ** 2 + (sy - y) ** 2)
+                r, k = _isqrt_shifted(norm_sq.numerator * norm_sq.denominator)
+                norm = r / (norm_sq.denominator << k)
+                if norm < rep.worst_norm:
+                    rep.worst_norm = norm
                     rep.worst_point = (float(x), float(y))
-                if norm <= eps0:
+                if norm_sq <= eps_sq:
                     rep.failing.append((float(x), float(y)))
                     rep.passed = False
         reports.append(rep)
@@ -555,7 +607,7 @@ def certification_report(inst: IterInstance, eps0: float = EPS0,
     from .hard_instance import ScaleMode, build
 
     h = build(inst, ScaleMode.UNIT)
-    field = ColorField(inst)
+    field = h.field
     N = field.N
     cells = []
     counts: dict[str, int] = {}

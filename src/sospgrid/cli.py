@@ -369,7 +369,8 @@ def bench(instance, resolution, seed) -> None:
     click.echo(f"precision: {get_precision()} bits")
     click.echo(f"patch build (cold-ish cache): {t_patch * 1e3:.2f} ms")
     click.echo(f"hp point evaluation: {t_eval * 1e3:.2f} ms")
-    click.echo(f"certify one cell at resolution {resolution}: {t_cert:.2f} s")
+    click.echo(f"certify one cell at resolution {resolution}: "
+               f"{t_cert * 1e3:.2f} ms")
 
 
 if __name__ == "__main__":

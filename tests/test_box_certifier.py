@@ -6,16 +6,23 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from sospgrid._precision import to_fraction
+from sospgrid.biquintic import BoxPatch
 from sospgrid.box_certifier import (
     ALL_TRANSFORMS,
+    EPS0,
     ClassificationError,
     CornerData,
+    _newton_polish,
+    _targeted_offsets,
     boundary_prox_check,
     canonicalize,
     cell_corner_data,
     certify_cell,
+    certify_no_sosp,
     classify_all,
     classify_cell,
 )
@@ -119,3 +126,101 @@ def test_boundary_prox_check(hard_n1):
     assert len(reports) == len(cells)
     for rep in reports:
         assert rep.passed
+
+
+def test_refinement_resamples_iterator_offsets(hard_n1):
+    # the refinement pass must see the same offsets as the first pass, also
+    # when they come from a one-shot iterator
+    patch = hard_n1.patch(4, 8)
+    offsets = _targeted_offsets(cell_corner_data(hard_n1.field, 4, 8))
+    from_list = certify_no_sosp(patch, resolution=15, extra_offsets=offsets,
+                                _refine=21)
+    from_iter = certify_no_sosp(patch, resolution=15,
+                                extra_offsets=iter(offsets), _refine=21)
+    assert from_list.refined and from_iter.refined
+    assert from_iter.sample_count == from_list.sample_count
+
+
+def _reference_sample(patch, x, y, eps):
+    """Verdicts and margin at local (x, y) from the exact patch evaluation,
+    with lambda_min at 512 bits."""
+    _, (fx, fy), ((fxx, fxy), (_, fyy)) = patch.eval(patch.a + x, patch.b + y,
+                                                     exact=True)
+    with mpmath.workprec(512):
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+        lam = (mp(fxx) + mp(fyy)) / 2 - mpmath.sqrt(
+            ((mp(fxx) - mp(fyy)) / 2) ** 2 + mp(fxy) ** 2)
+        ok_lam = lam < -mp(eps)
+        margin = float(max(mp(abs(fx)), mp(abs(fy)), -lam))
+    return abs(fx) > eps, abs(fy) > eps, ok_lam, margin
+
+
+def _reference_report(patch, coords, polish):
+    eps = Fraction(EPS0)
+    counts = [0, 0, 0]
+    failing = []
+    worst = [float("inf"), None]
+
+    def record(x, y):
+        *oks, margin = _reference_sample(patch, x, y, eps)
+        counts[:] = [c + ok for c, ok in zip(counts, oks)]
+        if margin < worst[0]:
+            worst[:] = [margin, (float(x), float(y))]
+        if not any(oks):
+            failing.append((float(x), float(y)))
+
+    for x in coords:
+        for y in coords:
+            record(x, y)
+    if polish:
+        for start in {worst[1], (0.5, 0.5)}:
+            polished = _newton_polish(patch, *start)
+            if polished is not None:
+                record(*map(to_fraction, polished))
+    return counts, failing, worst[1]
+
+
+@pytest.mark.parametrize("cell", [(5, 2), (4, 8)],
+                         ids=["group_b", "x_cell"])
+def test_exact_kernel_matches_reference(hard_n1, cell):
+    # one interior cell (Group B, eight targeted offsets) and one X cell
+    patch = hard_n1.patch(*cell)
+    offsets = _targeted_offsets(cell_corner_data(hard_n1.field, *cell))
+    rep = certify_no_sosp(patch, resolution=7, extra_offsets=offsets,
+                          _refine=0)
+    coords = [Fraction(i + 1, 8) for i in range(7)]
+    coords += [t for t in map(to_fraction, offsets) if 0 < t < 1]
+    counts, failing, worst_point = _reference_report(patch, coords, True)
+    assert [rep.gx_count, rep.gy_count, rep.lambda_count] == counts
+    assert rep.failing == failing
+    assert rep.worst_point == worst_point
+    assert rep.passed == (cell != (4, 8))
+
+
+def _synthetic_patch(i, j, c):
+    coeffs = [[Fraction(0)] * 6 for _ in range(6)]
+    coeffs[i][j] = Fraction(c)
+    return BoxPatch(a=0, b=0, coeffs=tuple(map(tuple, coeffs)))
+
+
+EPS = Fraction(EPS0)
+
+
+@pytest.mark.parametrize("i, j, c", [(1, 0, EPS), (0, 2, -EPS / 2)],
+                         ids=["gx_at_eps0", "lambda_at_minus_eps0"])
+def test_criteria_are_strict_at_the_threshold(i, j, c):
+    rep = certify_no_sosp(_synthetic_patch(i, j, c), resolution=9, _refine=0)
+    assert not rep.passed
+    assert rep.sample_count == 81
+    assert len(rep.failing) == rep.sample_count
+    assert rep.gx_count == rep.gy_count == rep.lambda_count == 0
+
+
+@pytest.mark.parametrize("i, j, c", [(1, 0, 2 * EPS), (0, 2, -EPS)],
+                         ids=["gx_above_eps0", "lambda_below_minus_eps0"])
+def test_criteria_pass_beyond_the_threshold(i, j, c):
+    rep = certify_no_sosp(_synthetic_patch(i, j, c), resolution=9, _refine=0)
+    assert rep.passed
+    assert rep.sample_count == 81
+    assert not rep.failing

@@ -124,3 +124,15 @@ def test_solve_finds_encoded_solution(runner, n1_file):
     assert payload["converged"] and payload["sosp_passed"]
     assert payload["decoded_solution"] == 1
     assert payload["solution_valid"] is True
+
+
+def test_bench_prints_three_timings(runner, n1_file):
+    res = runner.invoke(main, ["bench", "--instance", str(n1_file),
+                               "--resolution", "5"])
+    assert res.exit_code == 0
+    lines = res.output.splitlines()
+    assert re.fullmatch(r"patch build \(cold-ish cache\): \d+\.\d\d ms",
+                        lines[1])
+    assert re.fullmatch(r"hp point evaluation: \d+\.\d\d ms", lines[2])
+    assert re.fullmatch(r"certify one cell at resolution 5: \d+\.\d\d ms",
+                        lines[3])
