@@ -5,16 +5,27 @@ value, first derivative, and pure second derivative match the corner data at
 all four corners (mixed corner derivatives are exactly zero).  Coefficients
 are solved exactly: C = A^-1 V (A^-1)^T over rationals.
 
-Two evaluation paths: exact Fractions (verification) and high-precision
-floats (solver loops); see _precision.
+One evaluation path serves every caller.  The coefficients are scaled to
+integers over their common denominator once per patch; a grid of rational
+offsets p/q becomes integer power rows scaled by q^5; and the value,
+gradient and Hessian on the whole grid are integer matrix products over
+one known scale per sample (BoxPatch.fields).  A single point is the 1x1
+grid at its exact rational value (BoxPatch.eval): the results are exact,
+returned as Fractions or each rounded once to a high-precision float
+(see _precision).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
-from sospgrid._precision import hp
+import numpy as np
+
+from sospgrid._precision import hp_quotient, to_fraction
 from sospgrid.color_field import CornerAssignment
 
 # Rows: value at 0, value at 1, 1st derivative at 0/1, 2nd derivative at 0/1
@@ -82,6 +93,36 @@ def assemble_corner_block(
     )
 
 
+def _scaled_rows(coords):
+    """Integer rows q^5 t^p, q^5 (t^p)' and q^5 (t^p)'' (p = 0..5) of each
+    rational coordinate t = p/q, and the scales q^5."""
+    r0, r1, r2, scales = [], [], [], []
+    for t in coords:
+        num, den = t.numerator, t.denominator
+        pn = [num ** e for e in range(6)]
+        qn = [den ** e for e in range(8)]
+        r0.append([pn[e] * qn[5 - e] for e in range(6)])
+        r1.append([0] + [e * pn[e - 1] * qn[6 - e] for e in range(1, 6)])
+        r2.append([0, 0] + [e * (e - 1) * pn[e - 2] * qn[7 - e]
+                            for e in range(2, 6)])
+        scales.append(qn[5])
+    return tuple(np.array(r, dtype=object) for r in (r0, r1, r2, scales))
+
+
+class Fields(NamedTuple):
+    """Exact value, gradient and Hessian of a patch on a grid of samples,
+    all over one integer scale: f at sample (i, j) is f[i, j] / scale[i, j],
+    gx is gx[i, j] / scale[i, j], and so on."""
+
+    f: np.ndarray
+    gx: np.ndarray
+    gy: np.ndarray
+    hxx: np.ndarray
+    hyy: np.ndarray
+    hxy: np.ndarray
+    scale: np.ndarray
+
+
 @dataclass(frozen=True)
 class BoxPatch:
     """One cell's coefficient matrix, anchored at integer (a, b)."""
@@ -89,63 +130,42 @@ class BoxPatch:
     a: int
     b: int
     coeffs: tuple[tuple[Fraction, ...], ...]
-    _hp_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def contains(self, x, y) -> bool:
-        return self.a <= x <= self.a + 1 and self.b <= y <= self.b + 1
+    @cached_property
+    def _scaled(self):
+        """(K, D): the integer matrix K = D * coeffs over the common
+        denominator D of the coefficients."""
+        D = math.lcm(*(c.denominator for row in self.coeffs for c in row))
+        K = np.array([[c.numerator * (D // c.denominator) for c in row]
+                      for row in self.coeffs], dtype=object)
+        return K, D
 
-    def hp_coeffs(self):
-        """Coefficient matrix converted to high-precision floats (cached)."""
-        got = self._hp_cache.get("hp")
-        if got is None:
-            got = tuple(tuple(hp(c) for c in row) for row in self.coeffs)
-            self._hp_cache["hp"] = got
-        return got
-
-    def _eval_local(self, dx, dy, coeffs):
-        """(f, fx, fy, fxx, fyy, fxy) at local offsets (dx, dy)."""
-        one = dx - dx + 1
-        xp = [one]
-        yp = [one]
-        for _ in range(5):
-            xp.append(xp[-1] * dx)
-            yp.append(yp[-1] * dy)
-        f = fx = fy = fxx = fyy = fxy = dx - dx
-        for i in range(6):
-            for j in range(6):
-                c = coeffs[i][j]
-                if c == 0:
-                    continue
-                f += c * xp[i] * yp[j]
-                if i >= 1:
-                    fx += i * c * xp[i - 1] * yp[j]
-                if j >= 1:
-                    fy += j * c * xp[i] * yp[j - 1]
-                if i >= 2:
-                    fxx += i * (i - 1) * c * xp[i - 2] * yp[j]
-                if j >= 2:
-                    fyy += j * (j - 1) * c * xp[i] * yp[j - 2]
-                if i >= 1 and j >= 1:
-                    fxy += i * j * c * xp[i - 1] * yp[j - 1]
-        return f, fx, fy, fxx, fyy, fxy
+    def fields(self, xs, ys) -> Fields:
+        """Exact fields on the xs x ys grid of rational local offsets
+        (x - a, y - b), in integer arithmetic throughout."""
+        K, D = self._scaled
+        x0, x1, x2, sx = _scaled_rows(xs)
+        y0, y1, y2, sy = _scaled_rows(ys)
+        x0k, x1k = x0 @ K, x1 @ K
+        return Fields(f=x0k @ y0.T, gx=x1k @ y0.T, gy=x0k @ y1.T,
+                      hxx=(x2 @ K) @ y0.T, hyy=x0k @ y2.T, hxy=x1k @ y1.T,
+                      scale=np.outer(sx, sy) * D)
 
     def eval(self, x, y, exact: bool = True):
         """Value, gradient, Hessian at (x, y) inside the cell.
 
-        Returns (f, (fx, fy), ((fxx, fxy), (fxy, fyy))).  With exact=True
-        inputs must be rational and the result is exact.
+        Returns (f, (fx, fy), ((fxx, fxy), (fxy, fyy))).  The point is taken
+        at its exact rational value and the six numbers are computed
+        exactly; exact=True returns them as Fractions, exact=False rounds
+        each once to a high-precision float.
         """
-        if not self.contains(x, y):
+        dx, dy = to_fraction(x) - self.a, to_fraction(y) - self.b
+        if not (0 <= dx <= 1 and 0 <= dy <= 1):
             raise ValueError(f"({x}, {y}) outside Box({self.a}, {self.b})")
-        if exact:
-            dx = Fraction(x) - self.a
-            dy = Fraction(y) - self.b
-            coeffs = self.coeffs
-        else:
-            dx = hp(x) - self.a
-            dy = hp(y) - self.b
-            coeffs = self.hp_coeffs()
-        f, fx, fy, fxx, fyy, fxy = self._eval_local(dx, dy, coeffs)
+        F = self.fields([dx], [dy])
+        scale = F.scale[0, 0]
+        convert = Fraction if exact else hp_quotient
+        f, fx, fy, fxx, fyy, fxy = (convert(v[0, 0], scale) for v in F[:6])
         return f, (fx, fy), ((fxx, fxy), (fxy, fyy))
 
 

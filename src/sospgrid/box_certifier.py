@@ -13,9 +13,9 @@ Certification is a sampling certificate, not a proof: on a dense interior
 grid (plus targeted near-edge offsets and a Newton-polished stationary
 candidate) every sample must satisfy |Gx| > eps0, |Gy| > eps0 or
 lambda_min < -eps0.  Each sample's verdict is exact.  Sample coordinates
-are rationals p/q, the patch coefficients are scaled to integers over
-their common denominator, and the gradient and Hessian on the whole grid
-are integer matrices over one known scale per sample.  The gradient tests
+are rationals p/q, and the gradient and Hessian on the whole grid come
+from the patch's own exact integer kernel (BoxPatch.fields in biquintic)
+as integer matrices over one known scale per sample.  The gradient tests
 are integer comparisons; the curvature test is sqrt-free (lambda_min <
 -eps0 iff H + eps0 I has a negative diagonal entry or determinant).  Only
 the Newton polish and the irrational 1/sqrt(gap) offsets use
@@ -29,16 +29,15 @@ as the negative control.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._precision import hp, hp_sqrt, to_fraction
-from .biquintic import BoxPatch
+from .biquintic import BoxPatch, Fields
 from .color_field import ColorField, Direction
 from .hard_instance import HardInstance
 from .iter_problems import IterInstance
@@ -228,14 +227,6 @@ def cell_corner_data(field_or_inst, a: int, b: int) -> CornerData:
                       tuple(c.direction for c in assigns))
 
 
-def _x_cells(field: ColorField) -> frozenset:
-    cells = set()
-    for k in field.solutions:
-        for a in (6 * k - 3, 6 * k - 2, 6 * k - 1):
-            cells.add((a, 6 * k + 2))
-    return frozenset(cells)
-
-
 def classify_cell(field_or_inst, a: int, b: int) -> GroupLabel:
     """Deterministic taxonomy label for cell Box(a, b).
 
@@ -249,7 +240,7 @@ def classify_cell(field_or_inst, a: int, b: int) -> GroupLabel:
     N = field.N
     if not (0 <= a <= N - 1 and 0 <= b <= N - 1):
         raise ValueError(f"cell ({a}, {b}) outside [0, {N - 1}]^2")
-    if (a, b) in _x_cells(field):
+    if field.x_cell_node(a, b) is not None:
         return GroupLabel("X")
     if a in (0, N - 1) or b in (0, N - 1):
         return GroupLabel("Boundary")
@@ -315,52 +306,6 @@ class CriterionReport:
         }
 
 
-def _scaled_coeffs(patch: BoxPatch):
-    """Integer coefficient matrix K = D * C over the common denominator D."""
-    D = math.lcm(*(c.denominator for row in patch.coeffs for c in row))
-    K = np.array([[c.numerator * (D // c.denominator) for c in row]
-                  for row in patch.coeffs], dtype=object)
-    return K, D
-
-
-def _scaled_rows(coords):
-    """Integer rows q^5 t^p, q^5 (t^p)' and q^5 (t^p)'' (p = 0..5) of each
-    coordinate t = p/q, and the scales q^5."""
-    r0, r1, r2, scales = [], [], [], []
-    for t in coords:
-        num, den = t.numerator, t.denominator
-        pn = [num ** e for e in range(6)]
-        qn = [den ** e for e in range(8)]
-        r0.append([pn[e] * qn[5 - e] for e in range(6)])
-        r1.append([0] + [e * pn[e - 1] * qn[6 - e] for e in range(1, 6)])
-        r2.append([0, 0] + [e * (e - 1) * pn[e - 2] * qn[7 - e]
-                            for e in range(2, 6)])
-        scales.append(qn[5])
-    return tuple(np.array(r, dtype=object) for r in (r0, r1, r2, scales))
-
-
-class _Fields(NamedTuple):
-    """Exact derivative fields on a sample grid, all over one scale: the
-    value of gx at sample (i, j) is gx[i, j] / scale[i, j], and so on."""
-
-    gx: np.ndarray
-    gy: np.ndarray
-    hxx: np.ndarray
-    hyy: np.ndarray
-    hxy: np.ndarray
-    scale: np.ndarray
-
-
-def _fields(K, D: int, xs, ys) -> _Fields:
-    """Gradient and Hessian of the patch on the xs x ys grid of rationals."""
-    x0, x1, x2, sx = _scaled_rows(xs)
-    y0, y1, y2, sy = _scaled_rows(ys)
-    x0k, x1k = x0 @ K, x1 @ K
-    return _Fields(gx=x1k @ y0.T, gy=x0k @ y1.T, hxx=(x2 @ K) @ y0.T,
-                   hyy=x0k @ y2.T, hxy=x1k @ y1.T,
-                   scale=np.outer(sx, sy) * D)
-
-
 # Bits carried by an integer square root before its one rounding to float.
 _SQRT_BITS = 120
 
@@ -389,7 +334,7 @@ def _neg_lambda_min(hxx: int, hyy: int, hxy: int, scale: int) -> float:
 _neg_lambda_grid = np.frompyfunc(_neg_lambda_min, 4, 1)
 
 
-def _record(report: CriterionReport, xs, ys, F: _Fields, eps: Fraction):
+def _record(report: CriterionReport, xs, ys, F: Fields, eps: Fraction):
     """Decide the three criteria exactly at every sample of the grid.
 
     |g| > eps is |G| * den > num * scale for eps = num/den; lambda_min <
@@ -466,12 +411,10 @@ def certify_no_sosp(patch: BoxPatch, eps0: float = EPS0, resolution: int = 51,
     """
     offsets = [t for t in map(to_fraction, extra_offsets) if 0 < t < 1]
     report = CriterionReport(cell=(patch.a, patch.b), resolution=resolution)
-    # The coefficient matrix is expressed in cell-local coordinates.
-    K, D = _scaled_coeffs(patch)
     eps = Fraction(eps0)
     coords = [Fraction(i + 1, resolution + 1)
               for i in range(resolution)] + offsets
-    _record(report, coords, coords, _fields(K, D, coords, coords), eps)
+    _record(report, coords, coords, patch.fields(coords, coords), eps)
 
     if polish:
         starts = {report.worst_point}
@@ -483,7 +426,7 @@ def certify_no_sosp(patch: BoxPatch, eps0: float = EPS0, resolution: int = 51,
             if polished is None:
                 continue
             px, py = ([to_fraction(t)] for t in polished)
-            _record(report, px, py, _fields(K, D, px, py), eps)
+            _record(report, px, py, patch.fields(px, py), eps)
 
     if (report.worst_margin < 10 * eps0 and _refine
             and resolution < _refine):
@@ -570,7 +513,7 @@ def boundary_prox_check(h: HardInstance, cells: Iterable | None = None,
     ticks = [Fraction(i, resolution - 1) for i in range(resolution)]
     for (a, b) in cells:
         rep = BoundaryReport(cell=(a, b), resolution=resolution)
-        F = _fields(*_scaled_coeffs(h.patch(a, b)), ticks, ticks)
+        F = h.patch(a, b).fields(ticks, ticks)
         for i, tx in enumerate(ticks):
             for j, ty in enumerate(ticks):
                 x, y = a + tx, b + ty
@@ -633,8 +576,3 @@ def certification_report(inst: IterInstance, eps0: float = EPS0,
             cells.append(entry)
     return {"n": inst.n, "N": N, "counts": counts, "passed": ok,
             "cells": cells}
-
-
-def dump_report(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)

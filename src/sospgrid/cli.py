@@ -19,7 +19,7 @@ from ._precision import get_precision, set_precision
 from .box_certifier import (ClassificationError, boundary_prox_check,
                             certification_report, certify_cell, classify_all,
                             classify_cell)
-from .color_field import COLOR_ORDER, ColorField
+from .color_field import ColorField
 from .hard_instance import ScaleMode, build
 from .iter_problems import IterInstance, iter_is_solution, load_instance
 from .localopt_reduction import ReductionInstance

@@ -233,7 +233,13 @@ class ColorField:
             self._cache[key] = got
         return got
 
+    def x_cell_node(self, a: int, b: int) -> int | None:
+        """The solution k whose X cells contain Box(a, b), else None.
 
-def grid_assignment(inst: IterInstance, a: int, b: int) -> CornerAssignment:
-    """One-shot corner assignment (prefer ColorField for repeated queries)."""
-    return ColorField(inst).assignment(a, b)
+        The X cells of a solution k are Box(a, 6k + 2) for a in
+        {6k - 3, 6k - 2, 6k - 1}: the cells where the SOSP encoding k sits.
+        """
+        k, rem = divmod(a + 3, 6)
+        if rem <= 2 and b == 6 * k + 2 and k in self.solutions:
+            return k
+        return None

@@ -99,12 +99,10 @@ class HardInstance:
         if self.mode is ScaleMode.UNIT:
             u, v = x, y
         else:
+            x, y = to_fraction(x), to_fraction(y)
             if not (0 <= x <= 1 and 0 <= y <= 1):
                 raise ValueError(f"({x}, {y}) outside [0, 1]^2")
-            if exact:
-                u, v = to_fraction(x) * self.N, to_fraction(y) * self.N
-            else:
-                u, v = hp(x) * self.N, hp(y) * self.N
+            u, v = x * self.N, y * self.N
         a, b = self.locate(u, v)
         f, grad, hess = self.patch(a, b).eval(u, v, exact=exact)
         if self.mode is ScaleMode.MODERATE:
@@ -136,13 +134,7 @@ class HardInstance:
         """ITER solution k if the (unscaled) point lies in an X cell, else None."""
         if not (0 <= x <= self.N and 0 <= y <= self.N):
             return None
-        a, b = self.locate(x, y)
-        k, rem = divmod(a + 3, 6)
-        if rem > 2:
-            return None
-        if b == 6 * k + 2 and k in self.field.solutions:
-            return k
-        return None
+        return self.field.x_cell_node(*self.locate(x, y))
 
     def decode_scaled(self, x, y):
         """decode_solution for a point in the instance's own coordinates."""

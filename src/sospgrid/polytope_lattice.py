@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from sospgrid._precision import hp, hp_sqrt, to_fraction
+from sospgrid._precision import to_fraction
 from sospgrid.stationarity import Polytope, independent_rows, projector_from_rows, _solve_frac
 
 
@@ -135,10 +135,6 @@ class RoundingCertificate:
     @property
     def bounce_count(self) -> int:
         return len(self.bounces)
-
-    @property
-    def total_displacement(self):
-        return sum((hp_sqrt(hp(s)) for s in self.step_dist_sq), hp(0))
 
 
 def _round_to_multiple(c: Fraction, step: Fraction) -> Fraction:

@@ -234,13 +234,6 @@ def projector_from_rows(rows: Sequence[Sequence[Fraction]], d: int) -> tuple:
     return tuple(tuple(row) for row in P)
 
 
-def min_eig_2x2(f_xx, f_yy, f_xy):
-    """Closed-form minimum eigenvalue of a symmetric 2x2 matrix."""
-    a, b, c = hp(f_xx), hp(f_yy), hp(f_xy)
-    disc = hp_sqrt((a - b) * (a - b) + 4 * c * c)
-    return (a + b - disc) / 2
-
-
 def _jacobi_eigen(M: list[list], tol) -> tuple[list, list[list]]:
     """Cyclic Jacobi sweeps; returns (eigenvalues, eigenvector columns)."""
     n = len(M)

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from patch_reference import reference_eval
+from sospgrid._precision import hp, to_fraction
 from sospgrid.biquintic import (
     A_INV,
     A_MATRIX,
@@ -110,21 +112,61 @@ def test_eval_rejects_outside_points():
         patch.eval(Fraction(4), Fraction(3))
 
 
+def hard_patches():
+    """A few patches of two hard instances, X cells and boundary included."""
+    for inst, cells in ((IterInstance(1, (2, 2)), [(4, 8), (5, 2), (0, 9), (9, 9)]),
+                        (IterInstance(2, (3, 4, 4, 1)), [(22, 26), (3, 7), (28, 28)])):
+        field = ColorField(inst)
+        for a, b in cells:
+            yield patch_from_corners(
+                a, b,
+                field.assignment(a, b), field.assignment(a, b + 1),
+                field.assignment(a + 1, b), field.assignment(a + 1, b + 1))
+
+
+def random_offset(rng):
+    """A dyadic or non-dyadic rational in [0, 1], cell edges included."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(rng.randrange(2))
+    if kind == 1:
+        bits = rng.choice((3, 40, 192))
+        return Fraction(rng.randrange(2**bits + 1), 2**bits)
+    den = rng.randrange(2, 10**12)
+    return Fraction(rng.randrange(den + 1), den)
+
+
+def test_exact_eval_matches_reference():
+    rng = random.Random(41)
+    patches = [solve_coefficients(random_block(rng), a=rng.randrange(-3, 4),
+                                  b=rng.randrange(-3, 4)) for _ in range(8)]
+    patches += list(hard_patches())
+    for patch in patches:
+        for _ in range(12):
+            x = patch.a + random_offset(rng)
+            y = patch.b + random_offset(rng)
+            got = patch.eval(x, y)
+            assert got == reference_eval(patch, x, y)
+            f, (fx, fy), ((fxx, fxy), (_, fyy)) = got
+            assert all(type(v) is Fraction for v in (f, fx, fy, fxx, fxy, fyy))
+
+
 def test_hp_eval_tracks_exact_eval():
+    """Each hp output is the exact value rounded once: within 2^-188 of it,
+    relative, at 192-bit points."""
     rng = random.Random(5)
-    V = random_block(rng)
-    patch = solve_coefficients(V)
-    for _ in range(10):
-        x = Fraction(rng.randrange(0, 1001), 1000)
-        y = Fraction(rng.randrange(0, 1001), 1000)
-        fe, ge, he = patch.eval(x, y)
-        ff, gf, hf = patch.eval(x, y, exact=False)
-        assert abs(float(fe) - float(ff)) <= 1e-12 * max(1.0, abs(float(fe)))
-        for a, b in zip(ge, gf):
-            assert abs(float(a) - float(b)) <= 1e-12 * max(1.0, abs(float(a)))
-        for ra, rb in zip(he, hf):
-            for a, b in zip(ra, rb):
-                assert abs(float(a) - float(b)) <= 1e-12 * max(1.0, abs(float(a)))
+    patches = [solve_coefficients(random_block(rng)) for _ in range(3)]
+    patches += list(hard_patches())[:2]
+    for patch in patches:
+        for _ in range(10):
+            x = to_fraction(hp(patch.a + Fraction(rng.getrandbits(192), 2**192)))
+            y = to_fraction(hp(patch.b + Fraction(rng.getrandbits(192), 2**192)))
+            fe, ge, he = patch.eval(x, y)
+            ff, gf, hf = patch.eval(hp(x), hp(y), exact=False)
+            exact = (fe, *ge, *he[0], *he[1])
+            rounded = (ff, *gf, *hf[0], *hf[1])
+            for e, r in zip(exact, rounded):
+                assert abs(to_fraction(r) - e) <= abs(e) / 2**188
 
 
 def test_adjacent_cells_agree_on_shared_edges():

@@ -9,6 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from patch_reference import reference_eval
 from sospgrid._precision import to_fraction
 from sospgrid.biquintic import BoxPatch
 from sospgrid.box_certifier import (
@@ -26,13 +27,12 @@ from sospgrid.box_certifier import (
     classify_all,
     classify_cell,
 )
-from sospgrid.color_field import Direction
+from sospgrid.color_field import ColorField, Direction
 from sospgrid.hard_instance import build
 from sospgrid.iter_problems import IterInstance
 
 
 def x_cells_of(inst):
-    from sospgrid.color_field import ColorField
     field = ColorField(inst)
     return {(a, 6 * k + 2)
             for k in field.solutions
@@ -86,6 +86,16 @@ def test_classify_all_n2_census(inst_n2):
     assert counts["X"] == 3 * 1  # solutions = {4}
     assert {(a, b) for (a, b), lab in labels.items()
             if lab.kind == "X"} == x_cells_of(inst_n2)
+
+
+def test_x_label_follows_the_x_cell_predicate(inst_n2):
+    field = ColorField(inst_n2)
+    x_cells = x_cells_of(inst_n2)
+    for a in range(field.N):
+        for b in range(field.N):
+            is_x = classify_cell(field, a, b).kind == "X"
+            assert is_x == (field.x_cell_node(a, b) is not None)
+            assert is_x == ((a, b) in x_cells)
 
 
 def test_boundary_has_precedence_over_patterns(inst_n1):
@@ -142,10 +152,10 @@ def test_refinement_resamples_iterator_offsets(hard_n1):
 
 
 def _reference_sample(patch, x, y, eps):
-    """Verdicts and margin at local (x, y) from the exact patch evaluation,
+    """Verdicts and margin at local (x, y) from the reference evaluation,
     with lambda_min at 512 bits."""
-    _, (fx, fy), ((fxx, fxy), (_, fyy)) = patch.eval(patch.a + x, patch.b + y,
-                                                     exact=True)
+    _, (fx, fy), ((fxx, fxy), (_, fyy)) = reference_eval(patch, patch.a + x,
+                                                         patch.b + y)
     with mpmath.workprec(512):
         def mp(q):
             return mpmath.mpf(q.numerator) / q.denominator

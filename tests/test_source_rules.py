@@ -20,3 +20,16 @@ def test_no_float_round_trip_to_rational():
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if FLOAT_TO_RATIONAL.search(line)]
     assert hits == []
+
+
+HP_BACKEND_IMPORT = re.compile(r"^\s*(import|from)\s+(mpmath|gmpy2)\b")
+
+
+def test_hp_backend_imported_only_by_precision():
+    """The high-precision backend stays behind _precision.py: no other module
+    of the package imports mpmath or gmpy2."""
+    hits = [f"{path.name}:{lineno}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "_precision.py"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if HP_BACKEND_IMPORT.search(line)]
+    assert hits == []

@@ -13,7 +13,6 @@ from sospgrid._precision import hp, to_fraction
 from sospgrid.stationarity import (
     Polytope,
     active_set,
-    min_eig_2x2,
     project,
     projected_hessian_min_eig,
     projector_from_rows,
@@ -137,15 +136,6 @@ def test_projector_from_rows_idempotent_and_orthogonal():
         for r in rows:
             img = [sum(P[i][j] * r[j] for j in range(d)) for i in range(d)]
             assert all(v == 0 for v in img)
-
-
-def test_min_eig_2x2_matches_numpy():
-    rng = random.Random(21)
-    for _ in range(50):
-        a, b, c = (rng.uniform(-5, 5) for _ in range(3))
-        lam = float(min_eig_2x2(a, b, c))
-        ref = float(np.linalg.eigvalsh(np.array([[a, c], [c, b]]))[0])
-        assert abs(lam - ref) <= 1e-9
 
 
 def test_projected_hessian_min_eig_matches_numpy():
