@@ -1,6 +1,6 @@
 """Command-line surface for the package.
 
-Subcommands: gen, verify, render, solve, reduce, classify, bench.
+Subcommands: gen, verify, render, solve, reduce, classify.
 Exit codes: 0 success/pass, 1 semantic failure (e.g. not an SOSP,
 certification failure), 2 usage or validation error.
 """
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import click
 
-from ._precision import get_precision, set_precision
+from ._precision import set_precision
 from .box_certifier import (ClassificationError, boundary_prox_check,
                             certification_report, certify_cell, classify_all,
                             classify_cell)
@@ -340,37 +340,6 @@ def classify(instance, cell_a, cell_b, certify, resolution, precision,
     except ClassificationError as exc:
         click.echo(f"classification error: {exc}", err=True)
         sys.exit(1)
-
-
-@main.command()
-@click.option("--instance", required=True, type=click.Path(exists=True))
-@click.option("--resolution", type=int, default=51, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def bench(instance, resolution, seed) -> None:
-    """Rough timings: patch build, point evaluation, one cell certificate."""
-    inst = _load(instance)
-    h = build(inst, ScaleMode.UNIT)
-    rng = random.Random(seed)
-    t0 = time.perf_counter()
-    for _ in range(20):
-        a = rng.randrange(0, h.N)
-        b = rng.randrange(0, h.N)
-        h.patch(a, b)
-    t_patch = (time.perf_counter() - t0) / 20
-    pts = [(Fraction(rng.randrange(1, 10**6), 10**6) * h.N,
-            Fraction(rng.randrange(1, 10**6), 10**6) * h.N) for _ in range(50)]
-    t0 = time.perf_counter()
-    for (x, y) in pts:
-        h.evaluate(x, y, exact=False)
-    t_eval = (time.perf_counter() - t0) / 50
-    t0 = time.perf_counter()
-    certify_cell(h, 1, 1, resolution=resolution)
-    t_cert = time.perf_counter() - t0
-    click.echo(f"precision: {get_precision()} bits")
-    click.echo(f"patch build (cold-ish cache): {t_patch * 1e3:.2f} ms")
-    click.echo(f"hp point evaluation: {t_eval * 1e3:.2f} ms")
-    click.echo(f"certify one cell at resolution {resolution}: "
-               f"{t_cert * 1e3:.2f} ms")
 
 
 if __name__ == "__main__":

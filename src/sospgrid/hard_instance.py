@@ -20,7 +20,7 @@ from sospgrid.color_field import ColorField
 from sospgrid.iter_problems import IterInstance
 
 C0_AGGRESSIVE = 2**76
-DEFAULT_CACHE_CELLS = 4096
+CACHE_CELLS = 4096  # patches kept, least recently used evicted first
 
 
 class ScaleMode(enum.Enum):
@@ -48,14 +48,12 @@ class LipschitzRecord:
 class HardInstance:
     """Evaluable objective; immutable apart from an internal patch cache."""
 
-    def __init__(self, inst: IterInstance, mode: ScaleMode = ScaleMode.UNIT,
-                 cache_cells: int = DEFAULT_CACHE_CELLS):
+    def __init__(self, inst: IterInstance, mode: ScaleMode = ScaleMode.UNIT):
         self.instance = inst
         self.mode = mode
         self.field = ColorField(inst)
         self.N = self.field.N
         self._cache: OrderedDict[tuple[int, int], BoxPatch] = OrderedDict()
-        self._cache_cells = cache_cells
         self._lock = threading.Lock()
 
     @property
@@ -81,7 +79,7 @@ class HardInstance:
         built = patch_from_corners(a, b, asn(a, b), asn(a, b + 1), asn(a + 1, b), asn(a + 1, b + 1))
         with self._lock:
             self._cache[key] = built
-            if len(self._cache) > self._cache_cells:
+            if len(self._cache) > CACHE_CELLS:
                 self._cache.popitem(last=False)
         return built
 
@@ -158,8 +156,7 @@ class HardInstance:
         return LipschitzRecord(L=L, L1=L1, L2=L2, coeff_norm_bound=coeff)
 
 
-def build(inst: IterInstance, mode: ScaleMode | str = ScaleMode.UNIT,
-          cache_cells: int = DEFAULT_CACHE_CELLS) -> HardInstance:
+def build(inst: IterInstance, mode: ScaleMode | str = ScaleMode.UNIT) -> HardInstance:
     if isinstance(mode, str):
         mode = ScaleMode(mode)
-    return HardInstance(inst, mode=mode, cache_cells=cache_cells)
+    return HardInstance(inst, mode=mode)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from sospgrid._precision import hp, to_fraction
+from sospgrid._precision import to_fraction
 from sospgrid.polytope_lattice import (
     _ceil_sqrt_rational,
     box_grid_step,
@@ -91,11 +91,11 @@ class ReductionInstance:
     def dim_null(self, x) -> int:
         return active_set(self.poly, x).dim_null
 
-    def potential(self, x):
+    def potential(self, x) -> Fraction:
+        """f(x) + weight * dim_null(x), exact at the rational value of f(x)."""
         if not self.on_grid(x):
             raise ValueError("potential is defined on grid points only")
-        f = self.objective(x)[0]
-        return hp(f) + hp(self.weight * self.dim_null(x))
+        return to_fraction(self.objective(x)[0]) + self.weight * self.dim_null(x)
 
     def _rounded_update(self, x) -> tuple:
         """Rounding(h(x)), with h the solver's three-case update."""

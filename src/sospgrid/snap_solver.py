@@ -3,7 +3,14 @@ search with maximal-step detection, and convergence to an (eps_G, eps_H)
 second-order stationary point of a smooth objective over a polytope.
 
 snap_update is the three-case update h(x); the local-search reduction
-rounds the same h(x) onto its grid.
+rounds the same h(x) onto its grid.  Which case applies is decided exactly,
+by the tests verify_sosp makes.  High precision only moves the point: the
+step x - g/L, the curvature direction, the line-search f values and step
+lengths.  Every iterate is rational and lies in the polytope exactly: a
+gradient step is the exact projection of the rational value of its
+high-precision step, and a line-search probe is x + t d formed in
+rationals, with the maximal t from an exact ratio test, so a maximal step
+ends exactly on its blocking rows.
 """
 
 from __future__ import annotations
@@ -11,9 +18,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
-from sospgrid._precision import hp, hp_sqrt
+from sospgrid._precision import hp, hp_sqrt, to_fraction
 from sospgrid.stationarity import (
     ActiveSet,
     Polytope,
@@ -23,8 +31,14 @@ from sospgrid.stationarity import (
     projected_hessian_min_eig,
     projected_step,
     proximal_gradient,
+    psd_on_tangent,
     verify_sosp,
 )
+
+# Required curvature decrease, as a multiple of eps_H^3 / L2^2.
+CURVATURE_DECREASE = Fraction(3, 50)
+# Floor of the backtracked local smoothness estimate.
+L_HAT_FLOOR = Fraction(1, 10**8)
 
 
 class StepKind(enum.Enum):
@@ -69,8 +83,12 @@ def _hpvec(x) -> tuple:
     return tuple(hp(c) for c in x)
 
 
+def _fracvec(x) -> tuple:
+    return tuple(to_fraction(c) for c in x)
+
+
 def _dist(y, x):
-    """||y - x|| in high precision (off a box, a step lands on a rational y)."""
+    """||y - x|| in high precision."""
     diff = [hp(a) - hp(b) for a, b in zip(y, x)]
     return hp_sqrt(sum(c * c for c in diff))
 
@@ -99,15 +117,13 @@ def _newton_candidate(poly: Polytope, x, grad, hess):
     return projected_step(poly, x, tuple(M[i][d] / M[i][i] for i in range(d)), 1)
 
 
-def curvature_direction(grad, hess, act: ActiveSet, eps_h, delta_eig=None):
+def curvature_direction(grad, hess, act: ActiveSet, eps_h):
     """Unit negative-curvature direction in the active null space, signed
     against the projected gradient; lexicographic tie-break.  None when the
-    projected Hessian has no eigenvalue below -eps_h."""
-    if delta_eig is None:
-        delta_eig = default_delta_eig(eps_h)
-    lam, v = projected_hessian_min_eig(hess, act.projector, delta_eig)
-    if v is None or not (lam < -hp(eps_h)):
+    projected Hessian has no eigenvalue below -eps_h (decided exactly)."""
+    if act.dim_null == 0 or psd_on_tangent(hess, act.projector, eps_h):
         return None
+    _, v = projected_hessian_min_eig(hess, act.projector, default_delta_eig(eps_h))
     d = len(v)
     P = act.projector
     qpi = tuple(sum(hp(P[i][k]) * hp(grad[k]) for k in range(d)) for i in range(d))
@@ -121,15 +137,15 @@ def curvature_direction(grad, hess, act: ActiveSet, eps_h, delta_eig=None):
 
 
 def max_feasible_step(poly: Polytope, x, d):
-    """Ratio test: largest t with x + t d feasible, and the blocking rows."""
+    """Exact ratio test at the rational values of a feasible x and of d:
+    largest t with x + t d feasible, and the blocking rows."""
     t_max = None
     blockers: list[int] = []
     for j in range(poly.m):
-        adot = sum(hp(a) * hp(c) for a, c in zip(poly.A[j], d))
+        adot = sum(a * to_fraction(c) for a, c in zip(poly.A[j], d))
         if adot <= 0:
             continue
-        slack = hp(poly.slack(j, x))
-        t = max(slack, hp(0)) / adot
+        t = poly.slack(j, x) / adot
         if t_max is None or t < t_max:
             t_max, blockers = t, [j]
         elif t == t_max:
@@ -140,25 +156,23 @@ def max_feasible_step(poly: Polytope, x, d):
 
 
 def line_search(objective: Callable, poly: Polytope, x, d, eps_h, L2,
-                L_max=None, decrease=None, t0=None, cap=None):
+                L_max=None):
     """Move along d: either a point with the required curvature decrease
-    (max-step False) or the maximal feasible step (max-step True)."""
-    x = _hpvec(x)
-    d = _hpvec(d)
+    (max-step False) or the maximal feasible step (max-step True).
+
+    Probes x + t d are formed exactly from t = eps_h/L2 doubled up to the
+    ratio-test maximum; f is compared in high precision."""
+    x = _fracvec(x)
+    d = _fracvec(d)
     fx = _fval(objective, x)
     t_max, blockers = max_feasible_step(poly, x, d)
-    eps_h = hp(eps_h)
-    L2 = hp(L2)
-    if decrease is None:
-        decrease = hp(0.06) * eps_h**3 / (L2 * L2)
-    if t0 is None:
-        t0 = eps_h / L2
+    eps_h, L2 = to_fraction(eps_h), to_fraction(L2)
+    decrease = hp(CURVATURE_DECREASE * eps_h**3 / (L2 * L2))
     if L_max is None:
         L_max = L2
-    if cap is None:
-        eps = float(eps_h) if float(eps_h) > 0 else 1e-16
-        cap = math.ceil(math.log2(max(float(L_max) * len(x) / eps, 2))) + 10
-    t = hp(t0)
+    eps = float(eps_h) if eps_h > 0 else 1e-16
+    cap = math.ceil(math.log2(max(float(L_max) * len(x) / eps, 2))) + 10
+    t = eps_h / L2
     best = None  # (fy, y, hit_max)
     for _ in range(cap):
         t_probe = min(t, t_max)
@@ -189,7 +203,7 @@ def line_search(objective: Callable, poly: Polytope, x, d, eps_h, L2,
 
 
 def snap_update(objective: Callable, poly: Polytope, x, grad, hess, eps_g, eps_h,
-                L1, L2, L_max=None, delta_eig=None):
+                L1, L2, L_max=None):
     """One step h(x) of the three-case update from the evaluated derivatives.
 
     Returns (kind, y, max_step, new_active): a projected gradient step
@@ -197,10 +211,10 @@ def snap_update(objective: Callable, poly: Polytope, x, grad, hess, eps_g, eps_h
     the negative-curvature direction, else the terminal step y = x.
     """
     gpi = proximal_gradient(x, grad, L1, poly)
-    if sum(hp(g) * hp(g) for g in gpi) > hp(eps_g) ** 2:
+    if sum(g * g for g in gpi) > to_fraction(eps_g) ** 2:
         return StepKind.PGD, projected_step(poly, x, grad, L1), False, ()
     act = active_set(poly, x)
-    direction = curvature_direction(grad, hess, act, eps_h, delta_eig)
+    direction = curvature_direction(grad, hess, act, eps_h)
     if direction is not None:
         y, hit_max, blockers = line_search(objective, poly, x, direction,
                                            eps_h, L2, L_max=L_max)
@@ -209,15 +223,16 @@ def snap_update(objective: Callable, poly: Polytope, x, grad, hess, eps_g, eps_h
 
 
 def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
-             max_iter: int = 1000, adaptive: bool = False,
-             delta_eig=None) -> SnapTrace:
+             max_iter: int = 1000, adaptive: bool = False) -> SnapTrace:
     """Iterate the three-case update until an (eps_G, eps_H)-SOSP.
 
     adaptive=True replaces the fixed 1/L1 gradient step with a backtracked
     local-smoothness estimate (the terminal test still uses the honest L1).
+    The start is read at working precision, like every step, and must then
+    lie in the polytope exactly.
     """
-    x = _hpvec(x0)
-    if not poly.contains(x, tol=1e-9):
+    x = _fracvec(_hpvec(x0))
+    if not poly.contains(x):
         raise ValueError("infeasible start point")
     trace = SnapTrace()
     L1_h = hp(L1)
@@ -228,8 +243,7 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
         fx, grad, hess = objective(x)
         fx, grad = hp(fx), _hpvec(grad)
         kind, y, hit_max, blockers = snap_update(objective, poly, x, grad, hess,
-                                                 eps_g, eps_h, L1, L2,
-                                                 delta_eig=delta_eig)
+                                                 eps_g, eps_h, L1, L2)
         if kind is StepKind.TERMINAL:
             trace.steps.append(SnapStep(StepKind.TERMINAL, x, x, 0))
             break
@@ -244,7 +258,7 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
                 L_hat = 2 * L_hat
             else:
                 raise SnapViolation("pgd", "backtracking failed to find decrease")
-            L_hat = max(L_hat / 2, hp(1e-8))
+            L_hat = max(L_hat / 2, hp(L_HAT_FLOOR))
             # Ill-conditioned patches make the scalar step crawl; a
             # projected Newton candidate is accepted only when it beats
             # the backtracked step, so the decrease certificate stands.
@@ -264,7 +278,6 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
                                     new_active=blockers,
                                     decrease_shortfall=shortfall))
         x = y
-    trace.final_report = verify_sosp(objective, poly, x, eps_g, eps_h, L1,
-                                     delta_eig=delta_eig)
+    trace.final_report = verify_sosp(objective, poly, x, eps_g, eps_h, L1)
     trace.converged = kind is StepKind.TERMINAL and trace.final_report.passed
     return trace

@@ -2,11 +2,14 @@
 
 Polytopes {x : Ax <= b}, Euclidean projection, proximal gradient, active
 sets with null-space projectors, projected-Hessian eigenvalues, and the
-(eps_G, eps_H)-SOSP verifier.  Exact-rational and high-precision float
-paths are both supported; polytope data is always rational.  A
-high-precision value becomes rational only through to_fraction, which is
-exact: the projected step off a box projects the exact rational value of
-its high-precision step.
+(eps_G, eps_H)-SOSP verifier.  Polytope data is always rational, and every
+accept/reject decision is made once, in exact arithmetic, at the exact
+rational value of the point and the derivatives (to_fraction is exact for
+a high-precision value): feasibility, the active rows (slack exactly 0),
+||g_pi||^2 <= eps_G^2 and the PSD test on the active null space.  High
+precision only moves points: projected_step rounds x - g/L in high
+precision and projects its exact rational value, and the Jacobi eigenpair
+gives the solver its curvature direction and the report its lambda_min.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ from typing import Callable, Optional, Sequence
 from sospgrid._precision import hp, hp_sqrt, to_fraction
 
 INF = float("inf")
-
-
-def _is_exact_vec(x) -> bool:
-    return all(isinstance(c, (int, Fraction)) for c in x)
 
 
 def _solve_frac(M: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
@@ -104,19 +103,12 @@ class Polytope:
         """New polytope with one extra half-space a.x <= rhs."""
         return Polytope(list(self.A) + [list(row)], list(self.b) + [rhs])
 
-    def slack(self, j: int, x) -> object:
-        """b_j - a_j.x: exact for a rational point, high precision otherwise."""
-        if _is_exact_vec(x):
-            return self.b[j] - sum(a * c for a, c in zip(self.A[j], x))
-        return hp(self.b[j]) - sum(hp(a) * hp(c) for a, c in zip(self.A[j], x))
+    def slack(self, j: int, x) -> Fraction:
+        """b_j - a_j.x, exact at the rational value of x."""
+        return self.b[j] - sum(a * to_fraction(c) for a, c in zip(self.A[j], x))
 
-    def contains(self, x, tol=0) -> bool:
-        return all(self.slack(j, x) >= -tol for j in range(self.m))
-
-    def active_tolerance(self, j: int, exact: bool) -> object:
-        if exact:
-            return Fraction(0)
-        return 1e-9 * (1 + abs(float(self.b[j])))
+    def contains(self, x) -> bool:
+        return all(self.slack(j, x) >= 0 for j in range(self.m))
 
 
 @dataclass(frozen=True)
@@ -167,41 +159,29 @@ def _project_general(poly: Polytope, w: list[Fraction]) -> list[Fraction]:
 
 
 def projected_step(poly: Polytope, x, g, L) -> tuple:
-    """pi_X(x - g/L) for a step computed in high precision.
-
-    On a box the step is clamped in high precision.  On any other polytope
-    the exact rational value of the step is projected exactly and the
-    rational result is kept, so it lies in the polytope exactly.
-    """
-    step = tuple(hp(c) - hp(gi) / hp(L) for c, gi in zip(x, g))
-    if poly.box_bounds is not None:
-        lo, hi = poly.box_bounds
-        return tuple(min(max(s, hp(l)), hp(h)) for s, l, h in zip(step, lo, hi))
-    return project(poly, step)
+    """pi_X(x - g/L): the step is computed in high precision and its exact
+    rational value is projected exactly, so the result lies in the polytope
+    exactly."""
+    return project(poly, (hp(c) - hp(gi) / hp(L) for c, gi in zip(x, g)))
 
 
-def proximal_gradient(x, grad, L1, poly: Polytope):
-    """g_pi(x) = L1 * (pi_X(x - grad/L1) - x)."""
-    exact = _is_exact_vec(x) and _is_exact_vec(grad) and isinstance(L1, (int, Fraction))
-    if exact:
-        L1 = to_fraction(L1)
-        step = tuple(to_fraction(c) - to_fraction(g) / L1 for c, g in zip(x, grad))
-        proj = project(poly, step)
-        return tuple(L1 * (p - to_fraction(c)) for p, c in zip(proj, x))
-    proj = projected_step(poly, x, grad, L1)
-    return tuple(hp(L1) * (hp(p) - hp(c)) for p, c in zip(proj, x))
+def proximal_gradient(x, grad, L1, poly: Polytope) -> tuple:
+    """g_pi(x) = L1 * (pi_X(x - grad/L1) - x), exact at the rational values
+    of x, grad and L1."""
+    L1 = to_fraction(L1)
+    x = [to_fraction(c) for c in x]
+    proj = project(poly, (c - to_fraction(g) / L1 for c, g in zip(x, grad)))
+    return tuple(L1 * (p - c) for p, c in zip(proj, x))
 
 
-def active_set(poly: Polytope, x, tau=None) -> ActiveSet:
-    """Active constraints at x with the null-space projector P(x)."""
-    exact = _is_exact_vec(x)
+def active_set(poly: Polytope, x) -> ActiveSet:
+    """Rows with slack exactly 0 at x, with the null-space projector P(x)."""
     idx = []
     for j in range(poly.m):
-        t = tau if tau is not None else poly.active_tolerance(j, exact)
         s = poly.slack(j, x)
-        if s < -(t if not exact else 0):
+        if s < 0:
             raise ValueError(f"point violates constraint {j}")
-        if s <= t:
+        if s == 0:
             idx.append(j)
     all_rows = [list(poly.A[j]) for j in idx]
     keep = independent_rows(all_rows)
@@ -273,12 +253,15 @@ def _jacobi_eigen(M: list[list], tol) -> tuple[list, list[list]]:
     return eigvals, eigvecs
 
 
-def default_delta_eig(eps_h) -> float:
-    """Jacobi tolerance of the curvature test: 1e-12, or eps_h/100 if smaller."""
-    return min(1e-12, float(eps_h) / 100) if float(eps_h) > 0 else 1e-12
+def default_delta_eig(eps_h) -> Fraction:
+    """Jacobi tolerance of the curvature direction: 10^-12, or eps_h/100 if
+    smaller."""
+    eps_h = to_fraction(eps_h)
+    tol = Fraction(1, 10**12)
+    return min(tol, eps_h / 100) if eps_h > 0 else tol
 
 
-def projected_hessian_min_eig(H, P, delta_eig=1e-12):
+def projected_hessian_min_eig(H, P, delta_eig=Fraction(1, 10**12)):
     """(lambda, v): min eigenvalue of P H P restricted to range(P).
 
     Returns (+inf, None) when rank(P) = 0.  v satisfies v = Pv, ||v|| = 1.
@@ -286,12 +269,12 @@ def projected_hessian_min_eig(H, P, delta_eig=1e-12):
     d = len(H)
     for i in range(d):
         for j in range(i + 1, d):
-            if hp(H[i][j]) != hp(H[j][i]):
+            if to_fraction(H[i][j]) != to_fraction(H[j][i]):
                 raise ValueError("Hessian must be symmetric")
-    Ph = [[hp(P[i][j]) for j in range(d)] for i in range(d)]
-    rank = sum(Ph[i][i] for i in range(d))  # trace of an orthogonal projector
-    if float(rank) < 0.5:
+    # trace of an orthogonal projector = its rank
+    if sum(to_fraction(P[i][i]) for i in range(d)) == 0:
         return INF, None
+    Ph = [[hp(P[i][j]) for j in range(d)] for i in range(d)]
     Hh = [[hp(H[i][j]) for j in range(d)] for i in range(d)]
     PH = [[sum(Ph[i][k] * Hh[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
     PHP = [[sum(PH[i][k] * Ph[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
@@ -306,7 +289,7 @@ def projected_hessian_min_eig(H, P, delta_eig=1e-12):
     # re-project and normalize the eigenvector
     pv = [sum(Ph[i][k] * vec[k] for k in range(d)) for i in range(d)]
     norm = hp_sqrt(sum(c * c for c in pv))
-    if float(norm) == 0.0:
+    if norm == 0:
         return INF, None
     return lam, tuple(c / norm for c in pv)
 
@@ -359,29 +342,28 @@ class SospReport:
 
 
 def verify_sosp(objective: Callable, poly: Polytope, x, eps_g, eps_h, L1,
-                exact: bool = False, delta_eig=None) -> SospReport:
+                exact: bool = False) -> SospReport:
     """(eps_G, eps_H)-SOSP check at a feasible point.
 
-    objective(x) must return (f, grad, hess).  With exact=True all data must
-    be rational and the second-order test is an exact PSD certificate.
+    objective(x) must return (f, grad, hess).  Both orders are decided
+    exactly at the rational values of x and of the derivatives:
+    ||g_pi||^2 <= eps_G^2, and y^T H y >= -eps_H ||y||^2 on the active null
+    space.  lambda_min is reported (high precision) but decides nothing.
+    With exact=True the derivatives must be rational, so that the verdict is
+    a statement about f itself; TypeError otherwise.
     """
-    if not poly.contains(x, tol=0 if exact else 1e-9):
+    if not poly.contains(x):
         raise ValueError("point is not feasible")
     _, grad, hess = objective(x)
+    if exact and not all(isinstance(v, (int, Fraction))
+                         for v in itertools.chain(grad, *hess)):
+        raise TypeError("exact=True needs rational derivatives")
     gpi = proximal_gradient(x, grad, L1, poly)
     act = active_set(poly, x)
-    if delta_eig is None:
-        delta_eig = default_delta_eig(eps_h)
-    lam, _ = projected_hessian_min_eig(hess, act.projector, delta_eig)
-    if exact:
-        sq = sum(to_fraction(g) * to_fraction(g) for g in gpi)
-        pass_first = sq <= to_fraction(eps_g) ** 2
-        pass_second = (act.dim_null == 0) or psd_on_tangent(hess, act.projector, eps_h)
-        gnorm = hp_sqrt(hp(sq))
-    else:
-        gnorm = hp_sqrt(sum(hp(g) * hp(g) for g in gpi))
-        pass_first = gnorm <= hp(eps_g)
-        pass_second = (lam == INF) or (lam >= -hp(eps_h))
-    return SospReport(x=tuple(x), gpi_norm=gnorm, lambda_min=lam,
-                      pass_first=pass_first, pass_second=pass_second,
+    lam, _ = projected_hessian_min_eig(hess, act.projector, default_delta_eig(eps_h))
+    sq = sum(g * g for g in gpi)
+    return SospReport(x=tuple(x), gpi_norm=hp_sqrt(hp(sq)), lambda_min=lam,
+                      pass_first=sq <= to_fraction(eps_g) ** 2,
+                      pass_second=(act.dim_null == 0
+                                   or psd_on_tangent(hess, act.projector, eps_h)),
                       active_indices=act.indices)

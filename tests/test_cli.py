@@ -126,13 +126,17 @@ def test_solve_finds_encoded_solution(runner, n1_file):
     assert payload["solution_valid"] is True
 
 
-def test_bench_prints_three_timings(runner, n1_file):
-    res = runner.invoke(main, ["bench", "--instance", str(n1_file),
-                               "--resolution", "5"])
+def test_solve_final_point_verifies_exactly(runner, n1_file):
+    """solve prints its final point as exact fractions, and verify --exact
+    accepts that point on the same instance and scale."""
+    res = runner.invoke(main, ["solve", "--instance", str(n1_file), "--seed", "1"])
     assert res.exit_code == 0
-    lines = res.output.splitlines()
-    assert re.fullmatch(r"patch build \(cold-ish cache\): \d+\.\d\d ms",
-                        lines[1])
-    assert re.fullmatch(r"hp point evaluation: \d+\.\d\d ms", lines[2])
-    assert re.fullmatch(r"certify one cell at resolution 5: \d+\.\d\d ms",
-                        lines[3])
+    x, y = json.loads(res.output)["final"]
+    assert all(re.fullmatch(r"-?\d+(/\d+)?", c) for c in (x, y))
+    res = runner.invoke(main, ["verify", "--instance", str(n1_file),
+                               "--scale", "moderate", "--exact",
+                               "--eps-g", "1e-2", "--eps-h", "1e-2",
+                               "-x", x, "-y", y])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert payload["passed"] is True and payload["decoded_solution"] == 1

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from sospgrid._precision import to_fraction
 from sospgrid.localopt_reduction import ReductionInstance, Verdict
 from sospgrid.stationarity import Polytope, verify_sosp
 
@@ -174,3 +175,19 @@ def test_improvement_on_moderate_hard_instance(moderate_n1, cut):
         assert v.kind != "violation", raw
         if v.kind != "solution":
             assert v.p_gx < v.p_x
+
+
+def test_potential_keeps_its_weight_term_on_the_hard_instance(moderate_n1):
+    """f is about 1e8 at these points and the weight about 1e-63, so a
+    192-bit sum would drop the weight term; the potential is exact."""
+    h = moderate_n1
+    rec = h.lipschitz_report()
+    ri = ReductionInstance(h.objective(exact=False), h.domain_polytope(),
+                           Fraction(1, 100), Fraction(1, 100), rec.L, rec.L1, rec.L2)
+    points = [ri.round_point((Fraction(1, 2), Fraction(1, 3))),
+              ri.round_point((Fraction(0), Fraction(1, 3))),
+              (Fraction(0), Fraction(0))]
+    assert [ri.dim_null(x) for x in points] == [2, 1, 0]
+    for x in points:
+        f = to_fraction(ri.objective(x)[0])
+        assert ri.potential(x) - f == ri.weight * ri.dim_null(x)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from sospgrid._precision import to_fraction
 from sospgrid.snap_solver import (
     SnapViolation,
     StepKind,
@@ -63,10 +64,8 @@ def audit_trace(trace, eps_g, eps_h, L1, L2, poly, x0):
         assert float(step.f_decrease) >= 0 or step.max_step
         if step.max_step:
             # strictly more independent active constraints, f non-increasing
-            n_src = len([j for j in range(poly.m)
-                         if float(poly.slack(j, step.src)) <= 1e-9])
-            n_dst = len([j for j in range(poly.m)
-                         if float(poly.slack(j, step.dst)) <= 1e-9])
+            n_src = len([j for j in range(poly.m) if poly.slack(j, step.src) == 0])
+            n_dst = len([j for j in range(poly.m) if poly.slack(j, step.dst) == 0])
             assert n_dst > n_src
             assert step.new_active
             assert float(step.f_decrease) >= -1e-30
@@ -122,7 +121,7 @@ def test_line_search_guarantees_curvature_decrease():
     x = (Fraction(1, 2), Fraction(1, 2))
     d = curvature_at(obj, poly, x, Fraction(1, 100))
     y, hit_max, blockers = line_search(obj, poly, x, d, Fraction(1, 100), 4)
-    fx, fy = obj(x)[0], obj(tuple(Fraction(float(c)) for c in y))[0]
+    fx, fy = obj(x)[0], obj(tuple(to_fraction(c) for c in y))[0]
     required = Fraction(6, 100) * Fraction(1, 100) ** 3 / Fraction(16)
     assert fx - fy >= required
     if hit_max:
@@ -144,7 +143,7 @@ def test_line_search_max_step_reports_blockers():
                                        (Fraction(0), Fraction(1)),
                                        Fraction(1, 100), 1)
     assert hit_max and blockers == (3,)
-    assert float(y[1]) == pytest.approx(1.0)
+    assert y[1] == 1
 
 
 def test_line_search_raises_on_contract_breach():
@@ -244,3 +243,27 @@ def test_snap_run_reports_on_its_final_point(moderate_n1):
                      1e-2, 1e-2, rec.L1, rec.L2, max_iter=20000, adaptive=True)
     assert trace.converged
     assert trace.final_report.x == trace.final_point
+
+
+def test_every_iterate_lies_in_the_polytope_exactly():
+    """A negative-curvature max step lands exactly on its blocking rows: the
+    probe x + t d is formed in rationals with the exact ratio-test t.  A
+    step rounded in high precision can end just outside the box."""
+    H = ((Fraction(6, 5), Fraction(8, 3)), (Fraction(8, 3), Fraction(-1, 2)))
+    c = (Fraction(26, 31), Fraction(2, 37))
+
+    def obj(p):
+        u = [pi - ci for pi, ci in zip(p, c)]
+        Hu = [sum(H[i][j] * u[j] for j in range(2)) for i in range(2)]
+        return sum(a * b for a, b in zip(u, Hu)) / 2, tuple(Hu), H
+
+    poly = Polytope.box((0, 0), (1, 1))
+    eps = Fraction(1, 100)
+    trace = snap_run(obj, poly, c, eps, eps, 20, 1, max_iter=500)
+    assert trace.converged
+    assert any(s.max_step for s in trace.steps)
+    for step in trace.steps:
+        assert poly.contains(step.dst)
+        if step.max_step:
+            assert step.new_active
+            assert all(poly.slack(j, step.dst) == 0 for j in step.new_active)

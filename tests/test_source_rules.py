@@ -33,3 +33,17 @@ def test_hp_backend_imported_only_by_precision():
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if HP_BACKEND_IMPORT.search(line)]
     assert hits == []
+
+
+# hp(0.06) is the 53-bit double nearest 0.06, not 0.06.
+HP_FLOAT_LITERAL = re.compile(r"\bhp\(\s*[-+]?(\d+\.\d*|\.\d+|\d+[eE])")
+
+
+def test_no_hp_of_a_float_literal():
+    """A constant that feeds high-precision arithmetic is written as a
+    Fraction, so that hp() rounds its exact value once."""
+    hits = [f"{path.name}:{lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if HP_FLOAT_LITERAL.search(line)]
+    assert hits == []

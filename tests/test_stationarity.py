@@ -89,19 +89,20 @@ def test_proximal_gradient_definition():
 
 
 def test_proximal_gradient_hp_off_box_projects_the_exact_step():
-    """Off a box the high-precision step is projected as its exact rational
-    value.  With L1 as large as the hard instances' (2^73 N), a 53-bit copy
-    of the step would put g_pi off by about L1 * 2^-53."""
+    """With a high-precision gradient, g_pi is taken at the exact rational
+    value of the gradient: the step x - grad/L1 is formed exactly and
+    projected exactly.  With L1 as large as the hard instances' (2^73 N), a
+    53-bit copy of the step would put g_pi off by about L1 * 2^-53."""
     poly = Polytope.box((0, 0), (1, 1)).with_cut((1, 1), Fraction(3, 2))
     L1 = 2**80
     x = (Fraction(3, 4), Fraction(3, 4))
     grad = (hp(-L1) / 3, hp(L1) / 7)  # the step leaves the box and the cut
     gpi = proximal_gradient(x, grad, L1, poly)
-    step = tuple(hp(c) - hp(g) / hp(L1) for c, g in zip(x, grad))
-    proj = project(poly, tuple(to_fraction(s) for s in step))
-    assert not poly.contains(tuple(to_fraction(s) for s in step))
+    step = tuple(c - to_fraction(g) / L1 for c, g in zip(x, grad))
+    proj = project(poly, step)
+    assert not poly.contains(step)
     for got, c, p in zip(gpi, x, proj):
-        assert abs(to_fraction(got) - L1 * (p - c)) <= Fraction(1, 10**20)
+        assert got == L1 * (p - c)
 
 
 def test_active_set_and_projector():
@@ -224,3 +225,54 @@ def test_verify_sosp_rejects_infeasible_point():
     obj = quad_objective((Fraction(1, 2), Fraction(1, 2)), (1, 1))
     with pytest.raises(ValueError):
         verify_sosp(obj, poly, (Fraction(2), Fraction(0)), 1, 1, 1)
+
+
+def test_verify_sosp_exact_refuses_hp_derivatives():
+    """exact=True is a statement about f itself, so rounded derivatives are
+    refused rather than decided."""
+    poly = Polytope.box((0, 0), (1, 1))
+    obj = quad_objective((Fraction(1, 3), Fraction(2, 3)), (1, 1))
+
+    def hp_obj(x):
+        f, grad, hess = obj(x)
+        return hp(f), tuple(hp(g) for g in grad), hess
+
+    x = (Fraction(1, 3), Fraction(2, 3))
+    with pytest.raises(TypeError):
+        verify_sosp(hp_obj, poly, x, Fraction(1, 100), Fraction(1, 100), 1,
+                    exact=True)
+    assert verify_sosp(hp_obj, poly, x, Fraction(1, 100), Fraction(1, 100), 1).passed
+
+
+@pytest.mark.parametrize("center,scales", [
+    ((Fraction(1, 2), Fraction(1, 2)), (1, -2)),   # interior saddle
+    ((Fraction(1, 2), Fraction(1)), (1, -2)),      # saddle on a wall
+    ((Fraction(1, 3), Fraction(2, 3)), (1, 1)),    # minimum
+    ((Fraction(1, 3), Fraction(3, 2)), (1, 1)),    # minimum off the box
+])
+def test_verify_sosp_one_answer_for_rational_and_hp_derivatives(center, scales):
+    """The verdict is decided at the exact value of the data, so it is the
+    same whether the objective hands over Fractions or hp numbers of the
+    same value."""
+    poly = Polytope.box((0, 0), (1, 1))
+    obj = quad_objective(center, scales)
+
+    def hp_obj(x):
+        f, grad, hess = obj(x)
+        return (hp(f), tuple(hp(g) for g in grad),
+                tuple(tuple(hp(h) for h in row) for row in hess))
+
+    x = tuple(min(c, 1) for c in center)
+    eps = Fraction(1, 64)
+    rep = verify_sosp(obj, poly, x, eps, eps, 2, exact=True)
+    rep_hp = verify_sosp(hp_obj, poly, x, eps, eps, 2)
+    assert (rep.pass_first, rep.pass_second) == (rep_hp.pass_first, rep_hp.pass_second)
+    assert rep.active_indices == rep_hp.active_indices
+
+
+def test_active_set_is_exact():
+    """A row is active only at slack exactly 0; any negative slack raises."""
+    poly = Polytope.box((0, 0), (1, 1))
+    assert active_set(poly, (Fraction(1, 10**60), Fraction(1, 2))).indices == ()
+    with pytest.raises(ValueError):
+        active_set(poly, (-Fraction(1, 10**60), Fraction(1, 2)))
