@@ -1,0 +1,40 @@
+"""Write certification_report for the three instances of acceptance
+criterion 6 as sorted-key JSON, one report per instance.
+
+The reports carry no timings, so two checkouts that certify alike write
+identical files, and a change to the certifier is checked with diff:
+
+    PYTHONPATH=src python scripts/dump_certification.py before.json
+    (switch checkout)
+    PYTHONPATH=src python scripts/dump_certification.py after.json
+    diff before.json after.json
+
+Without an output path the JSON goes to stdout.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+from sospgrid.box_certifier import certification_report
+from sospgrid.iter_problems import IterInstance
+
+# The instances of tests/test_acceptance.py::test_criterion_06_cell_certification.
+INSTANCES = ((1, (2, 2)), (2, (3, 4, 4, 1)), (2, (2, 3, 4, 4)))
+
+
+def main(argv: list[str]) -> None:
+    reports = [{"table": list(table),
+                "report": certification_report(IterInstance(n, table))}
+               for n, table in INSTANCES]
+    text = json.dumps(reports, indent=1, sort_keys=True) + "\n"
+    if len(argv) > 1:
+        with open(argv[1], "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main(sys.argv)

@@ -7,9 +7,9 @@ constrained-SOSP verifier, a SNAP-style solver, lattice rounding over
 polytopes, and the local-search (potential/neighbor) reduction.
 """
 
-from sospgrid.iter_problems import (IterInstance, LocalOptInstance,
-                                    iter_is_solution, iter_solve_brute,
-                                    load_instance, save_instance)
+from sospgrid.iter_problems import (IterInstance, iter_is_solution,
+                                    iter_solve_brute, load_instance,
+                                    save_instance)
 from sospgrid.hard_instance import HardInstance, ScaleMode, build
 from sospgrid.color_field import ColorField, Color, Direction, GridGeometry
 from sospgrid.biquintic import BoxPatch, patch_from_corners, solve_coefficients
@@ -23,7 +23,6 @@ from sospgrid.localopt_reduction import ReductionInstance, Verdict
 
 __all__ = [
     "IterInstance",
-    "LocalOptInstance",
     "iter_is_solution",
     "iter_solve_brute",
     "load_instance",

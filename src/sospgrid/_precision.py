@@ -3,13 +3,13 @@
 Objective values reach ~1e16 * N while the verifier works at eps_0 = 1e-10,
 so 53-bit floats cannot resolve the quantities of interest.  All float-path
 numerics run through this module: high-precision ("hp") numbers are
-mpmath mpf values at a configurable precision of at least 128 bits.  This
-is the only module that imports mpmath.  An mpf does not mix with
-Fraction, so rational data meets hp values only after hp(), hp_quotient()
-or to_fraction().  An exact integer ratio becomes hp through
-hp_quotient(), which rounds it once; an hp value becomes rational only
-through to_fraction(), which is exact.  Neither goes through float(),
-which keeps 53 bits.
+mpmath mpf values at the fixed working precision PRECISION = 192 bits
+(the hard instance needs at least 128).  This is the only module that
+imports mpmath.  An mpf does not mix with Fraction, so rational data meets
+hp values only after hp(), hp_quotient() or to_fraction().  An exact
+integer ratio becomes hp through hp_quotient(), which rounds it once; an
+hp value becomes rational only through to_fraction(), which is exact.
+Neither goes through float(), which keeps 53 bits.
 """
 
 from __future__ import annotations
@@ -19,23 +19,9 @@ from fractions import Fraction
 import mpmath
 from mpmath.libmp import from_man_exp, round_nearest
 
-DEFAULT_PRECISION = 192
+PRECISION = 192  # significand bits of every hp value
 
-_precision = DEFAULT_PRECISION
-mpmath.mp.prec = _precision
-
-
-def set_precision(bits: int) -> None:
-    """Set the working precision (significand bits) for the float path."""
-    global _precision
-    if bits < 128:
-        raise ValueError("float path requires at least 128 bits")
-    _precision = bits
-    mpmath.mp.prec = bits
-
-
-def get_precision() -> int:
-    return _precision
+mpmath.mp.prec = PRECISION
 
 
 def hp(value):
@@ -55,7 +41,7 @@ def hp_quotient(num: int, den: int):
     """
     if not num:
         return mpmath.mpf(0)
-    shift = _precision + 3 - num.bit_length() + den.bit_length()
+    shift = PRECISION + 3 - num.bit_length() + den.bit_length()
     if shift >= 0:
         q, r = divmod(abs(num) << shift, den)
     else:
@@ -64,7 +50,7 @@ def hp_quotient(num: int, den: int):
     if num < 0:
         man = -man
     return mpmath.mp.make_mpf(
-        from_man_exp(man, -shift - 1, _precision, round_nearest))
+        from_man_exp(man, -shift - 1, PRECISION, round_nearest))
 
 
 def hp_sqrt(value):

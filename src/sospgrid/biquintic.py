@@ -27,6 +27,7 @@ import numpy as np
 
 from sospgrid._precision import hp_quotient, to_fraction
 from sospgrid.color_field import CornerAssignment
+from sospgrid.stationarity import _solve_frac
 
 # Rows: value at 0, value at 1, 1st derivative at 0/1, 2nd derivative at 0/1
 # of the monomial basis 1, t, ..., t^5.
@@ -40,22 +41,8 @@ A_MATRIX = (
 )
 
 
-def _invert6(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-A_INV = _invert6(A_MATRIX)
+A_INV = tuple(map(tuple, _solve_frac(
+    A_MATRIX, [[int(i == j) for j in range(6)] for i in range(6)])))
 
 
 def _matmul6(X, Y):

@@ -11,20 +11,21 @@ negation).
 
 Certification is a sampling certificate, not a proof: on a dense interior
 grid (plus targeted near-edge offsets and a Newton-polished stationary
-candidate) every sample must satisfy |Gx| > eps0, |Gy| > eps0 or
-lambda_min < -eps0.  Each sample's verdict is exact.  Sample coordinates
-are rationals p/q, and the gradient and Hessian on the whole grid come
-from the patch's own exact integer kernel (BoxPatch.fields in biquintic)
-as integer matrices over one known scale per sample.  The gradient tests
-are integer comparisons; the curvature test is sqrt-free (lambda_min <
--eps0 iff H + eps0 I has a negative diagonal entry or determinant).  Only
-the Newton polish and the irrational 1/sqrt(gap) offsets use
-high-precision floats, and their points are made rational before they are
-sampled.  The reported worst margin is rounded to float once, from exact
-integers.  Boundary cells are checked the same way: the proximal step is
-exact in rationals and ||g_pi||^2 > eps0^2 needs no square root.  X cells
-contain a genuine SOSP and are expected to fail certification; they serve
-as the negative control.
+candidate) every sample must satisfy |Gx| > EPS0, |Gy| > EPS0 or
+lambda_min < -EPS0.  Only a passing near miss is re-sampled on a finer
+grid; a cell with a failing sample keeps its coarse report.  Each sample's
+verdict is exact.  Sample coordinates are rationals p/q, and the gradient
+and Hessian on the whole grid come from the patch's own exact integer
+kernel (BoxPatch.fields in biquintic) as integer matrices over one known
+scale per sample.  The gradient tests are integer comparisons; the
+curvature test is sqrt-free (lambda_min < -EPS0 iff H + EPS0 I has a
+negative diagonal entry or determinant).  Only the Newton polish and the
+irrational 1/sqrt(gap) offsets use high-precision floats, and their points
+are made rational before they are sampled.  The reported worst margin is
+rounded to float once, from exact integers.  Boundary cells are checked
+the same way: the proximal step is exact in rationals and
+||g_pi||^2 > EPS0^2 needs no square root.  X cells contain a genuine SOSP
+and are expected to fail certification; they serve as the negative control.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
 ]
 
 EPS0 = 1e-10
+BOUNDARY_RESOLUTION = 5  # samples per side of a boundary cell in the report
 
 # Corner order used throughout: (0,0), (1,0), (0,1), (1,1) in cell-local
 # coordinates (dx, dy).
@@ -218,16 +220,14 @@ def _match_number(data: CornerData, pattern) -> bool:
     return all(v[i] >= v[j] + k for i, j, k in constraints)
 
 
-def cell_corner_data(field_or_inst, a: int, b: int) -> CornerData:
+def cell_corner_data(field: ColorField, a: int, b: int) -> CornerData:
     """Exact corner values and arrows for cell Box(a, b)."""
-    field = (field_or_inst if isinstance(field_or_inst, ColorField)
-             else ColorField(field_or_inst))
     assigns = [field.assignment(a + dx, b + dy) for dx, dy in CORNER_ORDER]
     return CornerData(tuple(c.value for c in assigns),
                       tuple(c.direction for c in assigns))
 
 
-def classify_cell(field_or_inst, a: int, b: int) -> GroupLabel:
+def classify_cell(field: ColorField, a: int, b: int) -> GroupLabel:
     """Deterministic taxonomy label for cell Box(a, b).
 
     Order of precedence: X cells (by position), Boundary cells (touching
@@ -235,8 +235,6 @@ def classify_cell(field_or_inst, a: int, b: int) -> GroupLabel:
     the transformation group.  An unmatched interior cell raises
     ClassificationError naming the corner pattern.
     """
-    field = (field_or_inst if isinstance(field_or_inst, ColorField)
-             else ColorField(field_or_inst))
     N = field.N
     if not (0 <= a <= N - 1 and 0 <= b <= N - 1):
         raise ValueError(f"cell ({a}, {b}) outside [0, {N - 1}]^2")
@@ -397,43 +395,39 @@ def _newton_polish(patch: BoxPatch, x0, y0, iters: int = 40):
     return x - patch.a, y - patch.b
 
 
-def certify_no_sosp(patch: BoxPatch, eps0: float = EPS0, resolution: int = 51,
-                    extra_offsets: Iterable = (), polish: bool = True,
+def certify_no_sosp(patch: BoxPatch, resolution: int = 51,
+                    extra_offsets: Iterable = (),
                     _refine: int = 201) -> CriterionReport:
     """Sample the three no-SOSP criteria over the cell interior.
 
-    Every sample must satisfy |Gx| > eps0, |Gy| > eps0 or
-    lambda_min < -eps0, decided exactly at a rational sample point.  The
+    Every sample must satisfy |Gx| > EPS0, |Gy| > EPS0 or
+    lambda_min < -EPS0, decided exactly at a rational sample point.  The
     worst sample is Newton-polished toward the nearest interior stationary
     point so that genuine SOSPs (X cells) are actually found rather than
-    straddled by the grid.  Cells whose worst margin falls below 10*eps0
-    are re-sampled at the refinement resolution.
+    straddled by the grid.  A near miss, a cell that passes with a worst
+    margin below 10*EPS0, is re-sampled at the refinement resolution; a
+    cell that fails is never re-sampled, since a failing sample stands.
     """
     offsets = [t for t in map(to_fraction, extra_offsets) if 0 < t < 1]
     report = CriterionReport(cell=(patch.a, patch.b), resolution=resolution)
-    eps = Fraction(eps0)
+    eps = Fraction(EPS0)
     coords = [Fraction(i + 1, resolution + 1)
               for i in range(resolution)] + offsets
     _record(report, coords, coords, patch.fields(coords, coords), eps)
 
-    if polish:
-        starts = {report.worst_point}
-        # Also polish from a mid-cell start: near-edge worst samples can
-        # drag Newton away from an interior stationary point.
-        starts.add((0.5, 0.5))
-        for wx, wy in starts:
-            polished = _newton_polish(patch, wx, wy)
-            if polished is None:
-                continue
-            px, py = ([to_fraction(t)] for t in polished)
-            _record(report, px, py, patch.fields(px, py), eps)
+    # Also polish from a mid-cell start: near-edge worst samples can drag
+    # Newton away from an interior stationary point.
+    for wx, wy in {report.worst_point, (0.5, 0.5)}:
+        polished = _newton_polish(patch, wx, wy)
+        if polished is None:
+            continue
+        px, py = ([to_fraction(t)] for t in polished)
+        _record(report, px, py, patch.fields(px, py), eps)
 
-    if (report.worst_margin < 10 * eps0 and _refine
+    if (report.passed and report.worst_margin < 10 * EPS0
             and resolution < _refine):
-        fine = certify_no_sosp(patch, eps0, _refine, offsets,
-                               polish=polish, _refine=0)
+        fine = certify_no_sosp(patch, _refine, offsets, _refine=0)
         fine.refined = True
-        fine.resolution = _refine
         return fine
     return report
 
@@ -458,13 +452,12 @@ def _targeted_offsets(data: CornerData):
     return offsets
 
 
-def certify_cell(h: HardInstance, a: int, b: int, eps0: float = EPS0,
-                 resolution: int = 51, polish: bool = True) -> CriterionReport:
+def certify_cell(h: HardInstance, a: int, b: int,
+                 resolution: int = 51) -> CriterionReport:
     """Certify one cell of a (unit-gain) hard instance."""
     data = cell_corner_data(h.field, a, b)
-    return certify_no_sosp(h.patch(a, b), eps0, resolution,
-                           extra_offsets=_targeted_offsets(data),
-                           polish=polish)
+    return certify_no_sosp(h.patch(a, b), resolution,
+                           extra_offsets=_targeted_offsets(data))
 
 
 # ---------------------------------------------------------------------------
@@ -492,23 +485,19 @@ class BoundaryReport:
         }
 
 
-def boundary_prox_check(h: HardInstance, cells: Iterable | None = None,
-                        resolution: int = 11, eps0: float = EPS0) -> list:
-    """Check ||g_pi|| > eps0 on samples of boundary cells.
+def boundary_prox_check(h: HardInstance, cells: Iterable,
+                        resolution: int = 11) -> list:
+    """Check ||g_pi|| > EPS0 on samples of the given boundary cells.
 
     The box proximal gradient decouples per coordinate: either the step
     stays interior (g_pi = -grad f, and the gradient criteria apply) or a
     component overshoots the domain wall, in which case its contribution
     is at least the distance to the wall times L1.  The step is exact in
-    rationals and the test is ||g_pi||^2 > eps0^2.
+    rationals and the test is ||g_pi||^2 > EPS0^2.
     """
     N = h.domain_high
     L1 = h.lipschitz_report().L1
-    eps_sq = Fraction(eps0) ** 2
-    if cells is None:
-        last = N - 1
-        cells = sorted({(a, b) for a in range(N) for b in range(N)
-                        if a in (0, last) or b in (0, last)})
+    eps_sq = Fraction(EPS0) ** 2
     reports = []
     ticks = [Fraction(i, resolution - 1) for i in range(resolution)]
     for (a, b) in cells:
@@ -538,14 +527,12 @@ def boundary_prox_check(h: HardInstance, cells: Iterable | None = None,
 # ---------------------------------------------------------------------------
 
 
-def certification_report(inst: IterInstance, eps0: float = EPS0,
-                         resolution: int = 51,
-                         boundary_resolution: int = 5) -> dict:
+def certification_report(inst: IterInstance, resolution: int = 51) -> dict:
     """Classify and certify every cell; JSON-serializable summary.
 
     Interior non-X cells run certify_no_sosp; Boundary cells run
-    boundary_prox_check; X cells run certify_no_sosp as a negative
-    control and are expected to fail.
+    boundary_prox_check at BOUNDARY_RESOLUTION; X cells run
+    certify_no_sosp as a negative control and are expected to fail.
     """
     from .hard_instance import ScaleMode, build
 
@@ -562,12 +549,12 @@ def certification_report(inst: IterInstance, eps0: float = EPS0,
             entry = {"cell": [a, b], "label": label.kind,
                      "transforms": list(label.transforms)}
             if label.kind == "Boundary":
-                rep = boundary_prox_check(h, [(a, b)], boundary_resolution,
-                                          eps0)[0]
+                rep = boundary_prox_check(h, [(a, b)],
+                                          BOUNDARY_RESOLUTION)[0]
                 entry["boundary"] = rep.to_json()
                 ok = ok and rep.passed
             else:
-                rep = certify_cell(h, a, b, eps0, resolution)
+                rep = certify_cell(h, a, b, resolution)
                 entry["certificate"] = rep.to_json()
                 if label.kind == "X":
                     entry["expected_fail"] = True

@@ -2,7 +2,8 @@
 
 Subcommands: gen, verify, render, solve, reduce, classify.
 Exit codes: 0 success/pass, 1 semantic failure (e.g. not an SOSP,
-certification failure), 2 usage or validation error.
+certification failure), 2 usage or validation error.  High-precision
+arithmetic runs at the fixed 192 bits of _precision; no subcommand sets it.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from fractions import Fraction
 
 import click
 
-from ._precision import set_precision
 from .box_certifier import (ClassificationError, boundary_prox_check,
                             certification_report, certify_cell, classify_all,
                             classify_cell)
-from .color_field import ColorField
+from .color_field import ColorField, GridGeometry
 from .hard_instance import ScaleMode, build
 from .iter_problems import IterInstance, iter_is_solution, load_instance
 from .localopt_reduction import ReductionInstance
@@ -50,15 +50,6 @@ def _parse_number(text: str) -> Fraction:
             return Fraction(float(text))
         except (OverflowError, ValueError) as exc:
             raise click.UsageError(f"cannot parse number {text!r}: {exc}")
-
-
-def _apply_precision(bits: int | None, hard_target: bool) -> None:
-    if bits is None:
-        return
-    if hard_target and bits < 128:
-        raise click.UsageError(
-            f"--precision {bits} too low: the hard instance requires >= 128 bits")
-    set_precision(bits)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -105,13 +96,10 @@ def gen(instance: str, scale: str, out: str | None) -> None:
 @click.option("-y", "y_text", required=True)
 @click.option("--eps-g", type=float, default=1e-4, show_default=True)
 @click.option("--eps-h", type=float, default=1e-4, show_default=True)
-@click.option("--precision", type=int, default=None)
 @click.option("--exact/--float", "exact", default=False, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def verify(instance, scale, x_text, y_text, eps_g, eps_h, precision, exact,
-           out) -> None:
+def verify(instance, scale, x_text, y_text, eps_g, eps_h, exact, out) -> None:
     """Check the (eps_G, eps_H)-SOSP conditions at a point."""
-    _apply_precision(precision, hard_target=True)
     inst = _load(instance)
     h = build(inst, scale)
     x, y = _parse_number(x_text), _parse_number(y_text)
@@ -205,14 +193,12 @@ def render(instance: str, out: str) -> None:
 @click.option("--eps-h", type=float, default=1e-2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-iter", type=int, default=20000, show_default=True)
-@click.option("--precision", type=int, default=None)
 @click.option("--adaptive/--fixed", default=True, show_default=True,
               help="Use backtracked local smoothness in the descent step.")
 @click.option("--out", type=click.Path(), default=None)
-def solve(instance, scale, eps_g, eps_h, seed, max_iter, precision, adaptive,
+def solve(instance, scale, eps_g, eps_h, seed, max_iter, adaptive,
           out) -> None:
     """Run the solver from a seeded start point and decode the result."""
-    _apply_precision(precision, hard_target=True)
     inst = _load(instance)
     h = build(inst, scale)
     hi = h.domain_high
@@ -296,27 +282,23 @@ def reduce(dim, eps_g, eps_h, samples, seed, out) -> None:
 @click.option("-b", "cell_b", type=int, default=None)
 @click.option("--certify", is_flag=True, default=False)
 @click.option("--resolution", type=int, default=51, show_default=True)
-@click.option("--precision", type=int, default=None)
 @click.option("--out", type=click.Path(), default=None)
-def classify(instance, cell_a, cell_b, certify, resolution, precision,
-             out) -> None:
+def classify(instance, cell_a, cell_b, certify, resolution, out) -> None:
     """Classify cells; optionally run the numerical no-SOSP certificates."""
-    _apply_precision(precision, hard_target=True)
     inst = _load(instance)
     if (cell_a is None) != (cell_b is None):
         raise click.UsageError("-a and -b must be given together")
     try:
         if cell_a is not None:
-            label = classify_cell(inst, cell_a, cell_b)
+            h = build(inst, ScaleMode.UNIT)
+            label = classify_cell(h.field, cell_a, cell_b)
             payload = {"cell": [cell_a, cell_b], "label": label.kind,
                        "transforms": list(label.transforms)}
             if certify and label.kind not in ("Boundary",):
-                h = build(inst, ScaleMode.UNIT)
                 rep = certify_cell(h, cell_a, cell_b, resolution=resolution)
                 payload["certificate"] = rep.to_json()
                 payload["expected_fail"] = label.kind == "X"
             elif certify:
-                h = build(inst, ScaleMode.UNIT)
                 rep = boundary_prox_check(h, [(cell_a, cell_b)])[0]
                 payload["boundary"] = rep.to_json()
             _emit(payload, out)
@@ -336,7 +318,8 @@ def classify(instance, cell_a, cell_b, certify, resolution, precision,
         counts: dict[str, int] = {}
         for label in labels.values():
             counts[label.kind] = counts.get(label.kind, 0) + 1
-        _emit({"n": inst.n, "N": 6 * 2**inst.n + 6, "counts": counts}, out)
+        _emit({"n": inst.n, "N": GridGeometry(inst.n).N, "counts": counts},
+              out)
     except ClassificationError as exc:
         click.echo(f"classification error: {exc}", err=True)
         sys.exit(1)

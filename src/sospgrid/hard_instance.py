@@ -57,10 +57,6 @@ class HardInstance:
         self._lock = threading.Lock()
 
     @property
-    def geometry(self):
-        return self.field.geometry
-
-    @property
     def domain_high(self) -> int:
         """Upper coordinate bound of the (square) domain; lower bound is 0."""
         return self.N if self.mode is ScaleMode.UNIT else 1

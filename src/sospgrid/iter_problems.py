@@ -1,9 +1,8 @@
-"""ITER and LOCALOPT instances, solution checks, and brute-force oracles.
+"""ITER instances, their solution check, and a brute-force oracle.
 
 An ITER instance is a total mapping C on {1, ..., 2^n} with C(1) > 1.  A
-node v solves it iff C(v) < v, or C(v) > v and C(C(v)) = C(v).  A LOCALOPT
-instance is a potential p and neighbor g over the same index set; v solves
-it iff p(g(v)) >= p(v).
+node v solves it iff C(v) < v, or C(v) > v and C(C(v)) = C(v).  The
+reduction's local-search instance is localopt_reduction.ReductionInstance.
 """
 
 from __future__ import annotations
@@ -61,19 +60,6 @@ class IterInstance:
         return self._cache[v]
 
 
-@dataclass(frozen=True)
-class LocalOptInstance:
-    """Potential p and neighbor g, both total on [2^n]."""
-
-    n: int
-    p: Callable[[int], object]
-    g: Callable[[int], int]
-
-    @property
-    def size(self) -> int:
-        return 1 << self.n
-
-
 def iter_is_solution(inst: IterInstance, v: int) -> bool:
     """True iff C(v) < v, or C(v) > v and C(C(v)) = C(v)."""
     cv = inst.C(v)
@@ -98,13 +84,6 @@ def iter_solve_brute(inst: IterInstance) -> int:
         if iter_is_solution(inst, v):
             return v
     raise AssertionError("unreachable: every valid instance has a solution")
-
-
-def localopt_is_solution(inst: LocalOptInstance, v: int) -> bool:
-    """True iff p(g(v)) >= p(v)."""
-    if not 1 <= v <= inst.size:
-        raise ValueError(f"node {v} out of range [1, {inst.size}]")
-    return inst.p(inst.g(v)) >= inst.p(v)
 
 
 def from_mapping(values: Sequence[int]) -> IterInstance:

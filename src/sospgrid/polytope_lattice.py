@@ -29,15 +29,6 @@ def _ceil_sqrt_rational(q: Fraction) -> Fraction:
     return Fraction(r, den)
 
 
-def _ceil_int_ge_sqrt(q: Fraction) -> int:
-    """Smallest integer k with k^2 >= q (q >= 0)."""
-    num, den = q.numerator, q.denominator
-    k = math.isqrt(num // den)
-    while k * k * den < num:
-        k += 1
-    return max(k, 1)
-
-
 def frac_gcd(values: Sequence[Fraction]) -> Fraction:
     g = Fraction(0)
     for v in values:
@@ -62,8 +53,9 @@ def box_grid_step(intervals: Sequence[tuple], eps, L_max) -> Fraction:
         raise ValueError("eps must be positive")
     gcd = frac_gcd(lengths)
     q = 1000 * d * L**3 * gcd / eps**5  # still missing the sqrt(d) factor
-    # k = smallest integer >= q * sqrt(d), found via k^2 >= q^2 d
-    k = _ceil_int_ge_sqrt(q * q * d)
+    # k = max(1, ceil(q * sqrt(d))): rounding sqrt(q^2 d) up to a multiple of
+    # 1/den first leaves its ceiling unchanged
+    k = max(1, math.ceil(_ceil_sqrt_rational(q * q * d)))
     return gcd / k
 
 
@@ -93,10 +85,10 @@ def _face_frame_cached(A: tuple, b: tuple, I: tuple) -> FaceFrame:
         x_ref = tuple(Fraction(0) for _ in range(d))
     else:
         gram = [[sum(a * c for a, c in zip(r1, r2)) for r2 in ind_rows] for r1 in ind_rows]
-        mult = _solve_frac(gram, ind_rhs)
+        mult = _solve_frac(gram, [[r] for r in ind_rhs])
         if mult is None:
             raise ValueError("degenerate face system")
-        x_ref = tuple(sum(mult[i] * ind_rows[i][c] for i in range(k)) for c in range(d))
+        x_ref = tuple(sum(mult[i][0] * ind_rows[i][c] for i in range(k)) for c in range(d))
     for j, (row, r) in enumerate(zip(rows, rhs)):
         if sum(a * c for a, c in zip(row, x_ref)) != r:
             raise ValueError(f"inconsistent face system at constraint {I[j]}")

@@ -24,10 +24,12 @@ from sospgrid._precision import hp, hp_sqrt, to_fraction
 INF = float("inf")
 
 
-def _solve_frac(M: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve M z = rhs exactly; None if M is singular."""
+def _solve_frac(M: Sequence[Sequence],
+                R: Sequence[Sequence]) -> Optional[list[list[Fraction]]]:
+    """Solve M Z = R exactly for the matrix Z (Gauss-Jordan; R is given by
+    rows, so R = I gives the inverse); None if M is singular."""
     n = len(M)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(M)]
+    aug = [list(row) + list(rhs) for row, rhs in zip(M, R)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
@@ -39,7 +41,7 @@ def _solve_frac(M: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[F
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    return [aug[r][n:] for r in range(n)]
 
 
 def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
@@ -143,11 +145,11 @@ def _project_general(poly: Polytope, w: list[Fraction]) -> list[Fraction]:
             rhs = [poly.b[j] for j in subset]
             # projection onto the affine set A_S x = b_S
             gram = [[sum(a * c for a, c in zip(r1, r2)) for r2 in rows] for r1 in rows]
-            resid = [sum(a * c for a, c in zip(rows[i], w)) - rhs[i] for i in range(size)]
+            resid = [[sum(a * c for a, c in zip(rows[i], w)) - rhs[i]] for i in range(size)]
             mult = _solve_frac(gram, resid)
             if mult is None:
                 continue
-            cand = [w[k] - sum(mult[i] * rows[i][k] for i in range(size)) for k in range(d)]
+            cand = [w[k] - sum(mult[i][0] * rows[i][k] for i in range(size)) for k in range(d)]
             if not poly.contains(cand):
                 continue
             dist = sum((a - b) * (a - b) for a, b in zip(cand, w))
@@ -199,15 +201,11 @@ def projector_from_rows(rows: Sequence[Sequence[Fraction]], d: int) -> tuple:
     if k == 0:
         return tuple(tuple(r) for r in ident)
     gram = [[sum(a * c for a, c in zip(r1, r2)) for r2 in rows] for r1 in rows]
-    gram_inv_cols = []
-    for c in range(k):
-        e = [Fraction(int(i == c)) for i in range(k)]
-        col = _solve_frac([r[:] for r in gram], e)
-        if col is None:
-            raise ValueError("rows are not linearly independent")
-        gram_inv_cols.append(col)
+    gram_inv = _solve_frac(gram, [[int(i == j) for j in range(k)] for i in range(k)])
+    if gram_inv is None:
+        raise ValueError("rows are not linearly independent")
     # M = (A A^T)^-1 A  (k x d)
-    M = [[sum(gram_inv_cols[j][i] * rows[i][c] for i in range(k)) for c in range(d)]
+    M = [[sum(gram_inv[j][i] * rows[i][c] for i in range(k)) for c in range(d)]
          for j in range(k)]
     P = [[ident[r][c] - sum(rows[i][r] * M[i][c] for i in range(k)) for c in range(d)]
          for r in range(d)]

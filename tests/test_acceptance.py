@@ -16,7 +16,7 @@ from click.testing import CliRunner
 import test_biquintic
 import test_polytope_lattice
 import test_snap_solver
-from sospgrid._precision import get_precision, hp, hp_sqrt
+from sospgrid._precision import PRECISION, hp, hp_sqrt
 from sospgrid.biquintic import solve_coefficients
 from sospgrid.box_certifier import certification_report
 from sospgrid.cli import main as cli_main
@@ -107,7 +107,7 @@ def test_criterion_02_cross_cell_continuity(acceptance, hard_n1):
 
 def test_criterion_03_finite_difference_check(acceptance, hard_n1):
     def checks():
-        assert get_precision() >= 128
+        assert PRECISION >= 128
         h = hp(1e-5)
         rng = random.Random(303)
         N = hard_n1.N

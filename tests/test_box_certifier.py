@@ -32,6 +32,17 @@ from sospgrid.hard_instance import build
 from sospgrid.iter_problems import IterInstance
 
 
+EPS = Fraction(EPS0)
+
+
+def _synthetic_patch(terms):
+    """Unit-cell patch sum of c x^i y^j over terms {(i, j): c}."""
+    coeffs = [[Fraction(0)] * 6 for _ in range(6)]
+    for (i, j), c in terms.items():
+        coeffs[i][j] = Fraction(c)
+    return BoxPatch(a=0, b=0, coeffs=tuple(map(tuple, coeffs)))
+
+
 def x_cells_of(inst):
     field = ColorField(inst)
     return {(a, 6 * k + 2)
@@ -53,16 +64,17 @@ def test_transform_group_structure():
 
 
 def test_corner_data_matches_field(inst_n1):
-    data = cell_corner_data(inst_n1, 4, 7)
+    data = cell_corner_data(ColorField(inst_n1), 4, 7)
     assert len(data.values) == 4 and len(data.arrows) == 4
     assert all(isinstance(v, Fraction) for v in data.values)
 
 
 def test_classify_rejects_out_of_range(inst_n1):
+    field = ColorField(inst_n1)
     with pytest.raises(ValueError):
-        classify_cell(inst_n1, -1, 0)
+        classify_cell(field, -1, 0)
     with pytest.raises(ValueError):
-        classify_cell(inst_n1, 18, 0)
+        classify_cell(field, 18, 0)
 
 
 def test_classify_all_n1_census(inst_n1):
@@ -99,8 +111,9 @@ def test_x_label_follows_the_x_cell_predicate(inst_n2):
 
 
 def test_boundary_has_precedence_over_patterns(inst_n1):
-    assert classify_cell(inst_n1, 0, 9).kind == "Boundary"
-    assert classify_cell(inst_n1, 9, 17).kind == "Boundary"
+    field = ColorField(inst_n1)
+    assert classify_cell(field, 0, 9).kind == "Boundary"
+    assert classify_cell(field, 9, 17).kind == "Boundary"
 
 
 def test_transform_sequences_are_catalogued(inst_n1):
@@ -113,7 +126,7 @@ def test_transform_sequences_are_catalogued(inst_n1):
 
 
 def test_certify_interior_cell_passes(hard_n1):
-    lab = classify_cell(hard_n1.instance, 9, 9)
+    lab = classify_cell(hard_n1.field, 9, 9)
     assert lab.kind not in ("X", "Boundary")
     rep = certify_cell(hard_n1, 9, 9, resolution=15)
     assert rep.passed
@@ -138,17 +151,35 @@ def test_boundary_prox_check(hard_n1):
         assert rep.passed
 
 
-def test_refinement_resamples_iterator_offsets(hard_n1):
+def test_refinement_resamples_iterator_offsets():
     # the refinement pass must see the same offsets as the first pass, also
-    # when they come from a one-shot iterator
-    patch = hard_n1.patch(4, 8)
-    offsets = _targeted_offsets(cell_corner_data(hard_n1.field, 4, 8))
+    # when they come from a one-shot iterator.  f = 2 EPS0 x passes every
+    # sample with margin 2 EPS0 < 10 EPS0: a near miss, so it is refined.
+    patch = _synthetic_patch({(1, 0): 2 * EPS})
+    offsets = [Fraction(1, 3), Fraction(1, 7), Fraction(5, 6)]
     from_list = certify_no_sosp(patch, resolution=15, extra_offsets=offsets,
                                 _refine=21)
     from_iter = certify_no_sosp(patch, resolution=15,
                                 extra_offsets=iter(offsets), _refine=21)
     assert from_list.refined and from_iter.refined
-    assert from_iter.sample_count == from_list.sample_count
+    assert from_list.passed and from_iter.passed
+    assert from_iter.sample_count == from_list.sample_count == (21 + 3) ** 2
+
+
+def test_refinement_keeps_a_failing_coarse_pass():
+    # f = (x - 1/52)^2 / 2 + (EPS0 / 2) y fails all three criteria on the
+    # line x = 1/52.  The line lies on the 51-point grid but not on the
+    # 201-point one, and det H = 0 stops the Newton polish, so a refined
+    # report would pass: a failing sample must end the certificate.
+    patch = _synthetic_patch({(2, 0): Fraction(1, 2), (1, 0): Fraction(-1, 52),
+                              (0, 0): Fraction(1, 2 * 52 ** 2),
+                              (0, 1): EPS / 2})
+    coarse = certify_no_sosp(patch, _refine=0)
+    assert not coarse.passed and len(coarse.failing) == 51
+    rep = certify_no_sosp(patch)
+    assert not rep.passed and not rep.refined
+    assert rep.resolution == 51
+    assert rep.failing == coarse.failing
 
 
 def _reference_sample(patch, x, y, eps):
@@ -166,7 +197,7 @@ def _reference_sample(patch, x, y, eps):
     return abs(fx) > eps, abs(fy) > eps, ok_lam, margin
 
 
-def _reference_report(patch, coords, polish):
+def _reference_report(patch, coords):
     eps = Fraction(EPS0)
     counts = [0, 0, 0]
     failing = []
@@ -183,11 +214,10 @@ def _reference_report(patch, coords, polish):
     for x in coords:
         for y in coords:
             record(x, y)
-    if polish:
-        for start in {worst[1], (0.5, 0.5)}:
-            polished = _newton_polish(patch, *start)
-            if polished is not None:
-                record(*map(to_fraction, polished))
+    for start in {worst[1], (0.5, 0.5)}:
+        polished = _newton_polish(patch, *start)
+        if polished is not None:
+            record(*map(to_fraction, polished))
     return counts, failing, worst[1]
 
 
@@ -201,26 +231,20 @@ def test_exact_kernel_matches_reference(hard_n1, cell):
                           _refine=0)
     coords = [Fraction(i + 1, 8) for i in range(7)]
     coords += [t for t in map(to_fraction, offsets) if 0 < t < 1]
-    counts, failing, worst_point = _reference_report(patch, coords, True)
+    counts, failing, worst_point = _reference_report(patch, coords)
     assert [rep.gx_count, rep.gy_count, rep.lambda_count] == counts
     assert rep.failing == failing
     assert rep.worst_point == worst_point
     assert rep.passed == (cell != (4, 8))
 
 
-def _synthetic_patch(i, j, c):
-    coeffs = [[Fraction(0)] * 6 for _ in range(6)]
-    coeffs[i][j] = Fraction(c)
-    return BoxPatch(a=0, b=0, coeffs=tuple(map(tuple, coeffs)))
-
-
-EPS = Fraction(EPS0)
 
 
 @pytest.mark.parametrize("i, j, c", [(1, 0, EPS), (0, 2, -EPS / 2)],
                          ids=["gx_at_eps0", "lambda_at_minus_eps0"])
 def test_criteria_are_strict_at_the_threshold(i, j, c):
-    rep = certify_no_sosp(_synthetic_patch(i, j, c), resolution=9, _refine=0)
+    rep = certify_no_sosp(_synthetic_patch({(i, j): c}), resolution=9,
+                          _refine=0)
     assert not rep.passed
     assert rep.sample_count == 81
     assert len(rep.failing) == rep.sample_count
@@ -230,7 +254,8 @@ def test_criteria_are_strict_at_the_threshold(i, j, c):
 @pytest.mark.parametrize("i, j, c", [(1, 0, 2 * EPS), (0, 2, -EPS)],
                          ids=["gx_above_eps0", "lambda_below_minus_eps0"])
 def test_criteria_pass_beyond_the_threshold(i, j, c):
-    rep = certify_no_sosp(_synthetic_patch(i, j, c), resolution=9, _refine=0)
+    rep = certify_no_sosp(_synthetic_patch({(i, j): c}), resolution=9,
+                          _refine=0)
     assert rep.passed
     assert rep.sample_count == 81
     assert not rep.failing

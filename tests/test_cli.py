@@ -50,12 +50,6 @@ def test_verify_non_sosp_exits_one(runner, n1_file):
     assert payload["passed"] is False
 
 
-def test_verify_low_precision_refused(runner, n1_file):
-    res = runner.invoke(main, ["verify", "--instance", str(n1_file),
-                               "-x", "1/2", "-y", "1/2", "--precision", "64"])
-    assert res.exit_code == 2
-
-
 def test_render_is_byte_stable(runner, n1_file, tmp_path, inst_n1):
     out1, out2 = tmp_path / "a.svg", tmp_path / "b.svg"
     r1 = runner.invoke(main, ["render", "--instance", str(n1_file),

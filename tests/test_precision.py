@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from sospgrid._precision import get_precision, hp, hp_quotient, to_fraction
+from sospgrid._precision import PRECISION, hp, hp_quotient, to_fraction
 
 
 def test_to_fraction_is_exact_on_hp_values():
@@ -29,7 +29,6 @@ def test_hp_quotient_rounds_once():
     """hp_quotient(n, d) is n/d correctly rounded: it equals mpmath's division
     of the exact n and d, also when both are far longer than the precision."""
     rng = random.Random(3)
-    prec = get_precision()
     for _ in range(300):
         num = rng.getrandbits(rng.choice((1, 60, 192, 193, 2500))) << rng.choice((0, 900))
         den = (rng.getrandbits(rng.choice((1, 191, 2100))) | 1) << rng.choice((0, 700))
@@ -37,5 +36,5 @@ def test_hp_quotient_rounds_once():
         with mpmath.workprec(6000):  # both held exactly
             exact_num, exact_den = mpmath.mpf(num), mpmath.mpf(den)
         want = mpmath.mp.make_mpf(mpmath.libmp.mpf_div(
-            exact_num._mpf_, exact_den._mpf_, prec, mpmath.libmp.round_nearest))
+            exact_num._mpf_, exact_den._mpf_, PRECISION, mpmath.libmp.round_nearest))
         assert hp_quotient(num, den) == want
