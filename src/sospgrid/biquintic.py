@@ -138,13 +138,15 @@ class BoxPatch:
                       hxx=(x2 @ K) @ y0.T, hyy=x0k @ y2.T, hxy=x1k @ y1.T,
                       scale=np.outer(sx, sy) * D)
 
-    def eval(self, x, y, exact: bool = True):
+    def eval(self, x, y, exact: bool = True, factors=((1, 1),) * 3):
         """Value, gradient, Hessian at (x, y) inside the cell.
 
-        Returns (f, (fx, fy), ((fxx, fxy), (fxy, fyy))).  The point is taken
-        at its exact rational value and the six numbers are computed
-        exactly; exact=True returns them as Fractions, exact=False rounds
-        each once to a high-precision float.
+        Returns (f, (fx, fy), ((fxx, fxy), (fxy, fyy))), each multiplied by
+        its factor: factors holds integer (numerator, denominator) pairs for
+        f, the gradient and the Hessian.  The point is taken at its exact
+        rational value and the six numbers are computed exactly;
+        exact=True returns them as Fractions, exact=False rounds each once
+        to a high-precision float.
         """
         dx, dy = to_fraction(x) - self.a, to_fraction(y) - self.b
         if not (0 <= dx <= 1 and 0 <= dy <= 1):
@@ -152,7 +154,10 @@ class BoxPatch:
         F = self.fields([dx], [dy])
         scale = F.scale[0, 0]
         convert = Fraction if exact else hp_quotient
-        f, fx, fy, fxx, fyy, fxy = (convert(v[0, 0], scale) for v in F[:6])
+        kf, kg, kh = factors
+        f, fx, fy, fxx, fyy, fxy = (
+            convert(v[0, 0] * num, scale * den)
+            for v, (num, den) in zip(F[:6], (kf, kg, kg, kh, kh, kh)))
         return f, (fx, fy), ((fxx, fxy), (fxy, fyy))
 
 

@@ -223,6 +223,7 @@ def solve(instance, scale, eps_g, eps_h, seed, max_iter, adaptive,
         "solution_valid": (decoded is not None
                            and iter_is_solution(inst, decoded)),
         "seconds": round(elapsed, 3),
+        **trace.counts(),
     }
     _emit(payload, out)
     sys.exit(0 if payload["converged"] and payload["sosp_passed"] else 1)

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sospgrid._precision import hp, to_fraction
+from sospgrid._precision import to_fraction
 from sospgrid.biquintic import BoxPatch, patch_from_corners
 from sospgrid.color_field import ColorField
 from sospgrid.iter_problems import IterInstance
@@ -54,7 +53,14 @@ class HardInstance:
         self.field = ColorField(inst)
         self.N = self.field.N
         self._cache: OrderedDict[tuple[int, int], BoxPatch] = OrderedDict()
-        self._lock = threading.Lock()
+        # Exact (numerator, denominator) factors on f, the gradient and the
+        # Hessian of the patch at (N x, N y): the scale mode's chain rule.
+        N, c = self.N, C0_AGGRESSIVE * self.N**4
+        self._factors = {
+            ScaleMode.UNIT: ((1, 1), (1, 1), (1, 1)),
+            ScaleMode.MODERATE: ((1, N), (1, 1), (N, 1)),
+            ScaleMode.AGGRESSIVE: ((1, c), (N, c), (N * N, c)),
+        }[mode]
 
     @property
     def domain_high(self) -> int:
@@ -66,17 +72,15 @@ class HardInstance:
         if not (0 <= a <= self.N - 1 and 0 <= b <= self.N - 1):
             raise ValueError(f"Box({a}, {b}) outside the grid")
         key = (a, b)
-        with self._lock:
-            got = self._cache.get(key)
-            if got is not None:
-                self._cache.move_to_end(key)
-                return got
+        got = self._cache.get(key)
+        if got is not None:
+            self._cache.move_to_end(key)
+            return got
         asn = self.field.assignment
         built = patch_from_corners(a, b, asn(a, b), asn(a, b + 1), asn(a + 1, b), asn(a + 1, b + 1))
-        with self._lock:
-            self._cache[key] = built
-            if len(self._cache) > CACHE_CELLS:
-                self._cache.popitem(last=False)
+        self._cache[key] = built
+        if len(self._cache) > CACHE_CELLS:
+            self._cache.popitem(last=False)
         return built
 
     def locate(self, x, y) -> tuple[int, int]:
@@ -98,16 +102,8 @@ class HardInstance:
                 raise ValueError(f"({x}, {y}) outside [0, 1]^2")
             u, v = x * self.N, y * self.N
         a, b = self.locate(u, v)
-        f, grad, hess = self.patch(a, b).eval(u, v, exact=exact)
-        if self.mode is ScaleMode.MODERATE:
-            f = f / self.N
-            hess = tuple(tuple(h * self.N for h in row) for row in hess)
-        elif self.mode is ScaleMode.AGGRESSIVE:
-            c = C0_AGGRESSIVE * self.N**4
-            den = hp(c) if not exact else c
-            f = f / den
-            grad = tuple(g * self.N / den for g in grad)
-            hess = tuple(tuple(h * self.N**2 / den for h in row) for row in hess)
+        f, grad, hess = self.patch(a, b).eval(u, v, exact=exact,
+                                              factors=self._factors)
         return EvalResult(f=f, grad=grad, hess=hess, cell=(a, b))
 
     def objective(self, exact: bool = True):

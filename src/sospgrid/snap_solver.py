@@ -11,6 +11,16 @@ gradient step is the exact projection of the rational value of its
 high-precision step, and a line-search probe is x + t d formed in
 rationals, with the maximal t from an exact ratio test, so a maximal step
 ends exactly on its blocking rows.
+
+snap_run's adaptive gradient step backtracks a local smoothness estimate,
+which along a narrow valley is set by the stiff curvature across it, so
+the step crawls along the flat floor.  Each adaptive step therefore also
+tries a split candidate (split_candidate, after the stiff/flat split of
+trust-region methods): a Newton step along the stiff eigenvectors of the
+Hessian and a doubling (or, when the first probe fails, halving) search
+along the flattest one, every probe projected onto the polytope.  The
+candidate replaces the backtracked step only when its f is strictly lower,
+so the decrease that the backtracked step certifies still holds.
 """
 
 from __future__ import annotations
@@ -28,10 +38,12 @@ from sospgrid.stationarity import (
     SospReport,
     active_set,
     default_delta_eig,
+    project,
     projected_hessian_min_eig,
     projected_step,
     proximal_gradient,
     psd_on_tangent,
+    symmetric_eigen,
     verify_sosp,
 )
 
@@ -69,14 +81,33 @@ class SnapStep:
 
 @dataclass
 class SnapTrace:
+    """A run's steps and verdict, with counts of the work it did:
+    backtracking probes of the adaptive step, split candidates tried and
+    accepted, and every call of the objective."""
+
     steps: list[SnapStep] = field(default_factory=list)
     iterations: int = 0
     final_report: Optional[SospReport] = None
     converged: bool = False
+    backtrack_probes: int = 0
+    split_tried: int = 0
+    split_accepted: int = 0
+    objective_calls: int = 0
 
     @property
     def final_point(self) -> tuple:
         return self.steps[-1].dst if self.steps else ()
+
+    def counts(self) -> dict:
+        """The work counts, with the steps by kind; the step counts sum to
+        iterations."""
+        by_kind = {kind.value: 0 for kind in StepKind}
+        for step in self.steps:
+            by_kind[step.kind.value] += 1
+        return {"steps": by_kind, "backtrack_probes": self.backtrack_probes,
+                "split_tried": self.split_tried,
+                "split_accepted": self.split_accepted,
+                "objective_calls": self.objective_calls}
 
 
 def _hpvec(x) -> tuple:
@@ -98,23 +129,50 @@ def _fval(objective: Callable, x):
     return hp(objective(x)[0])
 
 
-def _newton_candidate(poly: Polytope, x, grad, hess):
-    """pi_X(x - H^{-1} g), the projected step with H^{-1} g at L = 1, or
-    None if H is singular (within hp precision)."""
-    d = len(x)
-    M = [[hp(hess[i][j]) for j in range(d)] + [hp(grad[i])] for i in range(d)]
-    for col in range(d):
-        piv = max(range(col, d), key=lambda r: abs(M[r][col]))
-        if M[piv][col] == 0:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        for r in range(d):
-            if r == col:
-                continue
-            factor = M[r][col] / M[col][col]
-            for c in range(col, d + 1):
-                M[r][c] -= factor * M[col][c]
-    return projected_step(poly, x, tuple(M[i][d] / M[i][i] for i in range(d)), 1)
+def split_candidate(objective: Callable, poly: Polytope, x, grad, hess,
+                    f_ref, t_min, tol):
+    """The projected Newton step, split along the Hessian's eigenvectors.
+
+    Along every eigenvector but the flattest, v, it is a full Newton step
+    where the eigenvalue is positive: the stiff step s.  Along v it searches
+    the probes pi_X(x + s - t (g.v) v) for the least f, starting from the
+    stiff-only probe t = 0.  The first flat probe is at t = 1/lam_flat when
+    lam_flat > 0, which is the full Newton step, and otherwise at
+    1/|lam_max|.  If it beats the stiff-only probe, t doubles as long as f
+    falls, as in line_search; if not, t halves, down to t_min, until a probe
+    does.  Returns (f, y) of the best probe if its f is strictly below
+    f_ref, else None.
+    """
+    pairs = symmetric_eigen(hess, tol)
+    g = _hpvec(grad)
+    base = _hpvec(x)
+    for lam, v in pairs[:-1]:
+        if lam > 0:
+            step = sum(a * b for a, b in zip(g, v)) / lam
+            base = tuple(b - step * c for b, c in zip(base, v))
+    (lam_max, _), (lam_flat, v) = pairs[0], pairs[-1]
+    gv = sum(a * b for a, b in zip(g, v))
+
+    def probe(t):
+        y = project(poly, (b - t * gv * c for b, c in zip(base, v)))
+        return _fval(objective, y), y
+
+    best = probe(0)
+    if gv != 0 and (lam_flat > 0 or lam_max != 0):
+        t = 1 / lam_flat if lam_flat > 0 else 1 / abs(lam_max)
+        cand = probe(t)
+        if cand[0] < best[0]:
+            while cand[0] < best[0]:
+                best = cand
+                t = 2 * t
+                cand = probe(t)
+        else:
+            while not cand[0] < best[0] and t >= 2 * t_min:
+                t = t / 2
+                cand = probe(t)
+            if cand[0] < best[0]:
+                best = cand
+    return best if best[0] < hp(f_ref) else None
 
 
 def curvature_direction(grad, hess, act: ActiveSet, eps_h):
@@ -235,14 +293,19 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
     if not poly.contains(x):
         raise ValueError("infeasible start point")
     trace = SnapTrace()
+
+    def counted(pt):
+        trace.objective_calls += 1
+        return objective(pt)
+
     L1_h = hp(L1)
     L_hat = hp(1)
     kind = None
     for _ in range(max_iter):
         trace.iterations += 1
-        fx, grad, hess = objective(x)
+        fx, grad, hess = counted(x)
         fx, grad = hp(fx), _hpvec(grad)
-        kind, y, hit_max, blockers = snap_update(objective, poly, x, grad, hess,
+        kind, y, hit_max, blockers = snap_update(counted, poly, x, grad, hess,
                                                  eps_g, eps_h, L1, L2)
         if kind is StepKind.TERMINAL:
             trace.steps.append(SnapStep(StepKind.TERMINAL, x, x, 0))
@@ -252,23 +315,24 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
             for _ in range(200):
                 y = projected_step(poly, x, grad, L_hat)
                 move = _dist(y, x)
-                fy = _fval(objective, y)
+                fy = _fval(counted, y)
+                trace.backtrack_probes += 1
                 if fy <= fx - L_hat * move * move / 18:
                     break
                 L_hat = 2 * L_hat
             else:
                 raise SnapViolation("pgd", "backtracking failed to find decrease")
             L_hat = max(L_hat / 2, hp(L_HAT_FLOOR))
-            # Ill-conditioned patches make the scalar step crawl; a
-            # projected Newton candidate is accepted only when it beats
-            # the backtracked step, so the decrease certificate stands.
-            cand = _newton_candidate(poly, x, grad, hess)
+            # Taken only when it beats the backtracked step, so that the
+            # decrease certificate stands (see the module docstring).
+            trace.split_tried += 1
+            cand = split_candidate(counted, poly, x, grad, hess, fy,
+                                   1 / L_hat, default_delta_eig(eps_h))
             if cand is not None:
-                f_cand = _fval(objective, cand)
-                if f_cand < fy:
-                    y, fy = cand, f_cand
+                fy, y = cand
+                trace.split_accepted += 1
         else:
-            fy = _fval(objective, y)
+            fy = _fval(counted, y)
             if kind is StepKind.PGD:
                 move = _dist(y, x)
                 shortfall = fy > fx - L1_h * move * move / 18
@@ -278,6 +342,6 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
                                     new_active=blockers,
                                     decrease_shortfall=shortfall))
         x = y
-    trace.final_report = verify_sosp(objective, poly, x, eps_g, eps_h, L1)
+    trace.final_report = verify_sosp(counted, poly, x, eps_g, eps_h, L1)
     trace.converged = kind is StepKind.TERMINAL and trace.final_report.passed
     return trace

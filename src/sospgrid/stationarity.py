@@ -8,8 +8,9 @@ rational value of the point and the derivatives (to_fraction is exact for
 a high-precision value): feasibility, the active rows (slack exactly 0),
 ||g_pi||^2 <= eps_G^2 and the PSD test on the active null space.  High
 precision only moves points: projected_step rounds x - g/L in high
-precision and projects its exact rational value, and the Jacobi eigenpair
-gives the solver its curvature direction and the report its lambda_min.
+precision and projects its exact rational value, and the eigenpairs
+(closed form for d = 2, cyclic Jacobi otherwise) give the solver its
+curvature direction and split step and the report its lambda_min.
 """
 
 from __future__ import annotations
@@ -251,6 +252,36 @@ def _jacobi_eigen(M: list[list], tol) -> tuple[list, list[list]]:
     return eigvals, eigvecs
 
 
+def eigen_2x2(a, b, c):
+    """Eigenpairs of the symmetric [[a, b], [b, c]] in closed form, in high
+    precision: ((lam1, v1), (lam2, v2)) with lam1 >= lam2 and v1, v2
+    orthonormal."""
+    a, b, c = hp(a), hp(b), hp(c)
+    half = (a - c) / 2
+    r = hp_sqrt(half * half + b * b)
+    mean = (a + c) / 2
+    if r == 0:
+        # a multiple of I: any orthonormal pair is an eigenbasis
+        return (mean, (hp(0), hp(1))), (mean, (hp(1), hp(0)))
+    # (lam1 - c, b) and (b, lam1 - a) both span the lam1 eigenspace; take
+    # the one whose first entry, half + r or r - half, has no cancellation.
+    v = (half + r, b) if half >= 0 else (b, r - half)
+    norm = hp_sqrt(v[0] * v[0] + v[1] * v[1])
+    v1 = (v[0] / norm, v[1] / norm)
+    return (mean + r, v1), (mean - r, (-v1[1], v1[0]))
+
+
+def symmetric_eigen(M, tol) -> list:
+    """Eigenpairs (lam, v) of a symmetric matrix, largest lam first, in
+    high precision: closed form for d = 2, Jacobi to tolerance tol
+    otherwise."""
+    if len(M) == 2:
+        return list(eigen_2x2(M[0][0], M[0][1], M[1][1]))
+    vals, vecs = _jacobi_eigen(M, tol)
+    # ascending, then reversed: of tied eigenvalues, Jacobi's first comes last
+    return sorted(zip(vals, vecs), key=lambda t: t[0])[::-1]
+
+
 def default_delta_eig(eps_h) -> Fraction:
     """Jacobi tolerance of the curvature direction: 10^-12, or eps_h/100 if
     smaller."""
@@ -282,8 +313,7 @@ def projected_hessian_min_eig(H, P, delta_eig=Fraction(1, 10**12)):
         for j in range(d):
             bound += abs(Hh[i][j])
     M = [[PHP[i][j] + bound * (hp(int(i == j)) - Ph[i][j]) for j in range(d)] for i in range(d)]
-    vals, vecs = _jacobi_eigen(M, hp(delta_eig))
-    lam, vec = min(zip(vals, vecs), key=lambda t: t[0])
+    lam, vec = symmetric_eigen(M, hp(delta_eig))[-1]
     # re-project and normalize the eigenvector
     pv = [sum(Ph[i][k] * vec[k] for k in range(d)) for i in range(d)]
     norm = hp_sqrt(sum(c * c for c in pv))

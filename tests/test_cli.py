@@ -118,6 +118,9 @@ def test_solve_finds_encoded_solution(runner, n1_file):
     assert payload["converged"] and payload["sosp_passed"]
     assert payload["decoded_solution"] == 1
     assert payload["solution_valid"] is True
+    assert sum(payload["steps"].values()) == payload["iterations"]
+    assert payload["split_accepted"] <= payload["split_tried"]
+    assert payload["objective_calls"] > payload["iterations"]
 
 
 def test_solve_final_point_verifies_exactly(runner, n1_file):

@@ -115,6 +115,22 @@ def test_scale_mode_consistency():
     assert rm.hess == tuple(tuple(h * N for h in row) for row in ru.hess)
 
 
+@pytest.mark.parametrize("mode", list(ScaleMode))
+def test_hp_evaluation_rounds_the_exact_result_once(mode):
+    """The scale mode's factor is applied to the exact value, so the hp path
+    is hp() of the exact result, not a rounded value rounded again."""
+    h = build(IterInstance(1, (2, 2)), mode)
+    hi = h.domain_high
+    rng = random.Random(8)
+    for _ in range(200):
+        x, y = (Fraction(rng.randrange(0, 10**6 + 1), 10**6) * hi
+                for _ in range(2))
+        ex, ap = h.evaluate(x, y, exact=True), h.evaluate(x, y, exact=False)
+        assert ap.f == hp(ex.f)
+        assert ap.grad == tuple(hp(g) for g in ex.grad)
+        assert ap.hess == tuple(tuple(hp(v) for v in row) for row in ex.hess)
+
+
 def test_moderate_lipschitz_scaling():
     unit = build(IterInstance(1, (2, 2)), ScaleMode.UNIT).lipschitz_report()
     mod = build(IterInstance(1, (2, 2)), ScaleMode.MODERATE).lipschitz_report()

@@ -10,6 +10,8 @@ from fractions import Fraction
 import pytest
 
 from sospgrid._precision import to_fraction
+from sospgrid.hard_instance import build
+from sospgrid.iter_problems import IterInstance
 from sospgrid.snap_solver import (
     SnapViolation,
     StepKind,
@@ -45,6 +47,19 @@ def quartic_objective():
         hess = tuple(tuple((3 * p[i] * p[i] - 1) if i == j else 0
                            for j in range(2)) for i in range(2))
         return f, grad, hess
+
+    return obj
+
+
+def valley_objective(K=10**4):
+    """f = (K/2)(y - 1/2)^2 - x/2 on the unit box: a narrow valley along
+    y = 1/2, stiff across (curvature K), flat along it, falling to x = 1."""
+    half = Fraction(1, 2)
+
+    def obj(p):
+        x, y = p
+        return (K * (y - half) ** 2 / 2 - x / 2,
+                (-half, K * (y - half)), ((0, 0), (0, K)))
 
     return obj
 
@@ -267,3 +282,70 @@ def test_every_iterate_lies_in_the_polytope_exactly():
         if step.max_step:
             assert step.new_active
             assert all(poly.slack(j, step.dst) == 0 for j in step.new_active)
+
+
+def test_split_step_crosses_a_narrow_valley():
+    """The backtracked step is sized by the stiff curvature K and crawls
+    along the valley; the split candidate takes the Newton step across it
+    and a doubling search along it."""
+    K = 10**4
+    poly = Polytope.box((0, 0), (1, 1))
+    eps = Fraction(1, 100)
+    x0 = (Fraction(1, 10), Fraction(1, 3))
+    trace = snap_run(valley_objective(K), poly, x0, eps, eps, K, 1,
+                     max_iter=20000, adaptive=True)
+    assert trace.converged
+    assert trace.iterations <= 10
+    assert trace.final_point[0] == 1
+    assert abs(float(trace.final_point[1]) - 0.5) <= 1e-12
+    audit_trace(trace, eps, eps, K, 1, poly, x0)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_trace_counts_its_work(adaptive):
+    calls = 0
+    quartic = quartic_objective()
+
+    def obj(p):
+        nonlocal calls
+        calls += 1
+        return quartic(p)
+
+    eps = Fraction(1, 100)
+    trace = snap_run(obj, Polytope.box((-2, -2), (2, 2)),
+                     (Fraction(0), Fraction(0)), eps, eps, 11, 12,
+                     max_iter=2000, adaptive=adaptive)
+    assert trace.converged
+    counts = trace.counts()
+    assert sum(counts["steps"].values()) == trace.iterations
+    assert counts["steps"][StepKind.NEGATIVE_CURVATURE.value] > 0
+    assert counts["steps"][StepKind.TERMINAL.value] == 1
+    assert counts["objective_calls"] == calls
+    pgd = counts["steps"][StepKind.PGD.value]
+    if adaptive:
+        assert counts["split_tried"] == pgd > 0
+        assert counts["backtrack_probes"] >= pgd
+        assert 0 <= counts["split_accepted"] <= counts["split_tried"]
+    else:
+        assert counts["split_tried"] == counts["backtrack_probes"] == 0
+
+
+@pytest.mark.parametrize("table, node", [((2, 2), 1), ((3, 4, 4, 1), 4),
+                                         ((2, 3, 4, 4), 3)])
+def test_solve_starts_converge_within_1000_iterations(table, node):
+    """The starts of `sospgrid solve --seed 1..5` at moderate scale each
+    reach an SOSP in the X cell of the instance's solution node."""
+    inst = IterInstance(len(table).bit_length() - 1, table)
+    h = build(inst, "moderate")
+    rec = h.lipschitz_report()
+    poly = h.domain_polytope()
+    obj = h.objective(exact=False)
+    for seed in range(1, 6):
+        rng = random.Random(seed)
+        x0 = (Fraction(rng.randrange(1, 1000), 1000),
+              Fraction(rng.randrange(1, 1000), 1000))
+        trace = snap_run(obj, poly, x0, 1e-2, 1e-2, rec.L1, rec.L2,
+                         max_iter=20000, adaptive=True)
+        assert trace.converged
+        assert trace.iterations <= 1000
+        assert h.decode_scaled(*trace.final_point) == node

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from sospgrid._precision import hp, to_fraction
 from sospgrid.stationarity import (
     Polytope,
     active_set,
+    eigen_2x2,
     project,
     projected_hessian_min_eig,
     projector_from_rows,
@@ -161,6 +163,60 @@ def test_projected_hessian_min_eig_matches_numpy():
             vn = np.array([float(c) for c in v])
             assert np.linalg.norm(Pn @ vn - vn) <= 1e-8
             assert abs(float(vn @ Hn @ vn) - float(lam)) <= 1e-6
+
+
+def _mp(v):
+    """v at mpmath's current precision, exactly for a rational or hp value
+    that fits."""
+    v = to_fraction(v)
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+def test_eigen_2x2_matches_512_bit_eigenpairs():
+    rng = random.Random(41)
+    cases = [(Fraction(3), Fraction(0), Fraction(-2)),  # diagonal, a > c
+             (Fraction(-2), Fraction(0), Fraction(3)),  # diagonal, a < c
+             (Fraction(5, 7), Fraction(0), Fraction(5, 7)),  # lam1 = lam2
+             (Fraction(10**5), Fraction(1, 3), Fraction(1, 1000))]  # stiff/flat
+    cases += [tuple(Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 1000))
+                    for _ in range(3)) for _ in range(60)]
+    for a, b, c in cases:
+        pairs = eigen_2x2(a, b, c)
+        with mpmath.workprec(512):
+            M = mpmath.matrix([[_mp(a), _mp(b)], [_mp(b), _mp(c)]])
+            E, Q = mpmath.eigsy(M)  # ascending
+            tol = mpmath.mpf(2) ** -184 * (1 + abs(_mp(a)) + abs(_mp(b)) + abs(_mp(c)))
+            vecs = [mpmath.matrix([_mp(v[0]), _mp(v[1])]) for _, v in pairs]
+            assert abs((vecs[0].T * vecs[1])[0]) <= mpmath.mpf(2) ** -184
+            for (lam, _), v, k in zip(pairs, vecs, (1, 0)):
+                assert abs(_mp(lam) - E[k]) <= tol
+                assert abs(mpmath.norm(v) - 1) <= mpmath.mpf(2) ** -184
+                assert mpmath.norm(M * v - E[k] * v) <= 2 * tol
+                gap = E[1] - E[0]
+                if gap > 0:
+                    cos = abs((v.T * Q[:, k])[0])
+                    assert 1 - cos <= 4 * tol / gap
+
+
+def test_projected_hessian_min_eig_rank_one_projector():
+    """On range(P) = span(r) the only eigenvalue is r.Hr / r.r, exactly."""
+    rng = random.Random(43)
+    for _ in range(40):
+        row = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(2)]
+        if row == [0, 0]:
+            continue
+        a, b, c = (Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 100))
+                   for _ in range(3))
+        H = [[a, b], [b, c]]
+        lam, v = projected_hessian_min_eig(H, projector_from_rows([row], 2))
+        r = (-row[1], row[0])
+        rr = r[0] ** 2 + r[1] ** 2
+        exact = sum(r[i] * H[i][j] * r[j] for i in range(2) for j in range(2)) / rr
+        with mpmath.workprec(512):
+            tol = mpmath.mpf(2) ** -176 * (1 + abs(_mp(a)) + abs(_mp(b)) + abs(_mp(c)))
+            assert abs(_mp(lam) - _mp(exact)) <= tol
+            cross = _mp(v[0]) * _mp(r[1]) - _mp(v[1]) * _mp(r[0])
+            assert abs(cross) <= mpmath.mpf(2) ** -176 * mpmath.sqrt(_mp(rr))
 
 
 def test_psd_on_tangent_exact():
