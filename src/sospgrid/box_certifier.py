@@ -40,7 +40,7 @@ import numpy as np
 from ._precision import hp, hp_sqrt, to_fraction
 from .biquintic import BoxPatch, Fields
 from .color_field import ColorField, Direction
-from .hard_instance import HardInstance
+from .hard_instance import HardInstance, ScaleMode, build
 from .iter_problems import IterInstance
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "certify_no_sosp",
     "certify_cell",
     "boundary_prox_check",
+    "certify_labelled_cell",
     "certification_report",
 ]
 
@@ -486,7 +487,7 @@ class BoundaryReport:
 
 
 def boundary_prox_check(h: HardInstance, cells: Iterable,
-                        resolution: int = 11) -> list:
+                        resolution: int = BOUNDARY_RESOLUTION) -> list:
     """Check ||g_pi|| > EPS0 on samples of the given boundary cells.
 
     The box proximal gradient decouples per coordinate: either the step
@@ -527,15 +528,31 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
 # ---------------------------------------------------------------------------
 
 
-def certification_report(inst: IterInstance, resolution: int = 51) -> dict:
-    """Classify and certify every cell; JSON-serializable summary.
+def certify_labelled_cell(h: HardInstance, a: int, b: int, label: GroupLabel,
+                          resolution: int = 51) -> tuple[dict, bool]:
+    """The report entry of one classified cell, and whether it passes.
 
-    Interior non-X cells run certify_no_sosp; Boundary cells run
-    boundary_prox_check at BOUNDARY_RESOLUTION; X cells run
-    certify_no_sosp as a negative control and are expected to fail.
+    Boundary cells run boundary_prox_check at BOUNDARY_RESOLUTION; other
+    cells run certify_cell at the given resolution.  X cells are the
+    negative control: they are expected to fail and always pass here.
     """
-    from .hard_instance import ScaleMode, build
+    entry = {"cell": [a, b], "label": label.kind,
+             "transforms": list(label.transforms)}
+    if label.kind == "Boundary":
+        rep = boundary_prox_check(h, [(a, b)])[0]
+        entry["boundary"] = rep.to_json()
+        return entry, rep.passed
+    rep = certify_cell(h, a, b, resolution)
+    entry["certificate"] = rep.to_json()
+    if label.kind == "X":
+        entry["expected_fail"] = True
+        return entry, True
+    return entry, rep.passed
 
+
+def certification_report(inst: IterInstance, resolution: int = 51) -> dict:
+    """Classify and certify every cell (certify_labelled_cell);
+    JSON-serializable summary."""
     h = build(inst, ScaleMode.UNIT)
     field = h.field
     N = field.N
@@ -546,20 +563,8 @@ def certification_report(inst: IterInstance, resolution: int = 51) -> dict:
         for b in range(N):
             label = classify_cell(field, a, b)
             counts[label.kind] = counts.get(label.kind, 0) + 1
-            entry = {"cell": [a, b], "label": label.kind,
-                     "transforms": list(label.transforms)}
-            if label.kind == "Boundary":
-                rep = boundary_prox_check(h, [(a, b)],
-                                          BOUNDARY_RESOLUTION)[0]
-                entry["boundary"] = rep.to_json()
-                ok = ok and rep.passed
-            else:
-                rep = certify_cell(h, a, b, resolution)
-                entry["certificate"] = rep.to_json()
-                if label.kind == "X":
-                    entry["expected_fail"] = True
-                else:
-                    ok = ok and rep.passed
+            entry, passed = certify_labelled_cell(h, a, b, label, resolution)
             cells.append(entry)
+            ok = ok and passed
     return {"n": inst.n, "N": N, "counts": counts, "passed": ok,
             "cells": cells}

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import click
 
-from .box_certifier import (ClassificationError, boundary_prox_check,
-                            certification_report, certify_cell, classify_all,
+from .box_certifier import (ClassificationError, certification_report,
+                            certify_labelled_cell, classify_all,
                             classify_cell)
 from .color_field import ColorField, GridGeometry
 from .hard_instance import ScaleMode, build
@@ -282,10 +282,13 @@ def reduce(dim, eps_g, eps_h, samples, seed, out) -> None:
 @click.option("-a", "cell_a", type=int, default=None)
 @click.option("-b", "cell_b", type=int, default=None)
 @click.option("--certify", is_flag=True, default=False)
-@click.option("--resolution", type=int, default=51, show_default=True)
+@click.option("--resolution", type=int, default=51, show_default=True,
+              help="Samples per side of a non-boundary cell.")
 @click.option("--out", type=click.Path(), default=None)
 def classify(instance, cell_a, cell_b, certify, resolution, out) -> None:
-    """Classify cells; optionally run the numerical no-SOSP certificates."""
+    """Classify cells; optionally run the numerical no-SOSP certificates.
+
+    With -a and -b, --certify prints that cell's entry of the full report."""
     inst = _load(instance)
     if (cell_a is None) != (cell_b is None):
         raise click.UsageError("-a and -b must be given together")
@@ -293,23 +296,14 @@ def classify(instance, cell_a, cell_b, certify, resolution, out) -> None:
         if cell_a is not None:
             h = build(inst, ScaleMode.UNIT)
             label = classify_cell(h.field, cell_a, cell_b)
-            payload = {"cell": [cell_a, cell_b], "label": label.kind,
-                       "transforms": list(label.transforms)}
-            if certify and label.kind not in ("Boundary",):
-                rep = certify_cell(h, cell_a, cell_b, resolution=resolution)
-                payload["certificate"] = rep.to_json()
-                payload["expected_fail"] = label.kind == "X"
-            elif certify:
-                rep = boundary_prox_check(h, [(cell_a, cell_b)])[0]
-                payload["boundary"] = rep.to_json()
-            _emit(payload, out)
-            cert_ok = True
             if certify:
-                if "certificate" in payload:
-                    cert_ok = (payload["certificate"]["passed"]
-                               or payload.get("expected_fail", False))
-                elif "boundary" in payload:
-                    cert_ok = payload["boundary"]["passed"]
+                payload, cert_ok = certify_labelled_cell(
+                    h, cell_a, cell_b, label, resolution)
+            else:
+                payload = {"cell": [cell_a, cell_b], "label": label.kind,
+                           "transforms": list(label.transforms)}
+                cert_ok = True
+            _emit(payload, out)
             sys.exit(0 if cert_ok else 1)
         if certify:
             report = certification_report(inst, resolution=resolution)

@@ -96,8 +96,12 @@ def node_sets(inst: IterInstance) -> tuple[frozenset[int], frozenset[int]]:
 
     Columns = {k : C(k) != k};
     Solutions = {k : C(k) < k or (C(k) > k and C(C(k)) = C(k))}.
+    Each C(k) is read once: a procedure-backed instance is copied into a
+    table first, and both sets are read off the table.
     """
-    columns = frozenset(k for k in range(1, inst.size + 1) if inst.C(k) != k)
+    if inst.table is None:
+        inst = IterInstance(inst.n, table=tuple(map(inst.C, range(1, inst.size + 1))))
+    columns = frozenset(k for k, ck in enumerate(inst.table, start=1) if ck != k)
     solutions = frozenset(k for k in range(1, inst.size + 1) if iter_is_solution(inst, k))
     return columns, solutions
 
@@ -114,7 +118,7 @@ def _grid_color(inst: IterInstance, columns: frozenset[int], a: int, b: int) -> 
     if b == 2 and in_k4 and k4 in columns and a == 6 * k4 - 2:
         return Color.BLUE
     k0 = a // 6
-    if 1 <= k0 <= size and inst.C(k0) > k0 and inst.C(k0) in columns:
+    if 1 <= k0 <= size and (c0 := inst.C(k0)) > k0 and c0 in columns:
         if 6 * k0 <= a <= 6 * k0 + 2 and 6 * k0 + 1 <= b <= 6 * k0 + 2:
             return Color.BLUE
     if b % 6 in (1, 2):
@@ -166,18 +170,19 @@ def _grid_direction(
     if in_k4 and k4 in solutions and 6 * k4 - 2 <= a <= 6 * k4 - 1 and b == 6 * k4 + 2:
         return Direction.UP
     k0 = a // 6
-    if 1 <= k0 <= size and inst.C(k0) > k0 and inst.C(k0) in columns:
+    if 1 <= k0 <= size and (c0 := inst.C(k0)) > k0 and c0 in columns:
         if 6 * k0 <= a <= 6 * k0 + 2 and b == 6 * k0 + 1:
             return Direction.UP
-    if b % 6 == 1:
-        l = b // 6
+    l = b // 6
+    if b % 6 == 1 and 1 <= l <= size:
+        cl = inst.C(l)
         k3 = (a + 3) // 6
-        if l in columns and 1 <= k3 <= size and inst.C(l) > k3 > l:
+        if l in columns and 1 <= k3 <= size and cl > k3 > l:
             if k3 in columns and 6 * k3 + 1 <= a <= 6 * k3 + 2:
                 return Direction.UP
             if k3 not in columns and 6 * k3 - 3 <= a <= 6 * k3 + 2:
                 return Direction.UP
-        if 1 <= l <= size and in_k4 and k4 in columns and inst.C(l) >= k4 > l and a == 6 * k4 - 3:
+        if in_k4 and k4 in columns and cl >= k4 > l and a == 6 * k4 - 3:
             return Direction.UP
 
     # Left clauses.
@@ -207,13 +212,12 @@ def _grid_direction(
 
 
 class ColorField:
-    """Corner-lattice assignment for one ITER instance (memoized)."""
+    """Corner-lattice assignment for one ITER instance."""
 
     def __init__(self, inst: IterInstance):
         self.inst = inst
         self.geometry = GridGeometry(inst.n)
         self.columns, self.solutions = node_sets(inst)
-        self._cache: dict[tuple[int, int], CornerAssignment] = {}
 
     @property
     def N(self) -> int:
@@ -222,16 +226,11 @@ class ColorField:
     def assignment(self, a: int, b: int) -> CornerAssignment:
         if not self.geometry.in_lattice(a, b):
             raise ValueError(f"({a}, {b}) outside the corner lattice [0, {self.N}]^2")
-        key = (a, b)
-        got = self._cache.get(key)
-        if got is None:
-            color = _grid_color(self.inst, self.columns, a, b)
-            direction = _grid_direction(self.inst, self.columns, self.solutions, a, b)
-            got = CornerAssignment(
-                value=regime_value(color, a, b, self.N), direction=direction, color=color
-            )
-            self._cache[key] = got
-        return got
+        color = _grid_color(self.inst, self.columns, a, b)
+        direction = _grid_direction(self.inst, self.columns, self.solutions, a, b)
+        return CornerAssignment(
+            value=regime_value(color, a, b, self.N), direction=direction, color=color
+        )
 
     def x_cell_node(self, a: int, b: int) -> int | None:
         """The solution k whose X cells contain Box(a, b), else None.

@@ -17,6 +17,7 @@ from sospgrid._precision import to_fraction
 from sospgrid.biquintic import BoxPatch, patch_from_corners
 from sospgrid.color_field import ColorField
 from sospgrid.iter_problems import IterInstance
+from sospgrid.stationarity import Polytope
 
 C0_AGGRESSIVE = 2**76
 CACHE_CELLS = 4096  # patches kept, least recently used evicted first
@@ -49,23 +50,30 @@ class HardInstance:
 
     def __init__(self, inst: IterInstance, mode: ScaleMode = ScaleMode.UNIT):
         self.instance = inst
-        self.mode = mode
         self.field = ColorField(inst)
         self.N = self.field.N
         self._cache: OrderedDict[tuple[int, int], BoxPatch] = OrderedDict()
-        # Exact (numerator, denominator) factors on f, the gradient and the
-        # Hessian of the patch at (N x, N y): the scale mode's chain rule.
-        N, c = self.N, C0_AGGRESSIVE * self.N**4
-        self._factors = {
-            ScaleMode.UNIT: ((1, 1), (1, 1), (1, 1)),
-            ScaleMode.MODERATE: ((1, N), (1, 1), (N, 1)),
-            ScaleMode.AGGRESSIVE: ((1, c), (N, c), (N * N, c)),
+        # The scale mode is a coordinate scale s and a value divisor v: the
+        # objective is f(s x, s y) / v on [0, N/s]^2.
+        N = self.N
+        self._scale, self._divisor = {
+            ScaleMode.UNIT: (1, 1),
+            ScaleMode.MODERATE: (N, N),
+            ScaleMode.AGGRESSIVE: (N, C0_AGGRESSIVE * N**4),
         }[mode]
+        # The chain rule: f, grad f and hess f get the factors 1/v, s/v and
+        # s^2/v, as integer (numerator, denominator) pairs.
+        self._factors = tuple((q.numerator, q.denominator)
+                              for q in map(self._chain, range(3)))
+
+    def _chain(self, order: int) -> Fraction:
+        """s^order / v: the factor on a derivative of that order."""
+        return Fraction(self._scale**order, self._divisor)
 
     @property
     def domain_high(self) -> int:
-        """Upper coordinate bound of the (square) domain; lower bound is 0."""
-        return self.N if self.mode is ScaleMode.UNIT else 1
+        """Upper coordinate bound N/s of the (square) domain; lower bound is 0."""
+        return self.N // self._scale
 
     def patch(self, a: int, b: int) -> BoxPatch:
         """Interpolation patch of Box(a, b) in unscaled coordinates."""
@@ -94,13 +102,11 @@ class HardInstance:
 
     def evaluate(self, x, y, exact: bool = True) -> EvalResult:
         """f, grad f, hess f at a domain point, in the instance's scale mode."""
-        if self.mode is ScaleMode.UNIT:
-            u, v = x, y
-        else:
-            x, y = to_fraction(x), to_fraction(y)
-            if not (0 <= x <= 1 and 0 <= y <= 1):
-                raise ValueError(f"({x}, {y}) outside [0, 1]^2")
-            u, v = x * self.N, y * self.N
+        x, y = to_fraction(x), to_fraction(y)
+        hi = self.domain_high
+        if not (0 <= x <= hi and 0 <= y <= hi):
+            raise ValueError(f"({x}, {y}) outside [0, {hi}]^2")
+        u, v = x * self._scale, y * self._scale
         a, b = self.locate(u, v)
         f, grad, hess = self.patch(a, b).eval(u, v, exact=exact,
                                               factors=self._factors)
@@ -115,8 +121,6 @@ class HardInstance:
 
     def domain_polytope(self):
         """The instance's feasible box as a Polytope."""
-        from .stationarity import Polytope
-
         hi = self.domain_high
         return Polytope.box((0, 0), (hi, hi))
 
@@ -128,24 +132,19 @@ class HardInstance:
 
     def decode_scaled(self, x, y):
         """decode_solution for a point in the instance's own coordinates."""
-        if self.mode is ScaleMode.UNIT:
-            return self.decode_solution(x, y)
-        return self.decode_solution(to_fraction(x) * self.N,
-                                    to_fraction(y) * self.N)
+        return self.decode_solution(to_fraction(x) * self._scale,
+                                    to_fraction(y) * self._scale)
 
     def lipschitz_report(self) -> LipschitzRecord:
         """Analytic bounds: coefficient norm < 2^10 (2^55 N + 2), and from it
         L <= 10 * coeff < 2^70 N, L1 <= 90 * coeff < 2^73 N, L2 <= 2^75 N,
-        adjusted for the scale mode."""
+        times s/v, s^2/v and s^3/v in the scale mode."""
         N = self.N
         coeff = Fraction(2**10 * (2**55 * N + 2))
-        L, L1, L2 = Fraction(2**70 * N), Fraction(2**73 * N), Fraction(2**75 * N)
-        if self.mode is ScaleMode.MODERATE:
-            L, L1, L2 = L, N * L1, N**2 * L2
-        elif self.mode is ScaleMode.AGGRESSIVE:
-            c = C0_AGGRESSIVE
-            L, L1, L2 = L / (c * N**3), L1 / (c * N**2), L2 / (c * N)
-        return LipschitzRecord(L=L, L1=L1, L2=L2, coeff_norm_bound=coeff)
+        return LipschitzRecord(L=2**70 * N * self._chain(1),
+                               L1=2**73 * N * self._chain(2),
+                               L2=2**75 * N * self._chain(3),
+                               coeff_norm_bound=coeff)
 
 
 def build(inst: IterInstance, mode: ScaleMode | str = ScaleMode.UNIT) -> HardInstance:

@@ -8,7 +8,7 @@ reduction's local-search instance is localopt_reduction.ReductionInstance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -19,14 +19,15 @@ BRUTE_FORCE_LIMIT = 20
 class IterInstance:
     """Successor mapping C on [2^n], table-backed or procedure-backed.
 
-    The table is 1-indexed via ``table[v - 1]``.  Procedure-backed instances
-    (for large n) must be deterministic and side-effect-free.
+    The table is 1-indexed via ``table[v - 1]``.  A procedure (for large n)
+    is called on every lookup, and its value range-checked each time;
+    nothing is memoized, so it must be deterministic, side-effect-free and
+    cheap.
     """
 
     n: int
     table: Optional[tuple[int, ...]] = None
     proc: Optional[Callable[[int], int]] = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -52,12 +53,10 @@ class IterInstance:
             raise ValueError(f"node {v} out of range [1, {self.size}]")
         if self.table is not None:
             return self.table[v - 1]
-        if v not in self._cache:
-            cv = self.proc(v)
-            if not 1 <= cv <= self.size:
-                raise ValueError(f"C({v}) = {cv} out of range [1, {self.size}]")
-            self._cache[v] = cv
-        return self._cache[v]
+        cv = self.proc(v)
+        if not 1 <= cv <= self.size:
+            raise ValueError(f"C({v}) = {cv} out of range [1, {self.size}]")
+        return cv
 
 
 def iter_is_solution(inst: IterInstance, v: int) -> bool:

@@ -77,14 +77,9 @@ class ReductionInstance:
             lo, _ = self.poly.box_bounds
             return all((to_fraction(c) - a) % self.gamma == 0 for c, a in zip(x, lo))
         u = tuple(to_fraction(c) for c in x)
-        I = tuple(j for j in range(self.poly.m) if self.poly.slack(j, u) == 0)
-        frame = face_frame(self.poly, I)
-        diff = [c - r for c, r in zip(u, frame.x_ref)]
-        for v, nsq, nu in zip(frame.basis, frame.norms_sq, frame.norm_bounds):
-            coeff = sum(a * c for a, c in zip(diff, v)) / nsq
-            if coeff % (self.delta / nu) != 0:
-                return False
-        return True
+        frame = face_frame(self.poly, self.poly.active_rows(u))
+        return all(coeff % (self.delta / nu) == 0
+                   for coeff, nu in zip(frame.coords(u), frame.norm_bounds))
 
     # ---- potential / neighbor ------------------------------------------
 

@@ -12,7 +12,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from sospgrid._precision import to_fraction
-from sospgrid.stationarity import Polytope, independent_rows, projector_from_rows, _solve_frac
+from sospgrid.stationarity import (Polytope, independent_rows, max_feasible_step,
+                                   projector_from_rows, _solve_frac)
 
 
 def _ceil_sqrt_rational(q: Fraction) -> Fraction:
@@ -70,6 +71,12 @@ class FaceFrame:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def coords(self, x) -> list[Fraction]:
+        """Coordinates of x - x_ref along the basis vectors (exact)."""
+        diff = [c - r for c, r in zip(x, self.x_ref)]
+        return [sum(a * c for a, c in zip(diff, v)) / nsq
+                for v, nsq in zip(self.basis, self.norms_sq)]
 
 
 @lru_cache(maxsize=4096)
@@ -151,15 +158,12 @@ def map_to_grid(poly: Polytope, x, delta) -> tuple[tuple, RoundingCertificate]:
     bounces: list[tuple[int, Fraction]] = []
     dists: list[Fraction] = []
     for _ in range(d + 1):
-        I = tuple(j for j in range(poly.m) if poly.slack(j, cur) == 0)
-        frame = face_frame(poly, I)
+        frame = face_frame(poly, poly.active_rows(cur))
         if frame.dim == 0:
             y = frame.x_ref
             break
-        diff = [c - r for c, r in zip(cur, frame.x_ref)]
         target = list(frame.x_ref)
-        for v, nsq, nu in zip(frame.basis, frame.norms_sq, frame.norm_bounds):
-            coeff = sum(a * c for a, c in zip(diff, v)) / nsq
+        for coeff, v, nu in zip(frame.coords(cur), frame.basis, frame.norm_bounds):
             step = delta / nu  # per-direction step; displacement <= delta/2
             rounded = _round_to_multiple(coeff, step)
             for i in range(d):
@@ -173,19 +177,13 @@ def map_to_grid(poly: Polytope, x, delta) -> tuple[tuple, RoundingCertificate]:
             y = target_t
             break
         # ray shoot toward the ideal target, stop at the first facet hit
-        t_min, j_hit = None, None
-        for j in range(poly.m):
-            adot = sum(a * (t - c) for a, t, c in zip(poly.A[j], target_t, cur))
-            if adot <= 0:
-                continue
-            t_j = poly.slack(j, cur) / adot
-            if t_min is None or t_j < t_min:
-                t_min, j_hit = t_j, j
-        if t_min is None or t_min >= 1:
+        ray = [t - c for t, c in zip(target_t, cur)]
+        t_min, blockers = max_feasible_step(poly, cur, ray)
+        if t_min >= 1:
             raise ValueError("ray test found no blocking facet for an infeasible target")
-        nxt = tuple(c + t_min * (t - c) for c, t in zip(cur, target_t))
+        nxt = tuple(c + t_min * r for c, r in zip(cur, ray))
         dists.append(sum((a - b) * (a - b) for a, b in zip(nxt, cur)))
-        bounces.append((j_hit, t_min))
+        bounces.append((blockers[0], t_min))
         cur = nxt
     else:
         raise RuntimeError("rounding did not terminate within d+1 face drops")

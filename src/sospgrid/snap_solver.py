@@ -38,6 +38,7 @@ from sospgrid.stationarity import (
     SospReport,
     active_set,
     default_delta_eig,
+    max_feasible_step,
     project,
     projected_hessian_min_eig,
     projected_step,
@@ -192,25 +193,6 @@ def curvature_direction(grad, hess, act: ActiveSet, eps_h):
         return tuple(v)
     neg = tuple(-c for c in v)
     return tuple(v) if tuple(v) >= neg else neg
-
-
-def max_feasible_step(poly: Polytope, x, d):
-    """Exact ratio test at the rational values of a feasible x and of d:
-    largest t with x + t d feasible, and the blocking rows."""
-    t_max = None
-    blockers: list[int] = []
-    for j in range(poly.m):
-        adot = sum(a * to_fraction(c) for a, c in zip(poly.A[j], d))
-        if adot <= 0:
-            continue
-        t = poly.slack(j, x) / adot
-        if t_max is None or t < t_max:
-            t_max, blockers = t, [j]
-        elif t == t_max:
-            blockers.append(j)
-    if t_max is None:
-        raise ValueError("direction is unbounded within the polytope")
-    return t_max, tuple(blockers)
 
 
 def line_search(objective: Callable, poly: Polytope, x, d, eps_h, L2,

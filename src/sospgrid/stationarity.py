@@ -1,7 +1,7 @@
 """Constrained first/second-order stationarity machinery.
 
-Polytopes {x : Ax <= b}, Euclidean projection, proximal gradient, active
-sets with null-space projectors, projected-Hessian eigenvalues, and the
+Polytopes {x : Ax <= b}, Euclidean projection, the exact ratio test,
+proximal gradient, active sets with null-space projectors, projected-Hessian eigenvalues, and the
 (eps_G, eps_H)-SOSP verifier.  Polytope data is always rational, and every
 accept/reject decision is made once, in exact arithmetic, at the exact
 rational value of the point and the derivatives (to_fraction is exact for
@@ -113,6 +113,36 @@ class Polytope:
     def contains(self, x) -> bool:
         return all(self.slack(j, x) >= 0 for j in range(self.m))
 
+    def active_rows(self, x) -> tuple[int, ...]:
+        """Rows with slack exactly 0 at x; ValueError if x violates a row."""
+        rows = []
+        for j in range(self.m):
+            s = self.slack(j, x)
+            if s < 0:
+                raise ValueError(f"point violates constraint {j}")
+            if s == 0:
+                rows.append(j)
+        return tuple(rows)
+
+
+def max_feasible_step(poly: Polytope, x, d):
+    """Exact ratio test at the rational values of a feasible x and of d:
+    largest t with x + t d feasible, and the blocking rows in index order."""
+    t_max = None
+    blockers: list[int] = []
+    for j in range(poly.m):
+        adot = sum(a * to_fraction(c) for a, c in zip(poly.A[j], d))
+        if adot <= 0:
+            continue
+        t = poly.slack(j, x) / adot
+        if t_max is None or t < t_max:
+            t_max, blockers = t, [j]
+        elif t == t_max:
+            blockers.append(j)
+    if t_max is None:
+        raise ValueError("direction is unbounded within the polytope")
+    return t_max, tuple(blockers)
+
 
 @dataclass(frozen=True)
 class ActiveSet:
@@ -179,18 +209,12 @@ def proximal_gradient(x, grad, L1, poly: Polytope) -> tuple:
 
 def active_set(poly: Polytope, x) -> ActiveSet:
     """Rows with slack exactly 0 at x, with the null-space projector P(x)."""
-    idx = []
-    for j in range(poly.m):
-        s = poly.slack(j, x)
-        if s < 0:
-            raise ValueError(f"point violates constraint {j}")
-        if s == 0:
-            idx.append(j)
+    idx = poly.active_rows(x)
     all_rows = [list(poly.A[j]) for j in idx]
     keep = independent_rows(all_rows)
     rows = [all_rows[i] for i in keep]
     P = projector_from_rows(rows, poly.d)
-    return ActiveSet(x=tuple(x), indices=tuple(idx),
+    return ActiveSet(x=tuple(x), indices=idx,
                      rows=tuple(tuple(r) for r in rows),
                      projector=P, dim_null=poly.d - len(rows))
 

@@ -9,8 +9,11 @@ from collections import Counter
 import pytest
 from click.testing import CliRunner
 
+from sospgrid.box_certifier import BOUNDARY_RESOLUTION, boundary_prox_check
 from sospgrid.cli import main, render_svg
 from sospgrid.color_field import ColorField
+from sospgrid.hard_instance import build
+from sospgrid.iter_problems import load_instance
 
 
 @pytest.fixture()
@@ -94,6 +97,20 @@ def test_classify_single_cell_with_certificate(runner, n1_file):
     payload = json.loads(res.output)
     assert payload["cell"] == [9, 9]
     assert payload["certificate"]["passed"] is True
+
+
+def test_classify_single_boundary_cell_prints_the_report_entry(runner, n1_file):
+    """A boundary cell is certified at the report's BOUNDARY_RESOLUTION,
+    whatever --resolution says."""
+    res = runner.invoke(main, ["classify", "--instance", str(n1_file),
+                               "-a", "0", "-b", "9", "--certify",
+                               "--resolution", "11"])
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    assert payload["label"] == "Boundary"
+    h = build(load_instance(n1_file))
+    expected = boundary_prox_check(h, [(0, 9)], BOUNDARY_RESOLUTION)[0]
+    assert payload["boundary"] == json.loads(json.dumps(expected.to_json()))
 
 
 def test_classify_requires_both_coordinates(runner, n1_file):

@@ -103,3 +103,35 @@ def test_values_are_regime_consistent():
         assert asn.f_xx == Fraction(-1, 2)
         assert asn.f_yy == Fraction(-1, 2)
         assert asn.f_xy == 0
+
+
+def test_procedure_backed_field_reads_each_node_once():
+    """Building a ColorField reads each C(k) of a procedure exactly once,
+    and gives the node sets of the same map given as a table."""
+    n = 10
+    size = 1 << n
+
+    def successor(v):
+        z = (v * 0x9E3779B1) % (1 << 32)
+        z ^= z >> 15
+        return 2 + z % (size - 1) if v == 1 else 1 + z % size
+
+    calls = Counter()
+
+    def counted(v):
+        calls[v] += 1
+        return successor(v)
+
+    field = ColorField(IterInstance(n, proc=counted))
+    assert sum(calls.values()) == size
+    table = tuple(successor(v) for v in range(1, size + 1))
+    columns, solutions = node_sets(IterInstance(n, table=table))
+    assert (field.columns, field.solutions) == (columns, solutions)
+    assert 0 < len(solutions) < len(columns) <= size
+
+
+def test_out_of_range_procedure_value_raises_on_every_call():
+    inst = IterInstance(2, proc=lambda v: 5)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            inst.C(1)

@@ -167,6 +167,15 @@ def test_map_to_grid_half_ties_round_down():
     assert y == (Fraction(1, 4),)
 
 
+def test_map_to_grid_records_the_lower_index_of_tied_facets():
+    """Rows 0 and 2 are the same facet x <= 1; the ray from 19/20 toward the
+    rounded 6/5 hits both at t = 1/5, and the bounce names row 0."""
+    poly = Polytope(((1,), (-1,), (1,)), (1, 0, 1))
+    y, cert = map_to_grid(poly, (Fraction(19, 20),), Fraction(3, 5))
+    assert cert.bounces == ((0, Fraction(1, 5)),)
+    assert y == (Fraction(1),)
+
+
 def test_lattice_cardinality_bound():
     val = lattice_cardinality_bound(4, 2, Fraction(2), Fraction(1, 10))
     # d'=0: C(4,2)=6; d'=1: C(4,1)(2*2*2/0.1+1)=4*81; d'=2: 81^2

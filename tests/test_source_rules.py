@@ -47,3 +47,20 @@ def test_no_hp_of_a_float_literal():
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if HP_FLOAT_LITERAL.search(line)]
     assert hits == []
+
+
+# An assignment or annotation of a name or attribute called _cache.
+CACHE_ATTRIBUTE = re.compile(r"\b_cache\b\s*(:|=(?!=))")
+
+
+def test_instance_data_cached_only_by_the_patch_lru():
+    """HardInstance's patch LRU is the one cache of instance data, and the
+    face-frame lru_cache of polytope_lattice.py the one function cache: no
+    other module defines a _cache attribute or uses lru_cache."""
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert "hard_instance.py" in sources and "polytope_lattice.py" in sources
+    cache_hits = [name for name, text in sources.items()
+                  if name != "hard_instance.py" and CACHE_ATTRIBUTE.search(text)]
+    lru_hits = [name for name, text in sources.items()
+                if name != "polytope_lattice.py" and "lru_cache" in text]
+    assert cache_hits == [] and lru_hits == []
