@@ -19,13 +19,13 @@ and Hessian on the whole grid come from the patch's own exact integer
 kernel (BoxPatch.fields in biquintic) as integer matrices over one known
 scale per sample.  The gradient tests are integer comparisons; the
 curvature test is sqrt-free (lambda_min < -EPS0 iff H + EPS0 I has a
-negative diagonal entry or determinant).  Only the Newton polish and the
-irrational 1/sqrt(gap) offsets use high-precision floats, and their points
-are made rational before they are sampled.  The reported worst margin is
-rounded to float once, from exact integers.  Boundary cells are checked
-the same way: the proximal step is exact in rationals and
-||g_pi||^2 > EPS0^2 needs no square root.  X cells contain a genuine SOSP
-and are expected to fail certification; they serve as the negative control.
+negative diagonal entry or determinant).  The Newton polish steps on the
+2^-192 grid with the same kernel, and the 1/sqrt(gap) offsets are integer
+square roots on that grid: no high-precision float is used.  The reported
+worst margin is rounded to float once, from exact integers.  Boundary
+cells are checked the same way: the proximal step is exact in rationals
+and ||g_pi||^2 > EPS0^2 needs no square root.  X cells contain a genuine
+SOSP and must fail certification; they serve as the negative control.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._precision import hp, hp_sqrt, to_fraction
+from ._precision import to_fraction
 from .biquintic import BoxPatch, Fields
 from .color_field import ColorField, Direction
 from .hard_instance import HardInstance, ScaleMode, build
 from .iter_problems import IterInstance
+from .stationarity import proximal_gradient
 
 __all__ = [
     "ClassificationError",
@@ -61,6 +62,7 @@ __all__ = [
 
 EPS0 = 1e-10
 BOUNDARY_RESOLUTION = 5  # samples per side of a boundary cell in the report
+_GRID_BITS = 192  # polished points and 1/sqrt(gap) offsets are k / 2^192
 
 # Corner order used throughout: (0,0), (1,0), (0,1), (1,1) in cell-local
 # coordinates (dx, dy).
@@ -368,32 +370,34 @@ def _record(report: CriterionReport, xs, ys, F: Fields, eps: Fraction):
 
 
 def _newton_polish(patch: BoxPatch, x0, y0, iters: int = 40):
-    """Damped Newton on grad f = 0 inside the open unit cell (hp floats)."""
-    x, y = hp(x0) + patch.a, hp(y0) + patch.b
-    lo_x, hi_x = patch.a, patch.a + 1
-    lo_y, hi_y = patch.b, patch.b + 1
+    """Damped Newton on grad f = 0 inside the open unit cell, in integers.
+
+    The point is (X, Y) / 2^_GRID_BITS in local offsets; the step is the
+    first of 1, 1/2, ..., 2^-39 times the exact Newton step that, rounded
+    to the grid, stays strictly inside the cell.  Returns Fractions or None."""
+    one = 1 << _GRID_BITS
+    X, Y = (round(to_fraction(t) * one) for t in (x0, y0))
     for _ in range(iters):
-        _, (fx, fy), ((fxx, fxy), (_, fyy)) = patch.eval(x, y, exact=False)
-        det = fxx * fyy - fxy * fxy
+        F = patch.fields([Fraction(X, one)], [Fraction(Y, one)])
+        gx, gy, hxx, hyy, hxy = (v[0, 0] for v in F[1:6])
+        det = hxx * hyy - hxy * hxy  # the fields' common scale cancels
         if det == 0:
             return None
-        sx = (-fx * fyy + fy * fxy) / det
-        sy = (-fy * fxx + fx * fxy) / det
-        step = hp(1)
-        nx, ny = x + sx, y + sy
-        while not (lo_x < nx < hi_x and lo_y < ny < hi_y):
-            step = step / 2
-            if step < 1e-12:
-                return None
-            nx, ny = x + sx * step, y + sy * step
-        moved = abs(nx - x) + abs(ny - y)
-        x, y = nx, ny
-        if moved < 1e-40:
+        sx, sy = gy * hxy - gx * hyy, gx * hxy - gy * hxx
+        for j in range(40):  # s 2^-j / det rounded to the grid, half up
+            nX = X + ((sx << _GRID_BITS - j + 1) + det) // (2 * det)
+            nY = Y + ((sy << _GRID_BITS - j + 1) + det) // (2 * det)
+            if 0 < nX < one and 0 < nY < one:
+                break
+        else:
+            return None
+        moved, X, Y = abs(nX - X) + abs(nY - Y), nX, nY
+        if moved * 10**40 < one:  # moved less than 1e-40
             break
-    _, (fx, fy), _ = patch.eval(x, y, exact=False)
-    if abs(fx) > 1e-6 or abs(fy) > 1e-6:  # did not converge to a FOSP
-        return None
-    return x - patch.a, y - patch.b
+    F = patch.fields([Fraction(X, one)], [Fraction(Y, one)])
+    if max(abs(F.gx[0, 0]), abs(F.gy[0, 0])) * 10**6 > F.scale[0, 0]:
+        return None  # did not converge to a FOSP
+    return Fraction(X, one), Fraction(Y, one)
 
 
 def certify_no_sosp(patch: BoxPatch, resolution: int = 51,
@@ -447,9 +451,8 @@ def _targeted_offsets(data: CornerData):
         if gap <= 4:
             continue
         inv = 1 / gap
-        inv_sqrt = 1 / hp_sqrt(gap)
-        offsets += [inv, 1 - inv, to_fraction(inv_sqrt),
-                    to_fraction(1 - inv_sqrt)]
+        inv_sqrt = Fraction(math.isqrt(4**_GRID_BITS // gap), 1 << _GRID_BITS)
+        offsets += [inv, 1 - inv, inv_sqrt, 1 - inv_sqrt]
     return offsets
 
 
@@ -490,13 +493,11 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
                         resolution: int = BOUNDARY_RESOLUTION) -> list:
     """Check ||g_pi|| > EPS0 on samples of the given boundary cells.
 
-    The box proximal gradient decouples per coordinate: either the step
-    stays interior (g_pi = -grad f, and the gradient criteria apply) or a
-    component overshoots the domain wall, in which case its contribution
-    is at least the distance to the wall times L1.  The step is exact in
-    rationals and the test is ||g_pi||^2 > EPS0^2.
+    g_pi is stationarity.proximal_gradient on the domain box, exact in
+    rationals: where the step x - grad/L1 overshoots a wall, g_pi is at
+    least the distance to the wall times L1.  The test is ||g_pi||^2 > EPS0^2.
     """
-    N = h.domain_high
+    poly = h.domain_polytope()
     L1 = h.lipschitz_report().L1
     eps_sq = Fraction(EPS0) ** 2
     reports = []
@@ -507,10 +508,9 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
         for i, tx in enumerate(ticks):
             for j, ty in enumerate(ticks):
                 x, y = a + tx, b + ty
-                scale = L1 * F.scale[i, j]
-                sx = min(max(x - Fraction(F.gx[i, j]) / scale, 0), N)
-                sy = min(max(y - Fraction(F.gy[i, j]) / scale, 0), N)
-                norm_sq = L1 * L1 * ((sx - x) ** 2 + (sy - y) ** 2)
+                grad = (Fraction(g[i, j], F.scale[i, j]) for g in F[1:3])
+                norm_sq = sum(g * g for g in proximal_gradient(
+                    (x, y), grad, L1, poly))
                 r, k = _isqrt_shifted(norm_sq.numerator * norm_sq.denominator)
                 norm = r / (norm_sq.denominator << k)
                 if norm < rep.worst_norm:
@@ -533,8 +533,8 @@ def certify_labelled_cell(h: HardInstance, a: int, b: int, label: GroupLabel,
     """The report entry of one classified cell, and whether it passes.
 
     Boundary cells run boundary_prox_check at BOUNDARY_RESOLUTION; other
-    cells run certify_cell at the given resolution.  X cells are the
-    negative control: they are expected to fail and always pass here.
+    cells run certify_cell at the given resolution.  X cells, the negative
+    control, contain an SOSP: one passes here only if its certificate fails.
     """
     entry = {"cell": [a, b], "label": label.kind,
              "transforms": list(label.transforms)}
@@ -546,7 +546,7 @@ def certify_labelled_cell(h: HardInstance, a: int, b: int, label: GroupLabel,
     entry["certificate"] = rep.to_json()
     if label.kind == "X":
         entry["expected_fail"] = True
-        return entry, True
+        return entry, not rep.passed
     return entry, rep.passed
 
 

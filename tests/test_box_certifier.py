@@ -12,17 +12,21 @@ import pytest
 from patch_reference import reference_eval
 from sospgrid._precision import to_fraction
 from sospgrid.biquintic import BoxPatch
+from sospgrid import box_certifier
 from sospgrid.box_certifier import (
     ALL_TRANSFORMS,
     EPS0,
     ClassificationError,
     CornerData,
+    CriterionReport,
+    GroupLabel,
     _newton_polish,
     _targeted_offsets,
     boundary_prox_check,
     canonicalize,
     cell_corner_data,
     certify_cell,
+    certify_labelled_cell,
     certify_no_sosp,
     classify_all,
     classify_cell,
@@ -30,6 +34,7 @@ from sospgrid.box_certifier import (
 from sospgrid.color_field import ColorField, Direction
 from sospgrid.hard_instance import build
 from sospgrid.iter_problems import IterInstance
+from sospgrid.stationarity import verify_sosp
 
 
 EPS = Fraction(EPS0)
@@ -141,6 +146,34 @@ def test_certify_x_cell_finds_sosp(hard_n1):
         rep = certify_cell(hard_n1, a, b, resolution=15)
         assert not rep.passed
         assert rep.failing
+
+
+def test_x_cell_passes_only_when_its_certificate_fails(hard_n1, monkeypatch):
+    # the negative control is enforced: an X cell in which no SOSP is found
+    # fails the report
+    label = classify_cell(hard_n1.field, 4, 8)
+    assert label.kind == "X"
+    entry, passed = certify_labelled_cell(hard_n1, 4, 8, label, resolution=15)
+    assert passed and not entry["certificate"]["passed"]
+    monkeypatch.setattr(box_certifier, "certify_cell",
+                        lambda h, a, b, resolution=51:
+                        CriterionReport(cell=(a, b), resolution=resolution))
+    entry, passed = certify_labelled_cell(hard_n1, 4, 8, GroupLabel("X"))
+    assert entry["certificate"]["passed"] and not passed
+
+
+@pytest.mark.parametrize("cell", [(3, 8), (4, 8)])
+def test_polished_x_cell_point_is_an_exact_sosp(hard_n1, cell):
+    a, b = cell
+    half = Fraction(1, 2)
+    polished = _newton_polish(hard_n1.patch(a, b), half, half)
+    assert polished is not None
+    x, y = a + polished[0], b + polished[1]
+    rep = verify_sosp(hard_n1.objective(exact=True),
+                      hard_n1.domain_polytope(), (x, y), EPS0, EPS0,
+                      hard_n1.lipschitz_report().L1, exact=True)
+    assert rep.passed
+    assert hard_n1.decode_solution(x, y) == 1
 
 
 def test_boundary_prox_check(hard_n1):

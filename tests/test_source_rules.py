@@ -64,3 +64,18 @@ def test_instance_data_cached_only_by_the_patch_lru():
     lru_hits = [name for name, text in sources.items()
                 if name != "polytope_lattice.py" and "lru_cache" in text]
     assert cache_hits == [] and lru_hits == []
+
+
+# A high-precision helper, or a patch evaluated in high precision.
+HP_IN_CERTIFIER = re.compile(r"\bhp\(|\bhp_sqrt\b|\bhp_quotient\b|exact=False")
+
+
+def test_box_certifier_computes_in_integers_and_rationals():
+    """The certifier decides samples and locates points in integers and
+    rationals: box_certifier.py names no high-precision helper and
+    evaluates no patch in high precision."""
+    path = SRC / "box_certifier.py"
+    hits = [f"{path.name}:{lineno}"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if HP_IN_CERTIFIER.search(line)]
+    assert hits == []
