@@ -12,12 +12,15 @@ gradient and Hessian on the whole grid are integer matrix products over
 one known scale per sample (BoxPatch.fields).  A single point is the 1x1
 grid at its exact rational value (BoxPatch.eval): the results are exact,
 returned as Fractions or each rounded once to a high-precision float
-(see _precision).
+(see _precision).  A single value is the order-0 row: f alone is the
+order-0 row of x times K times the order-0 row of y (BoxPatch.value), the
+same integer as eval's f over the same scale.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -80,6 +83,14 @@ def assemble_corner_block(
     )
 
 
+def _value_row(t):
+    """Integer row q^5 t^p (p = 0..5) of a rational t = p/q, and q^5."""
+    num, den = t.numerator, t.denominator
+    pn = [num ** e for e in range(6)]
+    qn = [den ** e for e in range(6)]
+    return [pn[e] * qn[5 - e] for e in range(6)], qn[5]
+
+
 def _scaled_rows(coords):
     """Integer rows q^5 t^p, q^5 (t^p)' and q^5 (t^p)'' (p = 0..5) of each
     rational coordinate t = p/q, and the scales q^5."""
@@ -138,6 +149,26 @@ class BoxPatch:
                       hxx=(x2 @ K) @ y0.T, hyy=x0k @ y2.T, hxy=x1k @ y1.T,
                       scale=np.outer(sx, sy) * D)
 
+    def _local(self, x, y):
+        """Exact local offsets (x - a, y - b) of a point inside the cell."""
+        dx, dy = to_fraction(x) - self.a, to_fraction(y) - self.b
+        if not (0 <= dx <= 1 and 0 <= dy <= 1):
+            raise ValueError(f"({x}, {y}) outside Box({self.a}, {self.b})")
+        return dx, dy
+
+    def value(self, x, y, exact: bool = True, factor=(1, 1)):
+        """f(x, y) alone, times the integer (numerator, denominator) pair
+        factor: equal to eval(x, y, exact, factors)[0] when factor is
+        factors[0], from the order-0 rows only."""
+        dx, dy = self._local(x, y)
+        K, D = self._scaled
+        xr, sx = _value_row(dx)
+        yr, sy = _value_row(dy)
+        f = sum(map(operator.mul, xr,
+                    [sum(map(operator.mul, row, yr)) for row in K.tolist()]))
+        num, den = factor
+        return (Fraction if exact else hp_quotient)(f * num, sx * sy * D * den)
+
     def eval(self, x, y, exact: bool = True, factors=((1, 1),) * 3):
         """Value, gradient, Hessian at (x, y) inside the cell.
 
@@ -148,9 +179,7 @@ class BoxPatch:
         exact=True returns them as Fractions, exact=False rounds each once
         to a high-precision float.
         """
-        dx, dy = to_fraction(x) - self.a, to_fraction(y) - self.b
-        if not (0 <= dx <= 1 and 0 <= dy <= 1):
-            raise ValueError(f"({x}, {y}) outside Box({self.a}, {self.b})")
+        dx, dy = self._local(x, y)
         F = self.fields([dx], [dy])
         scale = F.scale[0, 0]
         convert = Fraction if exact else hp_quotient

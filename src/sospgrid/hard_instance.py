@@ -37,6 +37,33 @@ class EvalResult:
     cell: tuple[int, int]
 
 
+class _Evaluation:
+    """The (f, grad, hess) sequence that objective() returns; see there."""
+
+    __slots__ = ("_h", "_x", "_y", "_exact", "_full")
+
+    def __init__(self, h, x, y, exact):
+        self._h, self._x, self._y, self._exact = h, x, y, exact
+        self._full = None
+
+    def _evaluated(self) -> tuple:
+        if self._full is None:
+            res = self._h.evaluate(self._x, self._y, exact=self._exact)
+            self._full = (res.f, res.grad, res.hess)
+        return self._full
+
+    def __getitem__(self, i):
+        if i == 0 and self._full is None:
+            return self._h.value(self._x, self._y, exact=self._exact)
+        return self._evaluated()[i]
+
+    def __iter__(self):
+        return iter(self._evaluated())
+
+    def __len__(self) -> int:
+        return len(self._evaluated())
+
+
 @dataclass(frozen=True)
 class LipschitzRecord:
     L: Fraction
@@ -100,23 +127,39 @@ class HardInstance:
         b = min(math.floor(y), self.N - 1)
         return a, b
 
-    def evaluate(self, x, y, exact: bool = True) -> EvalResult:
-        """f, grad f, hess f at a domain point, in the instance's scale mode."""
+    def _cell_point(self, x, y):
+        """(a, b, u, v): the cell Box(a, b) of a domain point and the point
+        (u, v) = s (x, y) in unscaled coordinates, exactly."""
         x, y = to_fraction(x), to_fraction(y)
         hi = self.domain_high
         if not (0 <= x <= hi and 0 <= y <= hi):
             raise ValueError(f"({x}, {y}) outside [0, {hi}]^2")
         u, v = x * self._scale, y * self._scale
-        a, b = self.locate(u, v)
+        return (*self.locate(u, v), u, v)
+
+    def evaluate(self, x, y, exact: bool = True) -> EvalResult:
+        """f, grad f, hess f at a domain point, in the instance's scale mode."""
+        a, b, u, v = self._cell_point(x, y)
         f, grad, hess = self.patch(a, b).eval(u, v, exact=exact,
                                               factors=self._factors)
         return EvalResult(f=f, grad=grad, hess=hess, cell=(a, b))
 
+    def value(self, x, y, exact: bool = True):
+        """f alone at a domain point: equal to evaluate(x, y, exact).f."""
+        a, b, u, v = self._cell_point(x, y)
+        return self.patch(a, b).value(u, v, exact=exact,
+                                      factor=self._factors[0])
+
     def objective(self, exact: bool = True):
-        """Callable x -> (f, grad, hess) for the solver/verifier modules."""
+        """Callable x -> (f, grad, hess) for the solver/verifier modules.
+
+        The result is read once and lazily: if [0] is read first, it is
+        value(), which skips the gradient and the Hessian; any other read
+        ([1], [2], unpacking, len) makes one evaluate() and keeps it.
+        Both give the same f, bit for bit.
+        """
         def call(pt):
-            res = self.evaluate(pt[0], pt[1], exact=exact)
-            return res.f, res.grad, res.hess
+            return _Evaluation(self, pt[0], pt[1], exact)
         return call
 
     def domain_polytope(self):

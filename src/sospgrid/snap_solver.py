@@ -10,7 +10,10 @@ lengths.  Every iterate is rational and lies in the polytope exactly: a
 gradient step is the exact projection of the rational value of its
 high-precision step, and a line-search probe is x + t d formed in
 rationals, with the maximal t from an exact ratio test, so a maximal step
-ends exactly on its blocking rows.
+ends exactly on its blocking rows.  The line-search f values, like the
+backtracking and split probes, are value-only reads (objective(x)[0]): an
+objective that computes f alone, as HardInstance.objective does, skips the
+derivatives there.
 
 snap_run's adaptive gradient step backtracks a local smoothness estimate,
 which along a narrow valley is set by the stiff curvature across it, so
@@ -84,7 +87,8 @@ class SnapStep:
 class SnapTrace:
     """A run's steps and verdict, with counts of the work it did:
     backtracking probes of the adaptive step, split candidates tried and
-    accepted, and every call of the objective."""
+    accepted, and every call of the objective, whether it read f alone or
+    the derivatives too."""
 
     steps: list[SnapStep] = field(default_factory=list)
     iterations: int = 0
@@ -100,12 +104,16 @@ class SnapTrace:
         return self.steps[-1].dst if self.steps else ()
 
     def counts(self) -> dict:
-        """The work counts, with the steps by kind; the step counts sum to
+        """The work counts, with the steps by kind and the steps that fell
+        short of the certified decrease; the step counts sum to
         iterations."""
         by_kind = {kind.value: 0 for kind in StepKind}
         for step in self.steps:
             by_kind[step.kind.value] += 1
-        return {"steps": by_kind, "backtrack_probes": self.backtrack_probes,
+        return {"steps": by_kind,
+                "decrease_shortfalls": sum(step.decrease_shortfall
+                                           for step in self.steps),
+                "backtrack_probes": self.backtrack_probes,
                 "split_tried": self.split_tried,
                 "split_accepted": self.split_accepted,
                 "objective_calls": self.objective_calls}
@@ -126,7 +134,8 @@ def _dist(y, x):
 
 
 def _fval(objective: Callable, x):
-    """f(x) in high precision, whatever number type the objective returns."""
+    """f(x) in high precision, read alone (objective(x)[0]), whatever
+    number type the objective returns."""
     return hp(objective(x)[0])
 
 

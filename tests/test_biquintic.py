@@ -110,6 +110,8 @@ def test_eval_rejects_outside_points():
                                             for _ in range(6)))
     with pytest.raises(ValueError):
         patch.eval(Fraction(4), Fraction(3))
+    with pytest.raises(ValueError):
+        patch.value(Fraction(4), Fraction(3))
 
 
 def hard_patches():
@@ -167,6 +169,23 @@ def test_hp_eval_tracks_exact_eval():
             rounded = (ff, *gf, *hf[0], *hf[1])
             for e, r in zip(exact, rounded):
                 assert abs(to_fraction(r) - e) <= abs(e) / 2**188
+
+
+def test_value_is_eval_f():
+    """value() is eval()[0] bit for bit, with its factor, in both number
+    paths."""
+    rng = random.Random(17)
+    patches = [solve_coefficients(random_block(rng), a=1, b=-2) for _ in range(3)]
+    patches += list(hard_patches())
+    factors = ((3, 7), (5, 11), (1, 13))
+    for patch in patches:
+        for _ in range(8):
+            x = patch.a + random_offset(rng)
+            y = patch.b + random_offset(rng)
+            for exact in (True, False):
+                f = patch.eval(x, y, exact=exact, factors=factors)[0]
+                assert patch.value(x, y, exact=exact, factor=factors[0]) == f
+            assert patch.value(x, y) == patch.eval(x, y)[0]
 
 
 def test_adjacent_cells_agree_on_shared_edges():

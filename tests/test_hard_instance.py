@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from sospgrid._precision import hp
+from sospgrid.biquintic import BoxPatch
 from sospgrid.hard_instance import ScaleMode, build
 from sospgrid.iter_problems import IterInstance
 
@@ -159,3 +160,58 @@ def test_objective_callable(unit_n1):
     f, grad, hess = obj((Fraction(5, 2), Fraction(7, 2)))
     res = unit_n1.evaluate(Fraction(5, 2), Fraction(7, 2))
     assert (f, grad, hess) == (res.f, res.grad, res.hess)
+    assert len(obj((1, 1))) == 3
+
+
+def value_read_points(h, rng):
+    """Random 192-bit dyadic points of the domain [0, 1]^2, then cell edges,
+    cell corners and the far edge x = 1, where locate clamps."""
+    N = h.N
+    pts = [(Fraction(rng.getrandbits(192), 2**192),
+            Fraction(rng.getrandbits(192), 2**192)) for _ in range(40)]
+    for _ in range(10):
+        k, t = Fraction(rng.randrange(N + 1), N), Fraction(rng.getrandbits(192), 2**192)
+        pts += [(k, t), (t, k)]
+    pts += [(Fraction(rng.randrange(N + 1), N), Fraction(rng.randrange(N + 1), N))
+            for _ in range(10)]
+    pts += [(1, Fraction(rng.getrandbits(192), 2**192)), (1, 1), (1, 0), (0, 0)]
+    return pts
+
+
+@pytest.mark.parametrize("table", [(2, 2), (3, 4, 4, 1)])
+def test_value_read_is_evaluate_f(table):
+    """Reading [0] of an objective result alone (a value-only read) gives
+    evaluate's f bit for bit, in both number paths."""
+    h = build(IterInstance(len(table).bit_length() - 1, table), "moderate")
+    for pt in value_read_points(h, random.Random(len(table))):
+        for exact in (True, False):
+            f = h.evaluate(*pt, exact=exact).f
+            assert h.objective(exact)(pt)[0] == f
+            assert h.value(*pt, exact=exact) == f
+            assert type(h.value(*pt, exact=exact)) is type(f)
+
+
+def test_value_read_skips_the_full_evaluation(moderate_n1, monkeypatch):
+    """[0] read first computes f alone; unpacking evaluates once, and the
+    reads after it share that one evaluation."""
+    calls = 0
+    full_eval = BoxPatch.eval
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return full_eval(self, *args, **kwargs)
+
+    monkeypatch.setattr(BoxPatch, "eval", counted)
+    obj = moderate_n1.objective(exact=False)
+    pt = (Fraction(3, 7), Fraction(5, 9))
+    res = obj(pt)
+    f = res[0]
+    assert calls == 0
+    f2, grad, hess = obj(pt)
+    assert calls == 1 and f2 == f
+    res = obj(pt)
+    assert tuple(res) == (f, grad, hess) and res[0] == f and res[2] == hess
+    assert calls == 2
+    with pytest.raises(ValueError):
+        obj((Fraction(3, 2), 0))[0]

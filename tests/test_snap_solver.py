@@ -322,12 +322,37 @@ def test_trace_counts_its_work(adaptive):
     assert counts["steps"][StepKind.TERMINAL.value] == 1
     assert counts["objective_calls"] == calls
     pgd = counts["steps"][StepKind.PGD.value]
+    shortfalls = [step for step in trace.steps if step.decrease_shortfall]
+    assert counts["decrease_shortfalls"] == len(shortfalls)
+    assert all(step.kind is StepKind.PGD for step in shortfalls)
     if adaptive:
         assert counts["split_tried"] == pgd > 0
         assert counts["backtrack_probes"] >= pgd
         assert 0 <= counts["split_accepted"] <= counts["split_tried"]
+        assert counts["decrease_shortfalls"] == 0
     else:
         assert counts["split_tried"] == counts["backtrack_probes"] == 0
+
+
+def test_value_only_reads_change_no_trajectory():
+    """The solver's value-only reads of HardInstance.objective give the run
+    that full evaluations give: the `sospgrid solve --seed 4` start on the
+    moderate (2, 2) instance, solved once with the lazy result and once with
+    every result read in full."""
+    h = build(IterInstance(1, (2, 2)), "moderate")
+    rec = h.lipschitz_report()
+    poly = h.domain_polytope()
+    obj = h.objective(exact=False)
+    rng = random.Random(4)
+    x0 = (Fraction(rng.randrange(1, 1000), 1000),
+          Fraction(rng.randrange(1, 1000), 1000))
+    lazy, full = (snap_run(o, poly, x0, 1e-2, 1e-2, rec.L1, rec.L2,
+                           max_iter=1000, adaptive=True)
+                  for o in (obj, lambda p: tuple(obj(p))))
+    assert lazy.converged and lazy.counts()["split_tried"] > 0
+    assert ([(s.src, s.dst, s.kind) for s in lazy.steps]
+            == [(s.src, s.dst, s.kind) for s in full.steps])
+    assert lazy.counts() == full.counts()
 
 
 @pytest.mark.parametrize("table, node", [((2, 2), 1), ((3, 4, 4, 1), 4),
