@@ -2,14 +2,16 @@
 
 Each unit cell Box(a, b) gets a polynomial sum_ij c_ij (x-a)^i (y-b)^j whose
 value, first derivative, and pure second derivative match the corner data at
-all four corners (mixed corner derivatives are exactly zero).  Coefficients
-are solved exactly: C = A^-1 V (A^-1)^T over rationals.
+all four corners (mixed corner derivatives are exactly zero).  A patch is
+its coefficient matrix C = A^-1 V (A^-1)^T held as integers: K over the
+least common denominator D.  It is solved in integers, since 2 A^-1 is an
+integer matrix: with V scaled to integers by the common denominator d of
+its entries, (2 A^-1) (d V) (2 A^-1)^T is C times 4 d.
 
-One evaluation path serves every caller.  The coefficients are scaled to
-integers over their common denominator once per patch; a grid of rational
-offsets p/q becomes integer power rows scaled by q^5; and the value,
-gradient and Hessian on the whole grid are integer matrix products over
-one known scale per sample (BoxPatch.fields).  A single point is the 1x1
+One evaluation path serves every caller.  A grid of rational offsets p/q
+becomes integer power rows scaled by q^5, and the value, gradient and
+Hessian on the whole grid are integer matrix products over one known
+scale per sample (BoxPatch.fields).  A single point is the 1x1
 grid at its exact rational value (BoxPatch.eval): the results are exact,
 returned as Fractions or each rounded once to a high-precision float
 (see _precision).  A single value is the order-0 row: f alone is the
@@ -23,7 +25,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -46,16 +47,8 @@ A_MATRIX = (
 
 A_INV = tuple(map(tuple, _solve_frac(
     A_MATRIX, [[int(i == j) for j in range(6)] for i in range(6)])))
-
-
-def _matmul6(X, Y):
-    return tuple(
-        tuple(sum(X[i][k] * Y[k][j] for k in range(6)) for j in range(6)) for i in range(6)
-    )
-
-
-def _transpose6(X):
-    return tuple(tuple(X[j][i] for j in range(6)) for i in range(6))
+# 2 A^-1, an integer matrix: A^-1 has denominator 2.
+A_INV2 = tuple(tuple(int(2 * c) for c in row) for row in A_INV)
 
 
 CornerBlock = tuple[tuple[Fraction, ...], ...]
@@ -123,25 +116,24 @@ class Fields(NamedTuple):
 
 @dataclass(frozen=True)
 class BoxPatch:
-    """One cell's coefficient matrix, anchored at integer (a, b)."""
+    """One cell's coefficient matrix K / D, anchored at integer (a, b): K is
+    six rows of six ints and D > 0 their least common denominator, so
+    gcd(D, all K) = 1."""
 
     a: int
     b: int
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    K: tuple[tuple[int, ...], ...]
+    D: int
 
-    @cached_property
-    def _scaled(self):
-        """(K, D): the integer matrix K = D * coeffs over the common
-        denominator D of the coefficients."""
-        D = math.lcm(*(c.denominator for row in self.coeffs for c in row))
-        K = np.array([[c.numerator * (D // c.denominator) for c in row]
-                      for row in self.coeffs], dtype=object)
-        return K, D
+    @property
+    def coeffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The coefficients K[i][j] / D as Fractions."""
+        return tuple(tuple(Fraction(k, self.D) for k in row) for row in self.K)
 
     def fields(self, xs, ys) -> Fields:
         """Exact fields on the xs x ys grid of rational local offsets
         (x - a, y - b), in integer arithmetic throughout."""
-        K, D = self._scaled
+        K, D = np.array(self.K, dtype=object), self.D
         x0, x1, x2, sx = _scaled_rows(xs)
         y0, y1, y2, sy = _scaled_rows(ys)
         x0k, x1k = x0 @ K, x1 @ K
@@ -161,13 +153,12 @@ class BoxPatch:
         factor: equal to eval(x, y, exact, factors)[0] when factor is
         factors[0], from the order-0 rows only."""
         dx, dy = self._local(x, y)
-        K, D = self._scaled
         xr, sx = _value_row(dx)
         yr, sy = _value_row(dy)
         f = sum(map(operator.mul, xr,
-                    [sum(map(operator.mul, row, yr)) for row in K.tolist()]))
+                    [sum(map(operator.mul, row, yr)) for row in self.K]))
         num, den = factor
-        return (Fraction if exact else hp_quotient)(f * num, sx * sy * D * den)
+        return (Fraction if exact else hp_quotient)(f * num, sx * sy * self.D * den)
 
     def eval(self, x, y, exact: bool = True, factors=((1, 1),) * 3):
         """Value, gradient, Hessian at (x, y) inside the cell.
@@ -191,10 +182,17 @@ class BoxPatch:
 
 
 def solve_coefficients(V: CornerBlock, a: int = 0, b: int = 0) -> BoxPatch:
-    """Exact coefficients C with A C A^T = V."""
-    V = tuple(tuple(Fraction(x) for x in row) for row in V)
-    coeffs = _matmul6(_matmul6(A_INV, V), _transpose6(A_INV))
-    return BoxPatch(a=a, b=b, coeffs=coeffs)
+    """The patch with coefficients C, A C A^T = V, solved in integers:
+    M = (2 A^-1) (d V) (2 A^-1)^T is C times E = 4 d, for d the common
+    denominator of V, and dividing M and E by their gcd leaves (K, D)."""
+    V = [[to_fraction(x) for x in row] for row in V]
+    d = math.lcm(*(x.denominator for row in V for x in row))
+    V = [[x.numerator * (d // x.denominator) for x in row] for row in V]
+    L = [[sum(map(operator.mul, row, col)) for col in zip(*V)] for row in A_INV2]
+    M = [[sum(map(operator.mul, row, inv)) for inv in A_INV2] for row in L]
+    g = math.gcd(4 * d, *(m for row in M for m in row))
+    return BoxPatch(a=a, b=b, K=tuple(tuple(m // g for m in row) for row in M),
+                    D=4 * d // g)
 
 
 def patch_from_corners(

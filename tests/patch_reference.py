@@ -1,4 +1,4 @@
-"""Reference patch evaluator for the tests.
+"""Reference patch evaluator for the tests, and patches from coefficients.
 
 A plain loop over the patch's Fraction coefficients and the powers of the
 local offsets, sharing no code with biquintic's integer kernel, so that a
@@ -7,7 +7,20 @@ test comparing the two checks the kernel against something else.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from sospgrid.biquintic import BoxPatch
+
+
+def patch_of(coeffs, a=0, b=0):
+    """The BoxPatch with the 6x6 rational coefficient matrix coeffs:
+    K = D * coeffs over the least common denominator D."""
+    coeffs = [[Fraction(c) for c in row] for row in coeffs]
+    D = math.lcm(*(c.denominator for row in coeffs for c in row))
+    K = tuple(tuple(c.numerator * (D // c.denominator) for c in row)
+              for row in coeffs)
+    return BoxPatch(a=a, b=b, K=K, D=D)
 
 
 def reference_eval(patch, x, y):

@@ -3,17 +3,19 @@ Hermite corner conditions and cross-cell continuity."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from patch_reference import reference_eval
+from patch_reference import patch_of, reference_eval
 from sospgrid._precision import hp, to_fraction
 from sospgrid.biquintic import (
     A_INV,
+    A_INV2,
     A_MATRIX,
-    BoxPatch,
     assemble_corner_block,
     patch_from_corners,
     solve_coefficients,
@@ -61,6 +63,7 @@ def test_a_inverse_is_exact():
         for j in range(6):
             got = sum(A_MATRIX[i][k] * A_INV[k][j] for k in range(6))
             assert got == (1 if i == j else 0)
+            assert A_INV2[i][j] == 2 * A_INV[i][j]
 
 
 def test_solve_matches_dense_oracle():
@@ -105,25 +108,92 @@ def test_corner_blocks_zero_mixed_derivatives():
             assert fxy == 0
 
 
+def assert_canonical_solve(V, patch):
+    """patch is C = K / D for the exact solution C of A C A^T = V, with D
+    the least common denominator: D > 0 and gcd(D, all K) = 1."""
+    oracle = dense_solve_36(V)
+    assert all(Fraction(patch.K[i][j], patch.D) == oracle[i][j]
+               for i in range(6) for j in range(6))
+    assert patch.D > 0
+    assert math.gcd(patch.D, *(k for row in patch.K for k in row)) == 1
+
+
 def test_eval_rejects_outside_points():
-    patch = BoxPatch(a=2, b=3, coeffs=tuple(tuple(Fraction(0) for _ in range(6))
-                                            for _ in range(6)))
+    patch = patch_of([[0] * 6] * 6, a=2, b=3)
     with pytest.raises(ValueError):
         patch.eval(Fraction(4), Fraction(3))
     with pytest.raises(ValueError):
         patch.value(Fraction(4), Fraction(3))
 
 
-def hard_patches():
-    """A few patches of two hard instances, X cells and boundary included."""
+def corner_block(field, a, b):
+    asn = field.assignment
+    return assemble_corner_block(asn(a, b), asn(a, b + 1), asn(a + 1, b), asn(a + 1, b + 1))
+
+
+def hard_blocks():
+    """(a, b, V) of a few cells of two hard instances, X cells and boundary
+    included."""
     for inst, cells in ((IterInstance(1, (2, 2)), [(4, 8), (5, 2), (0, 9), (9, 9)]),
                         (IterInstance(2, (3, 4, 4, 1)), [(22, 26), (3, 7), (28, 28)])):
         field = ColorField(inst)
         for a, b in cells:
-            yield patch_from_corners(
-                a, b,
-                field.assignment(a, b), field.assignment(a, b + 1),
-                field.assignment(a + 1, b), field.assignment(a + 1, b + 1))
+            yield a, b, corner_block(field, a, b)
+
+
+def hard_patches():
+    for a, b, V in hard_blocks():
+        yield solve_coefficients(V, a=a, b=b)
+
+
+def n16_blocks():
+    """(a, b, V) of a few cells of a procedure-backed n = 16 instance, whose
+    corner values reach 2^72: grid corners, cells of its largest solution's
+    column and the middle X cell of its least solution."""
+    size = 1 << 16
+
+    def successor(v):
+        z = (v * 0x9E3779B97F4A7C15) % (1 << 64)
+        z = ((z ^ (z >> 29)) * 0xBF58476D1CE4E5B9) % (1 << 64)
+        z ^= z >> 32
+        return 2 + z % (size - 1) if v == 1 else 1 + z % size
+
+    field = ColorField(IterInstance(16, proc=successor))
+    k, top = min(field.solutions), max(field.solutions)
+    N = field.N
+    for a, b in ((0, 0), (N - 1, N - 1), (0, N - 1), (6 * k - 2, 6 * k + 2),
+                 (6 * top, 6 * top + 5), (6 * top - 3, N - 1)):
+        yield a, b, corner_block(field, a, b)
+
+
+def test_solve_is_exact_and_canonical_on_hard_data():
+    blocks = list(n16_blocks())
+    assert max(abs(v).numerator.bit_length() for _, _, V in blocks
+               for row in V for v in row) > 70
+    for a, b, V in [*hard_blocks(), *blocks]:
+        assert_canonical_solve(V, solve_coefficients(V, a=a, b=b))
+
+
+big_rationals = st.builds(Fraction, st.integers(-2**96, 2**96), st.integers(1, 2**12))
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.lists(big_rationals, min_size=36, max_size=36))
+def test_solve_is_exact_and_canonical_on_large_blocks(entries):
+    V = tuple(tuple(entries[6 * i:6 * i + 6]) for i in range(6))
+    assert_canonical_solve(V, solve_coefficients(V))
+
+
+def test_patch_holds_only_its_integer_matrix(hard_n1):
+    """After every reader has run, a cached patch still holds just (a, b,
+    K, D): no derived matrix is kept beside K."""
+    patch = hard_n1.patch(4, 8)
+    patch.eval(Fraction(9, 2), Fraction(17, 2))
+    patch.value(Fraction(9, 2), Fraction(17, 2))
+    patch.fields([Fraction(1, 3)], [Fraction(1, 5)])
+    assert set(vars(patch)) == {"a", "b", "K", "D"}
+    assert len(patch.K) == 6
+    assert all(len(row) == 6 and all(type(k) is int for k in row) for row in patch.K)
 
 
 def random_offset(rng):

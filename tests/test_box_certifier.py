@@ -9,9 +9,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from patch_reference import reference_eval
+from patch_reference import patch_of, reference_eval
 from sospgrid._precision import to_fraction
-from sospgrid.biquintic import BoxPatch
 from sospgrid import box_certifier
 from sospgrid.box_certifier import (
     ALL_TRANSFORMS,
@@ -45,7 +44,7 @@ def _synthetic_patch(terms):
     coeffs = [[Fraction(0)] * 6 for _ in range(6)]
     for (i, j), c in terms.items():
         coeffs[i][j] = Fraction(c)
-    return BoxPatch(a=0, b=0, coeffs=tuple(map(tuple, coeffs)))
+    return patch_of(coeffs)
 
 
 def x_cells_of(inst):
