@@ -13,7 +13,7 @@ from typing import Sequence
 
 from sospgrid._precision import to_fraction
 from sospgrid.stationarity import (Polytope, independent_rows, max_feasible_step,
-                                   projector_from_rows, _solve_frac)
+                                   tangent_frame, _solve_frac)
 
 
 def _ceil_sqrt_rational(q: Fraction) -> Fraction:
@@ -99,24 +99,10 @@ def _face_frame_cached(A: tuple, b: tuple, I: tuple) -> FaceFrame:
     for j, (row, r) in enumerate(zip(rows, rhs)):
         if sum(a * c for a, c in zip(row, x_ref)) != r:
             raise ValueError(f"inconsistent face system at constraint {I[j]}")
-    # orthogonal basis of ker(A_I): project standard basis, Gram-Schmidt
-    P = projector_from_rows(ind_rows, d)
-    basis: list[tuple] = []
-    norms_sq: list[Fraction] = []
-    for i in range(d):
-        w = [P[r][i] for r in range(d)]
-        for v, nsq in zip(basis, norms_sq):
-            dot = sum(a * c for a, c in zip(w, v))
-            if dot != 0:
-                f = dot / nsq
-                w = [a - f * c for a, c in zip(w, v)]
-        nsq = sum(c * c for c in w)
-        if nsq != 0:
-            basis.append(tuple(w))
-            norms_sq.append(nsq)
+    basis, norms_sq = tangent_frame(ind_rows, d)
     bounds = tuple(_ceil_sqrt_rational(n) for n in norms_sq)
-    return FaceFrame(indices=I, x_ref=x_ref, basis=tuple(basis),
-                     norms_sq=tuple(norms_sq), norm_bounds=bounds)
+    return FaceFrame(indices=I, x_ref=x_ref, basis=basis,
+                     norms_sq=norms_sq, norm_bounds=bounds)
 
 
 def face_frame(poly: Polytope, I: Sequence[int]) -> FaceFrame:

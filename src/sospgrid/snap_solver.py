@@ -19,7 +19,7 @@ snap_run's adaptive gradient step backtracks a local smoothness estimate,
 which along a narrow valley is set by the stiff curvature across it, so
 the step crawls along the flat floor.  Each adaptive step therefore also
 tries a split candidate (split_candidate, after the stiff/flat split of
-trust-region methods): a Newton step along the stiff eigenvectors of the
+trust-region methods): a Newton step along the stiff eigenvector of the
 Hessian and a doubling (or, when the first probe fails, halving) search
 along the flattest one, every probe projected onto the polytope.  The
 candidate replaces the backtracked step only when its f is strictly lower,
@@ -40,14 +40,14 @@ from sospgrid.stationarity import (
     Polytope,
     SospReport,
     active_set,
-    default_delta_eig,
+    eigen_2x2,
     max_feasible_step,
     project,
     projected_hessian_min_eig,
     projected_step,
     proximal_gradient,
     psd_on_tangent,
-    symmetric_eigen,
+    tangent_hessian,
     verify_sosp,
 )
 
@@ -140,27 +140,26 @@ def _fval(objective: Callable, x):
 
 
 def split_candidate(objective: Callable, poly: Polytope, x, grad, hess,
-                    f_ref, t_min, tol):
-    """The projected Newton step, split along the Hessian's eigenvectors.
+                    f_ref, t_min):
+    """The projected Newton step, split along the two eigenvectors of the
+    2-D Hessian (eigen_2x2).
 
-    Along every eigenvector but the flattest, v, it is a full Newton step
-    where the eigenvalue is positive: the stiff step s.  Along v it searches
-    the probes pi_X(x + s - t (g.v) v) for the least f, starting from the
-    stiff-only probe t = 0.  The first flat probe is at t = 1/lam_flat when
-    lam_flat > 0, which is the full Newton step, and otherwise at
-    1/|lam_max|.  If it beats the stiff-only probe, t doubles as long as f
-    falls, as in line_search; if not, t halves, down to t_min, until a probe
-    does.  Returns (f, y) of the best probe if its f is strictly below
-    f_ref, else None.
+    Along the stiff eigenvector it is a full Newton step if the larger
+    eigenvalue, lam_max, is positive: the stiff step s.  Along the flat
+    one, v, it searches the probes pi_X(x + s - t (g.v) v) for the least f,
+    starting from the stiff-only probe t = 0.  The first flat probe is at
+    t = 1/lam_flat when lam_flat > 0, which is the full Newton step, and
+    otherwise at 1/|lam_max|.  If it beats the stiff-only probe, t doubles
+    as long as f falls, as in line_search; if not, t halves, down to t_min,
+    until a probe does.  Returns (f, y) of the best probe if its f is
+    strictly below f_ref, else None.
     """
-    pairs = symmetric_eigen(hess, tol)
+    (lam_max, v_max), (lam_flat, v) = eigen_2x2(hess[0][0], hess[0][1], hess[1][1])
     g = _hpvec(grad)
     base = _hpvec(x)
-    for lam, v in pairs[:-1]:
-        if lam > 0:
-            step = sum(a * b for a, b in zip(g, v)) / lam
-            base = tuple(b - step * c for b, c in zip(base, v))
-    (lam_max, _), (lam_flat, v) = pairs[0], pairs[-1]
+    if lam_max > 0:
+        step = sum(a * b for a, b in zip(g, v_max)) / lam_max
+        base = tuple(b - step * c for b, c in zip(base, v_max))
     gv = sum(a * b for a, b in zip(g, v))
 
     def probe(t):
@@ -187,15 +186,15 @@ def split_candidate(objective: Callable, poly: Polytope, x, grad, hess,
 
 def curvature_direction(grad, hess, act: ActiveSet, eps_h):
     """Unit negative-curvature direction in the active null space, signed
-    against the projected gradient; lexicographic tie-break.  None when the
-    projected Hessian has no eigenvalue below -eps_h (decided exactly)."""
-    if act.dim_null == 0 or psd_on_tangent(hess, act.projector, eps_h):
+    against the gradient (v lies in the null space, so g.v has the sign of
+    the projected gradient's (Pg).v); lexicographic tie-break.  None when
+    the Hessian has no eigenvalue below -eps_h on the null space (decided
+    exactly)."""
+    R = tangent_hessian(hess, act.basis)
+    if psd_on_tangent(R, act.norms_sq, eps_h):
         return None
-    _, v = projected_hessian_min_eig(hess, act.projector, default_delta_eig(eps_h))
-    d = len(v)
-    P = act.projector
-    qpi = tuple(sum(hp(P[i][k]) * hp(grad[k]) for k in range(d)) for i in range(d))
-    dot = sum(q * c for q, c in zip(qpi, v))
+    _, v = projected_hessian_min_eig(R, act.basis, act.norms_sq)
+    dot = sum(hp(g) * c for g, c in zip(grad, v))
     if dot > 0:
         return tuple(-c for c in v)
     if dot < 0:
@@ -317,8 +316,7 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
             # Taken only when it beats the backtracked step, so that the
             # decrease certificate stands (see the module docstring).
             trace.split_tried += 1
-            cand = split_candidate(counted, poly, x, grad, hess, fy,
-                                   1 / L_hat, default_delta_eig(eps_h))
+            cand = split_candidate(counted, poly, x, grad, hess, fy, 1 / L_hat)
             if cand is not None:
                 fy, y = cand
                 trace.split_accepted += 1

@@ -1,16 +1,19 @@
 """Constrained first/second-order stationarity machinery.
 
 Polytopes {x : Ax <= b}, Euclidean projection, the exact ratio test,
-proximal gradient, active sets with null-space projectors, projected-Hessian eigenvalues, and the
+proximal gradient, active sets with an orthogonal null-space frame, the
+restricted Hessian on that frame and its eigenvalues, and the
 (eps_G, eps_H)-SOSP verifier.  Polytope data is always rational, and every
 accept/reject decision is made once, in exact arithmetic, at the exact
 rational value of the point and the derivatives (to_fraction is exact for
 a high-precision value): feasibility, the active rows (slack exactly 0),
-||g_pi||^2 <= eps_G^2 and the PSD test on the active null space.  High
-precision only moves points: projected_step rounds x - g/L in high
-precision and projects its exact rational value, and the eigenpairs
-(closed form for d = 2, cyclic Jacobi otherwise) give the solver its
-curvature direction and split step and the report its lambda_min.
+||g_pi||^2 <= eps_G^2 and the PSD test on the active null space.  Second
+order reads one matrix, R = B^T H B on the frame B of tangent_frame, with
+k = dim_null <= 2 (every objective of the package is 2-D).  High precision
+only moves points: projected_step rounds x - g/L in high precision and
+projects its exact rational value, and the eigenpairs of R (exact for
+k = 1, closed form for k = 2) give the solver its curvature direction and
+the report its lambda_min.
 """
 
 from __future__ import annotations
@@ -148,9 +151,12 @@ def max_feasible_step(poly: Polytope, x, d):
 class ActiveSet:
     x: tuple
     indices: tuple[int, ...]
-    rows: tuple  # independent active rows (rational)
-    projector: tuple  # d x d rational matrix, I - A'^T (A'A'^T)^-1 A'
-    dim_null: int
+    basis: tuple  # orthogonal rational basis of the active null space
+    norms_sq: tuple  # squared norms of the basis vectors
+
+    @property
+    def dim_null(self) -> int:
+        return len(self.basis)
 
 
 def project(poly: Polytope, v) -> tuple:
@@ -208,72 +214,46 @@ def proximal_gradient(x, grad, L1, poly: Polytope) -> tuple:
 
 
 def active_set(poly: Polytope, x) -> ActiveSet:
-    """Rows with slack exactly 0 at x, with the null-space projector P(x)."""
+    """Rows with slack exactly 0 at x (ValueError if x violates a row), with
+    an orthogonal basis of their null space."""
     idx = poly.active_rows(x)
-    all_rows = [list(poly.A[j]) for j in idx]
-    keep = independent_rows(all_rows)
-    rows = [all_rows[i] for i in keep]
-    P = projector_from_rows(rows, poly.d)
-    return ActiveSet(x=tuple(x), indices=idx,
-                     rows=tuple(tuple(r) for r in rows),
-                     projector=P, dim_null=poly.d - len(rows))
+    basis, norms_sq = tangent_frame([poly.A[j] for j in idx], poly.d)
+    return ActiveSet(x=tuple(x), indices=idx, basis=basis, norms_sq=norms_sq)
 
 
-def projector_from_rows(rows: Sequence[Sequence[Fraction]], d: int) -> tuple:
-    """P = I - A^T (A A^T)^-1 A for linearly independent rows (exact)."""
-    k = len(rows)
-    ident = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    if k == 0:
-        return tuple(tuple(r) for r in ident)
-    gram = [[sum(a * c for a, c in zip(r1, r2)) for r2 in rows] for r1 in rows]
-    gram_inv = _solve_frac(gram, [[int(i == j) for j in range(k)] for i in range(k)])
-    if gram_inv is None:
-        raise ValueError("rows are not linearly independent")
-    # M = (A A^T)^-1 A  (k x d)
-    M = [[sum(gram_inv[j][i] * rows[i][c] for i in range(k)) for c in range(d)]
-         for j in range(k)]
-    P = [[ident[r][c] - sum(rows[i][r] * M[i][c] for i in range(k)) for c in range(d)]
-         for r in range(d)]
-    return tuple(tuple(row) for row in P)
+def tangent_frame(rows: Sequence[Sequence[Fraction]], d: int) -> tuple[tuple, tuple]:
+    """(basis, norms_sq): an orthogonal rational basis of
+    {y : r.y = 0 for every row r} and the squared norms of its vectors.
+
+    Gram-Schmidt runs over the rows and then over the unit vectors e_1..e_d;
+    a vector that depends on the earlier ones reduces to zero and is dropped,
+    so dependent rows are allowed.  The unit-vector residues that remain
+    form the basis."""
+    units = ([Fraction(int(i == j)) for j in range(d)] for i in range(d))
+    kept: list[tuple[list[Fraction], Fraction]] = []
+    rank = 0  # how many of the kept vectors come from the rows
+    for i, w in enumerate(itertools.chain(rows, units)):
+        for v, nsq in kept:
+            dot = sum(a * c for a, c in zip(w, v))
+            if dot != 0:
+                f = dot / nsq
+                w = [a - f * c for a, c in zip(w, v)]
+        nsq = sum(c * c for c in w)
+        if nsq != 0:
+            kept.append((w, nsq))
+            rank += i < len(rows)
+    return (tuple(tuple(w) for w, _ in kept[rank:]),
+            tuple(nsq for _, nsq in kept[rank:]))
 
 
-def _jacobi_eigen(M: list[list], tol) -> tuple[list, list[list]]:
-    """Cyclic Jacobi sweeps; returns (eigenvalues, eigenvector columns)."""
-    n = len(M)
-    A = [[hp(v) for v in row] for row in M]
-    V = [[hp(int(i == j)) for j in range(n)] for i in range(n)]
-    tol = hp(tol)
-    for _ in range(100):
-        off = hp(0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                off += A[i][j] * A[i][j]
-        if hp_sqrt(2 * off) <= tol:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                if A[p][q] == 0:
-                    continue
-                theta = (A[q][q] - A[p][p]) / (2 * A[p][q])
-                sign = 1 if theta >= 0 else -1
-                t = sign / (abs(theta) + hp_sqrt(theta * theta + 1))
-                c = 1 / hp_sqrt(t * t + 1)
-                s = t * c
-                for k in range(n):
-                    akp, akq = A[k][p], A[k][q]
-                    A[k][p] = c * akp - s * akq
-                    A[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk, aqk = A[p][k], A[q][k]
-                    A[p][k] = c * apk - s * aqk
-                    A[q][k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp, vkq = V[k][p], V[k][q]
-                    V[k][p] = c * vkp - s * vkq
-                    V[k][q] = s * vkp + c * vkq
-    eigvals = [A[i][i] for i in range(n)]
-    eigvecs = [[V[i][j] for i in range(n)] for j in range(n)]
-    return eigvals, eigvecs
+def tangent_hessian(H, basis) -> list[list[Fraction]]:
+    """R = B^T H B, the Hessian restricted to the frame B (rows of basis),
+    exact at the rational value of H; ValueError unless H is symmetric."""
+    H = [[to_fraction(v) for v in row] for row in H]
+    if any(H[i][j] != H[j][i] for i in range(len(H)) for j in range(i)):
+        raise ValueError("Hessian must be symmetric")
+    HB = [[sum(h * c for h, c in zip(row, b)) for row in H] for b in basis]
+    return [[sum(a * c for a, c in zip(bi, hbj)) for hbj in HB] for bi in basis]
 
 
 def eigen_2x2(a, b, c):
@@ -295,55 +275,29 @@ def eigen_2x2(a, b, c):
     return (mean + r, v1), (mean - r, (-v1[1], v1[0]))
 
 
-def symmetric_eigen(M, tol) -> list:
-    """Eigenpairs (lam, v) of a symmetric matrix, largest lam first, in
-    high precision: closed form for d = 2, Jacobi to tolerance tol
-    otherwise."""
-    if len(M) == 2:
-        return list(eigen_2x2(M[0][0], M[0][1], M[1][1]))
-    vals, vecs = _jacobi_eigen(M, tol)
-    # ascending, then reversed: of tied eigenvalues, Jacobi's first comes last
-    return sorted(zip(vals, vecs), key=lambda t: t[0])[::-1]
+def projected_hessian_min_eig(R, basis, norms_sq):
+    """(lambda, v): the least eigenvalue of H on span(basis), from the
+    restricted Hessian R = tangent_hessian(H, basis), and a unit eigenvector
+    in that span, in high precision.
 
-
-def default_delta_eig(eps_h) -> Fraction:
-    """Jacobi tolerance of the curvature direction: 10^-12, or eps_h/100 if
-    smaller."""
-    eps_h = to_fraction(eps_h)
-    tol = Fraction(1, 10**12)
-    return min(tol, eps_h / 100) if eps_h > 0 else tol
-
-
-def projected_hessian_min_eig(H, P, delta_eig=Fraction(1, 10**12)):
-    """(lambda, v): min eigenvalue of P H P restricted to range(P).
-
-    Returns (+inf, None) when rank(P) = 0.  v satisfies v = Pv, ||v|| = 1.
+    (+inf, None) for an empty frame.  For one vector b, lambda = R/||b||^2,
+    computed exactly and rounded once, and v = b/||b||.  For two, the
+    eigenpair of D^-1/2 R D^-1/2 with D = diag(norms_sq).  ValueError for a
+    frame of three or more vectors.
     """
-    d = len(H)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if to_fraction(H[i][j]) != to_fraction(H[j][i]):
-                raise ValueError("Hessian must be symmetric")
-    # trace of an orthogonal projector = its rank
-    if sum(to_fraction(P[i][i]) for i in range(d)) == 0:
+    if not basis:
         return INF, None
-    Ph = [[hp(P[i][j]) for j in range(d)] for i in range(d)]
-    Hh = [[hp(H[i][j]) for j in range(d)] for i in range(d)]
-    PH = [[sum(Ph[i][k] * Hh[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-    PHP = [[sum(PH[i][k] * Ph[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-    # shift null(P) eigendirections above any eigenvalue of PHP
-    bound = hp(1)
-    for i in range(d):
-        for j in range(d):
-            bound += abs(Hh[i][j])
-    M = [[PHP[i][j] + bound * (hp(int(i == j)) - Ph[i][j]) for j in range(d)] for i in range(d)]
-    lam, vec = symmetric_eigen(M, hp(delta_eig))[-1]
-    # re-project and normalize the eigenvector
-    pv = [sum(Ph[i][k] * vec[k] for k in range(d)) for i in range(d)]
-    norm = hp_sqrt(sum(c * c for c in pv))
-    if norm == 0:
-        return INF, None
-    return lam, tuple(c / norm for c in pv)
+    if len(basis) > 2:
+        raise ValueError("curvature is computed on null spaces of dimension <= 2")
+    roots = [hp_sqrt(hp(nsq)) for nsq in norms_sq]
+    if len(basis) == 1:
+        return (hp(R[0][0] / norms_sq[0]),
+                tuple(hp(c) / roots[0] for c in basis[0]))
+    n0, n1 = norms_sq
+    _, (lam, u) = eigen_2x2(R[0][0] / n0, hp(R[0][1]) / (roots[0] * roots[1]),
+                            R[1][1] / n1)
+    return lam, tuple(u[0] * hp(a) / roots[0] + u[1] * hp(c) / roots[1]
+                      for a, c in zip(*basis))
 
 
 def is_psd(M: list[list[Fraction]]) -> bool:
@@ -368,15 +322,13 @@ def is_psd(M: list[list[Fraction]]) -> bool:
     return True
 
 
-def psd_on_tangent(H, P, eps) -> bool:
-    """Exact test that y^T H y >= -eps ||y||^2 for all y in range(P)."""
-    d = len(H)
-    Hf = [[to_fraction(H[i][j]) for j in range(d)] for i in range(d)]
-    Pf = [[to_fraction(P[i][j]) for j in range(d)] for i in range(d)]
-    PH = [[sum(Pf[i][k] * Hf[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-    PHP = [[sum(PH[i][k] * Pf[k][j] for k in range(d)) for j in range(d)] for i in range(d)]
-    M = [[PHP[i][j] + to_fraction(eps) * Pf[i][j] for j in range(d)] for i in range(d)]
-    return is_psd(M)
+def psd_on_tangent(R, norms_sq, eps) -> bool:
+    """Exact test that y^T H y >= -eps ||y||^2 for all y in the span of a
+    frame, from R = tangent_hessian(H, basis) and the frame's squared norms:
+    R + eps diag(norms_sq) is PSD."""
+    eps = to_fraction(eps)
+    return is_psd([[v + eps * nsq if i == j else v for j, v in enumerate(row)]
+                   for i, (row, nsq) in enumerate(zip(R, norms_sq))])
 
 
 @dataclass(frozen=True)
@@ -404,18 +356,16 @@ def verify_sosp(objective: Callable, poly: Polytope, x, eps_g, eps_h, L1,
     With exact=True the derivatives must be rational, so that the verdict is
     a statement about f itself; TypeError otherwise.
     """
-    if not poly.contains(x):
-        raise ValueError("point is not feasible")
+    act = active_set(poly, x)  # ValueError if x is not feasible
     _, grad, hess = objective(x)
     if exact and not all(isinstance(v, (int, Fraction))
                          for v in itertools.chain(grad, *hess)):
         raise TypeError("exact=True needs rational derivatives")
     gpi = proximal_gradient(x, grad, L1, poly)
-    act = active_set(poly, x)
-    lam, _ = projected_hessian_min_eig(hess, act.projector, default_delta_eig(eps_h))
+    R = tangent_hessian(hess, act.basis)
+    lam, _ = projected_hessian_min_eig(R, act.basis, act.norms_sq)
     sq = sum(g * g for g in gpi)
     return SospReport(x=tuple(x), gpi_norm=hp_sqrt(hp(sq)), lambda_min=lam,
                       pass_first=sq <= to_fraction(eps_g) ** 2,
-                      pass_second=(act.dim_null == 0
-                                   or psd_on_tangent(hess, act.projector, eps_h)),
+                      pass_second=psd_on_tangent(R, act.norms_sq, eps_h),
                       active_indices=act.indices)

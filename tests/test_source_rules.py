@@ -79,3 +79,22 @@ def test_box_certifier_computes_in_integers_and_rationals():
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if HP_IN_CERTIFIER.search(line)]
     assert hits == []
+
+
+# The eigen solver, tolerance and projector names the package no longer has,
+# and the definition of any eigen solver but eigen_2x2.
+NOT_EIGEN_2X2 = re.compile(
+    r"\b(_jacobi_eigen|symmetric_eigen|delta_eig|projector_from_rows)\b"
+    r"|\bdef (?!eigen_2x2\()\w*eigen\w*\(")
+
+
+def test_eigen_2x2_is_the_only_eigen_solver():
+    """Curvature is read on a null space of dimension at most 2, so the
+    closed-form eigen_2x2 is the package's one eigen solver: no Jacobi
+    sweep, eigen tolerance or null-space projector appears in the source."""
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert "def eigen_2x2(" in sources["stationarity.py"]
+    hits = [f"{name}:{lineno}" for name, text in sources.items()
+            for lineno, line in enumerate(text.splitlines(), 1)
+            if NOT_EIGEN_2X2.search(line)]
+    assert hits == []

@@ -1,5 +1,5 @@
-"""Polytopes, exact projection, proximal gradient, projected Hessian
-eigenvalues, and the SOSP verifier."""
+"""Polytopes, exact projection, proximal gradient, tangent frames, the
+restricted Hessian and its eigenvalues, and the SOSP verifier."""
 
 from __future__ import annotations
 
@@ -15,11 +15,13 @@ from sospgrid.stationarity import (
     Polytope,
     active_set,
     eigen_2x2,
+    independent_rows,
     project,
     projected_hessian_min_eig,
-    projector_from_rows,
     proximal_gradient,
     psd_on_tangent,
+    tangent_frame,
+    tangent_hessian,
     verify_sosp,
 )
 
@@ -107,38 +109,42 @@ def test_proximal_gradient_hp_off_box_projects_the_exact_step():
         assert got == L1 * (p - c)
 
 
-def test_active_set_and_projector():
+def test_active_set_and_tangent_frame():
     poly = Polytope.box((0, 0), (1, 1))
     act = active_set(poly, (Fraction(0), Fraction(1, 2)))
     assert act.indices == (0,)
     assert act.dim_null == 1
-    # projector kills e_x, keeps e_y
-    assert act.projector == ((0, 0), (0, 1))
+    # the wall x = 0 leaves the frame e_y
+    assert act.basis == ((0, 1),) and act.norms_sq == (1,)
     interior = active_set(poly, (Fraction(1, 2), Fraction(1, 2)))
     assert interior.indices == ()
     assert interior.dim_null == 2
 
 
-def test_projector_from_rows_idempotent_and_orthogonal():
+def test_tangent_frame_orthogonal_and_annihilated():
+    """The basis is orthogonal, every row annihilates it, and it has
+    d - rank vectors, also when some rows depend on others."""
     rng = random.Random(9)
-    for _ in range(20):
-        d = rng.randrange(2, 5)
-        k = rng.randrange(1, d)
-        rows = []
-        while len(rows) < k:
-            r = [Fraction(rng.randrange(-3, 4)) for _ in range(d)]
-            if any(v != 0 for v in r):
-                rows.append(r)
-        try:
-            P = projector_from_rows(rows, d)
-        except ValueError:
-            continue  # dependent rows
-        PP = [[sum(P[i][k2] * P[k2][j] for k2 in range(d)) for j in range(d)]
-              for i in range(d)]
-        assert tuple(tuple(r) for r in PP) == P
-        for r in rows:
-            img = [sum(P[i][j] * r[j] for j in range(d)) for i in range(d)]
-            assert all(v == 0 for v in img)
+    for _ in range(60):
+        d = rng.randrange(1, 4)
+        rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(d)]
+                for _ in range(rng.randrange(0, d + 1))]
+        if rows and rng.random() < 0.5:
+            # a dependent row: a combination of the others
+            f = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+            rows.append([f * a + c for a, c in zip(rows[0], rows[-1])])
+        basis, norms_sq = tangent_frame(rows, d)
+        assert len(basis) == d - len(independent_rows(rows))
+        for i, (v, nsq) in enumerate(zip(basis, norms_sq)):
+            assert nsq == sum(c * c for c in v) != 0
+            assert all(sum(a * c for a, c in zip(v, w)) == 0 for w in basis[:i])
+            assert all(sum(a * c for a, c in zip(r, v)) == 0 for r in rows)
+
+
+def frame_min_eig(H, rows, d):
+    """projected_hessian_min_eig of H on the null space of rows."""
+    basis, norms_sq = tangent_frame(rows, d)
+    return projected_hessian_min_eig(tangent_hessian(H, basis), basis, norms_sq)
 
 
 def test_projected_hessian_min_eig_matches_numpy():
@@ -150,9 +156,9 @@ def test_projected_hessian_min_eig_matches_numpy():
         row = [Fraction(rng.randrange(-2, 3)) for _ in range(d)]
         if all(v == 0 for v in row):
             row[0] = Fraction(1)
-        P = projector_from_rows([row], d)
-        lam, v = projected_hessian_min_eig(H, P, 1e-12)
-        Pn = np.array(P, dtype=float)
+        lam, v = frame_min_eig(H, [row], d)
+        rn = np.array(row, dtype=float)
+        Pn = np.eye(d) - np.outer(rn, rn) / (rn @ rn)
         Hn = np.array(H, dtype=float)
         # orthonormal basis B of range(P); restrict H to it
         w, U = np.linalg.eigh(Pn)
@@ -208,7 +214,7 @@ def test_projected_hessian_min_eig_rank_one_projector():
         a, b, c = (Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 100))
                    for _ in range(3))
         H = [[a, b], [b, c]]
-        lam, v = projected_hessian_min_eig(H, projector_from_rows([row], 2))
+        lam, v = frame_min_eig(H, [row], 2)
         r = (-row[1], row[0])
         rr = r[0] ** 2 + r[1] ** 2
         exact = sum(r[i] * H[i][j] * r[j] for i in range(2) for j in range(2)) / rr
@@ -220,12 +226,56 @@ def test_projected_hessian_min_eig_rank_one_projector():
 
 
 def test_psd_on_tangent_exact():
-    P = projector_from_rows([[Fraction(1), Fraction(0)]], 2)
+    basis, norms_sq = tangent_frame([[Fraction(1), Fraction(0)]], 2)
     H = [[Fraction(-5), Fraction(0)], [Fraction(0), Fraction(2)]]
-    assert psd_on_tangent(H, P, 0)  # -5 lives in the killed direction
-    H2 = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(-5)]]
-    assert not psd_on_tangent(H2, P, 0)
-    assert psd_on_tangent(H2, P, 5)
+    # -5 lives in the annihilated direction
+    assert psd_on_tangent(tangent_hessian(H, basis), norms_sq, 0)
+    R2 = tangent_hessian([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(-5)]], basis)
+    assert not psd_on_tangent(R2, norms_sq, 0)
+    assert psd_on_tangent(R2, norms_sq, 5)
+
+
+def test_lambda_min_on_a_face_is_the_restricted_hessian_rounded_once():
+    """On a one-dimensional face lambda_min is b.Hb / b.b for the face's
+    direction b, computed exactly and rounded once."""
+    rng = random.Random(47)
+    box = Polytope.box((0, 0), (1, 1))
+    cut = box.with_cut((1, 1), Fraction(3, 2))
+    wall, on_cut = (Fraction(0), Fraction(1, 2)), (Fraction(3, 4), Fraction(3, 4))
+    for _ in range(200):
+        a, b, c = (Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
+                   for _ in range(3))
+
+        def obj(x):
+            return 0, (0, 0), ((a, b), (b, c))
+
+        assert verify_sosp(obj, box, wall, 1, 1, 1).lambda_min == hp(c)
+        assert verify_sosp(obj, cut, on_cut, 1, 1, 1).lambda_min == hp((a - 2 * b + c) / 2)
+
+
+def test_curvature_on_three_dimensional_null_space_is_refused():
+    H = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError):
+        frame_min_eig(H, [], 3)
+
+
+def test_psd_on_tangent_agrees_with_lambda_min():
+    """The exact verdict equals lambda_min >= -eps wherever the two are not
+    within rounding of a tie."""
+    rng = random.Random(53)
+    for _ in range(300):
+        # no row, one row or two: a null space of dimension 2, 1 or 0
+        rows = [[Fraction(rng.randrange(-3, 4)), Fraction(rng.randrange(1, 4))],
+                [Fraction(1), Fraction(0)]][:rng.randrange(0, 3)]
+        a, b, c = (Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 100))
+                   for _ in range(3))
+        eps = Fraction(rng.randrange(0, 10**4), rng.randrange(1, 100))
+        basis, norms_sq = tangent_frame(rows, 2)
+        R = tangent_hessian([[a, b], [b, c]], basis)
+        lam, _ = projected_hessian_min_eig(R, basis, norms_sq)
+        if basis and abs(lam + hp(eps)) <= hp(Fraction(1, 10**30)) * (1 + abs(lam)):
+            continue
+        assert psd_on_tangent(R, norms_sq, eps) == (lam >= -hp(eps))
 
 
 def quad_objective(center, scales):
