@@ -245,7 +245,9 @@ def _reduction_bowl(dim: int):
 
 
 @main.command()
-@click.option("--dim", type=int, default=2, show_default=True)
+@click.option("--dim", type=click.IntRange(1, 2), default=2, show_default=True,
+              help="Dimension of the bowl; curvature is computed on null "
+                   "spaces of dimension <= 2.")
 @click.option("--eps-g", type=float, default=1e-2, show_default=True)
 @click.option("--eps-h", type=float, default=1e-2, show_default=True)
 @click.option("--samples", type=int, default=200, show_default=True)

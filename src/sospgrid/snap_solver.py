@@ -277,8 +277,11 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
     adaptive=True replaces the fixed 1/L1 gradient step with a backtracked
     local-smoothness estimate (the terminal test still uses the honest L1).
     The start is read at working precision, like every step, and must then
-    lie in the polytope exactly.
+    lie in the polytope exactly.  The polytope must be 2-D, since
+    split_candidate reads a 2x2 Hessian; ValueError otherwise.
     """
+    if poly.d != 2:
+        raise ValueError("snap_run needs a 2-D polytope")
     x = _fracvec(_hpvec(x0))
     if not poly.contains(x):
         raise ValueError("infeasible start point")

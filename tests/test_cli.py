@@ -127,6 +127,21 @@ def test_reduce_contract_holds(runner):
     assert sum(payload["verdicts"].values()) == 50
 
 
+def test_reduce_dim_1_contract_holds(runner):
+    res = runner.invoke(main, ["reduce", "--dim", "1", "--samples", "20"])
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    assert payload["dim"] == 1 and payload["violations"] == 0
+
+
+def test_reduce_refuses_dim_3(runner):
+    """Curvature is computed on null spaces of dimension <= 2, and the
+    interior of a 3-D box has a 3-D one: a usage error, not a crash."""
+    res = runner.invoke(main, ["reduce", "--dim", "3", "--samples", "5"])
+    assert res.exit_code == 2
+    assert "--dim" in res.output
+
+
 def test_solve_finds_encoded_solution(runner, n1_file):
     res = runner.invoke(main, ["solve", "--instance", str(n1_file),
                                "--seed", "1"])

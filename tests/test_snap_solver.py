@@ -247,6 +247,19 @@ def test_snap_run_terminal_step_at_sosp_start():
     assert trace.final_report is not None and trace.final_report.passed
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_snap_run_refuses_a_polytope_that_is_not_2d(d):
+    """The split step reads a 2x2 Hessian, so a run on any other dimension
+    is refused before it takes a step."""
+    poly = Polytope.box((0,) * d, (1,) * d)
+
+    def obj(p):
+        raise AssertionError("the objective must not be evaluated")
+
+    with pytest.raises(ValueError, match="2-D"):
+        snap_run(obj, poly, (Fraction(1, 2),) * d, 1, 1, 1, 1, adaptive=True)
+
+
 def test_snap_run_reports_on_its_final_point(moderate_n1):
     """final_report certifies the iterate the solver ends on, not a copy."""
     h = moderate_n1
