@@ -31,7 +31,6 @@ import numpy as np
 
 from sospgrid._precision import hp_quotient, to_fraction
 from sospgrid.color_field import CornerAssignment
-from sospgrid.stationarity import _solve_frac
 
 # Rows: value at 0, value at 1, 1st derivative at 0/1, 2nd derivative at 0/1
 # of the monomial basis 1, t, ..., t^5.
@@ -43,6 +42,25 @@ A_MATRIX = (
     (0, 0, 2, 0, 0, 0),
     (0, 0, 2, 6, 12, 20),
 )
+
+
+def _solve_frac(M, R) -> list[list[Fraction]] | None:
+    """Solve M Z = R exactly for the matrix Z (Gauss-Jordan; R is given by
+    rows, so R = I gives the inverse); None if M is singular."""
+    n = len(M)
+    aug = [list(row) + list(rhs) for row, rhs in zip(M, R)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][n:] for r in range(n)]
 
 
 A_INV = tuple(map(tuple, _solve_frac(

@@ -15,7 +15,7 @@ from sospgrid._precision import to_fraction
 from sospgrid.polytope_lattice import (
     _ceil_sqrt_rational,
     box_grid_step,
-    face_frame,
+    lattice_steps,
     map_to_grid,
 )
 from sospgrid.snap_solver import snap_update
@@ -77,14 +77,14 @@ class ReductionInstance:
             lo, _ = self.poly.box_bounds
             return all((to_fraction(c) - a) % self.gamma == 0 for c, a in zip(x, lo))
         u = tuple(to_fraction(c) for c in x)
-        frame = face_frame(self.poly, self.poly.active_rows(u))
-        return all(coeff % (self.delta / nu) == 0
-                   for coeff, nu in zip(frame.coords(u), frame.norm_bounds))
+        frame = active_set(self.poly, u)
+        return all(coeff % step == 0 for coeff, step
+                   in zip(frame.coords(u), lattice_steps(frame, self.delta)))
 
     # ---- potential / neighbor ------------------------------------------
 
     def dim_null(self, x) -> int:
-        return active_set(self.poly, x).dim_null
+        return active_set(self.poly, x).dim
 
     def potential(self, x) -> Fraction:
         """f(x) + weight * dim_null(x), exact at the rational value of f(x)."""

@@ -1,6 +1,10 @@
 """Discrete grids for the membership reduction: box step sizes, per-face
 algebraic lattices over a polytope, and the MapToGrid rounding procedure
 with its active-set / feasibility / distance guarantees.
+
+The lattice of face I is x_ref + sum_k (delta / nu_k) Z v_k on the face's
+stationarity.face_frame, the frame the active set reads too, with the
+rational nu_k >= ||v_k|| of lattice_steps.
 """
 
 from __future__ import annotations
@@ -8,12 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from sospgrid._precision import to_fraction
-from sospgrid.stationarity import (Polytope, independent_rows, max_feasible_step,
-                                   tangent_frame, _solve_frac)
+from sospgrid.stationarity import FaceFrame, Polytope, active_set, max_feasible_step
 
 
 def _ceil_sqrt_rational(q: Fraction) -> Fraction:
@@ -60,54 +62,12 @@ def box_grid_step(intervals: Sequence[tuple], eps, L_max) -> Fraction:
     return gcd / k
 
 
-@dataclass(frozen=True)
-class FaceFrame:
-    indices: tuple[int, ...]
-    x_ref: tuple  # minimum-norm solution of A_I x = b_I
-    basis: tuple  # orthogonal rational basis of ker(A_I)
-    norms_sq: tuple  # squared norms of the basis vectors
-    norm_bounds: tuple  # rational upper bounds on the basis norms
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def coords(self, x) -> list[Fraction]:
-        """Coordinates of x - x_ref along the basis vectors (exact)."""
-        diff = [c - r for c, r in zip(x, self.x_ref)]
-        return [sum(a * c for a, c in zip(diff, v)) / nsq
-                for v, nsq in zip(self.basis, self.norms_sq)]
-
-
-@lru_cache(maxsize=4096)
-def _face_frame_cached(A: tuple, b: tuple, I: tuple) -> FaceFrame:
-    d = len(A[0]) if A else 0
-    rows = [list(A[j]) for j in I]
-    rhs = [b[j] for j in I]
-    keep = independent_rows(rows)
-    ind_rows = [rows[i] for i in keep]
-    ind_rhs = [rhs[i] for i in keep]
-    k = len(ind_rows)
-    if k == 0:
-        x_ref = tuple(Fraction(0) for _ in range(d))
-    else:
-        gram = [[sum(a * c for a, c in zip(r1, r2)) for r2 in ind_rows] for r1 in ind_rows]
-        mult = _solve_frac(gram, [[r] for r in ind_rhs])
-        if mult is None:
-            raise ValueError("degenerate face system")
-        x_ref = tuple(sum(mult[i][0] * ind_rows[i][c] for i in range(k)) for c in range(d))
-    for j, (row, r) in enumerate(zip(rows, rhs)):
-        if sum(a * c for a, c in zip(row, x_ref)) != r:
-            raise ValueError(f"inconsistent face system at constraint {I[j]}")
-    basis, norms_sq = tangent_frame(ind_rows, d)
-    bounds = tuple(_ceil_sqrt_rational(n) for n in norms_sq)
-    return FaceFrame(indices=I, x_ref=x_ref, basis=basis,
-                     norms_sq=norms_sq, norm_bounds=bounds)
-
-
-def face_frame(poly: Polytope, I: Sequence[int]) -> FaceFrame:
-    """Canonical reference point + orthogonal kernel basis for face I."""
-    return _face_frame_cached(poly.A, poly.b, tuple(sorted(I)))
+def lattice_steps(frame: FaceFrame, delta: Fraction) -> tuple[Fraction, ...]:
+    """The step delta / nu_k of the face's lattice along each basis vector
+    v_k, with nu_k = _ceil_sqrt_rational(||v_k||^2) >= ||v_k||, so that
+    rounding a coordinate to a multiple of its step moves the point by at
+    most delta/2 along v_k."""
+    return tuple(delta / _ceil_sqrt_rational(nsq) for nsq in frame.norms_sq)
 
 
 @dataclass(frozen=True)
@@ -144,13 +104,13 @@ def map_to_grid(poly: Polytope, x, delta) -> tuple[tuple, RoundingCertificate]:
     bounces: list[tuple[int, Fraction]] = []
     dists: list[Fraction] = []
     for _ in range(d + 1):
-        frame = face_frame(poly, poly.active_rows(cur))
+        frame = active_set(poly, cur)
         if frame.dim == 0:
             y = frame.x_ref
             break
         target = list(frame.x_ref)
-        for coeff, v, nu in zip(frame.coords(cur), frame.basis, frame.norm_bounds):
-            step = delta / nu  # per-direction step; displacement <= delta/2
+        for coeff, v, step in zip(frame.coords(cur), frame.basis,
+                                  lattice_steps(frame, delta)):
             rounded = _round_to_multiple(coeff, step)
             for i in range(d):
                 target[i] += rounded * v[i]

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 from sospgrid._precision import hp, hp_sqrt, to_fraction
 from sospgrid.stationarity import (
-    ActiveSet,
+    FaceFrame,
     Polytope,
     SospReport,
     active_set,
@@ -184,7 +184,7 @@ def split_candidate(objective: Callable, poly: Polytope, x, grad, hess,
     return best if best[0] < hp(f_ref) else None
 
 
-def curvature_direction(grad, hess, act: ActiveSet, eps_h):
+def curvature_direction(grad, hess, act: FaceFrame, eps_h):
     """Unit negative-curvature direction in the active null space, signed
     against the gradient (v lies in the null space, so g.v has the sign of
     the projected gradient's (Pg).v); lexicographic tie-break.  None when

@@ -1,19 +1,26 @@
 """Constrained first/second-order stationarity machinery.
 
 Polytopes {x : Ax <= b}, Euclidean projection, the exact ratio test,
-proximal gradient, active sets with an orthogonal null-space frame, the
-restricted Hessian on that frame and its eigenvalues, and the
-(eps_G, eps_H)-SOSP verifier.  Polytope data is always rational, and every
-accept/reject decision is made once, in exact arithmetic, at the exact
-rational value of the point and the derivatives (to_fraction is exact for
-a high-precision value): feasibility, the active rows (slack exactly 0),
-||g_pi||^2 <= eps_G^2 and the PSD test on the active null space.  Second
-order reads one matrix, R = B^T H B on the frame B of tangent_frame, with
-k = dim_null <= 2 (every objective of the package is 2-D).  High precision
-only moves points: projected_step rounds x - g/L in high precision and
-projects its exact rational value, and the eigenpairs of R (exact for
-k = 1, closed form for k = 2) give the solver its curvature direction and
-the report its lambda_min.
+proximal gradient, face frames, the restricted Hessian on a frame and its
+eigenvalues, and the (eps_G, eps_H)-SOSP verifier.  Polytope data is always
+rational, and every accept/reject decision is made once, in exact
+arithmetic, at the exact rational value of the point and the derivatives
+(to_fraction is exact for a high-precision value): feasibility, the active
+rows (slack exactly 0), ||g_pi||^2 <= eps_G^2 and the PSD test on the
+active null space.
+
+A face frame (face_frame, cached) is one Gram-Schmidt over a set I of
+rows, carrying their right-hand sides, and then over the unit vectors: it
+gives x_ref, the minimum-norm point of {x : A_I x = b_I}, and an
+orthogonal rational basis B of ker(A_I).  The active set at x is the frame
+of the rows active at x; the projection onto a polytope without box bounds
+and polytope_lattice's lattices read the same frames.  Second order reads
+one matrix, R = B^T H B, with k = dim <= 2 (every objective of the package
+is 2-D), and decides it in closed form.  High precision only moves points:
+projected_step rounds x - g/L in high precision and projects its exact
+rational value, and the eigenpairs of R (exact for k = 1, closed form for
+k = 2) give the solver its curvature direction and the report its
+lambda_min.
 """
 
 from __future__ import annotations
@@ -21,48 +28,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from sospgrid._precision import hp, hp_sqrt, to_fraction
 
 INF = float("inf")
-
-
-def _solve_frac(M: Sequence[Sequence],
-                R: Sequence[Sequence]) -> Optional[list[list[Fraction]]]:
-    """Solve M Z = R exactly for the matrix Z (Gauss-Jordan; R is given by
-    rows, so R = I gives the inverse); None if M is singular."""
-    n = len(M)
-    aug = [list(row) + list(rhs) for row, rhs in zip(M, R)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n:] for r in range(n)]
-
-
-def independent_rows(rows: Sequence[Sequence[Fraction]]) -> list[int]:
-    """Indices of a maximal linearly independent subset, scanned in order."""
-    kept: list[list[Fraction]] = []
-    idx: list[int] = []
-    for i, row in enumerate(rows):
-        work = [to_fraction(v) for v in row]
-        for basis in kept:
-            lead = next((j for j, v in enumerate(basis) if v != 0), None)
-            if lead is not None and work[lead] != 0:
-                f = work[lead] / basis[lead]
-                work = [v - f * w for v, w in zip(work, basis)]
-        if any(v != 0 for v in work):
-            kept.append(work)
-            idx.append(i)
-    return idx
 
 
 class Polytope:
@@ -109,18 +80,20 @@ class Polytope:
         """New polytope with one extra half-space a.x <= rhs."""
         return Polytope(list(self.A) + [list(row)], list(self.b) + [rhs])
 
-    def slack(self, j: int, x) -> Fraction:
-        """b_j - a_j.x, exact at the rational value of x."""
-        return self.b[j] - sum(a * to_fraction(c) for a, c in zip(self.A[j], x))
+    def slacks(self, x) -> tuple[Fraction, ...]:
+        """b - Ax, exact at the rational value of x (zero entries of A, most
+        of a box row, are skipped)."""
+        x = [to_fraction(c) for c in x]
+        return tuple(bj - sum(a * c for a, c in zip(row, x) if a)
+                     for row, bj in zip(self.A, self.b))
 
     def contains(self, x) -> bool:
-        return all(self.slack(j, x) >= 0 for j in range(self.m))
+        return all(s >= 0 for s in self.slacks(x))
 
     def active_rows(self, x) -> tuple[int, ...]:
         """Rows with slack exactly 0 at x; ValueError if x violates a row."""
         rows = []
-        for j in range(self.m):
-            s = self.slack(j, x)
+        for j, s in enumerate(self.slacks(x)):
             if s < 0:
                 raise ValueError(f"point violates constraint {j}")
             if s == 0:
@@ -131,13 +104,14 @@ class Polytope:
 def max_feasible_step(poly: Polytope, x, d):
     """Exact ratio test at the rational values of a feasible x and of d:
     largest t with x + t d feasible, and the blocking rows in index order."""
+    d = [to_fraction(c) for c in d]
     t_max = None
     blockers: list[int] = []
-    for j in range(poly.m):
-        adot = sum(a * to_fraction(c) for a, c in zip(poly.A[j], d))
+    for j, (row, s) in enumerate(zip(poly.A, poly.slacks(x))):
+        adot = sum(a * c for a, c in zip(row, d))
         if adot <= 0:
             continue
-        t = poly.slack(j, x) / adot
+        t = s / adot
         if t_max is None or t < t_max:
             t_max, blockers = t, [j]
         elif t == t_max:
@@ -148,15 +122,64 @@ def max_feasible_step(poly: Polytope, x, d):
 
 
 @dataclass(frozen=True)
-class ActiveSet:
-    x: tuple
+class FaceFrame:
     indices: tuple[int, ...]
-    basis: tuple  # orthogonal rational basis of the active null space
+    x_ref: tuple  # minimum-norm solution of A_I x = b_I
+    basis: tuple  # orthogonal rational basis of ker(A_I)
     norms_sq: tuple  # squared norms of the basis vectors
 
     @property
-    def dim_null(self) -> int:
+    def dim(self) -> int:
         return len(self.basis)
+
+    def coords(self, x) -> list[Fraction]:
+        """Coordinates of x - x_ref along the basis vectors (exact)."""
+        diff = [c - r for c, r in zip(x, self.x_ref)]
+        return [sum(a * c for a, c in zip(diff, v)) / nsq
+                for v, nsq in zip(self.basis, self.norms_sq)]
+
+
+@lru_cache(maxsize=4096)
+def _face_frame_cached(A: tuple, b: tuple, I: tuple) -> FaceFrame:
+    d = len(A[0])
+    rows = ((A[j], b[j]) for j in I)
+    units = (([Fraction(int(i == j)) for j in range(d)], None) for i in range(d))
+    # (q, q.q, beta): q.x = beta on the face for an orthogonalised row; a
+    # unit-vector residue carries no right-hand side
+    kept: list[tuple[list[Fraction], Fraction, Optional[Fraction]]] = []
+    rank = 0  # how many of the kept vectors come from the rows
+    for i, (w, rhs) in enumerate(itertools.chain(rows, units)):
+        for v, nsq, beta in kept:
+            dot = sum(a * c for a, c in zip(w, v))
+            if dot != 0:
+                f = dot / nsq
+                w = [a - f * c for a, c in zip(w, v)]
+                if rhs is not None:
+                    rhs -= f * beta
+        nsq = sum(c * c for c in w)
+        if nsq != 0:
+            kept.append((w, nsq, rhs))
+            rank += i < len(I)
+        elif rhs:
+            # a dependent row, reduced to 0 = rhs
+            raise ValueError(f"inconsistent face system at constraint {I[i]}")
+    x_ref = tuple(sum((beta / nsq * q[c] for q, nsq, beta in kept[:rank]), Fraction(0))
+                  for c in range(d))
+    return FaceFrame(indices=I, x_ref=x_ref,
+                     basis=tuple(tuple(w) for w, _, _ in kept[rank:]),
+                     norms_sq=tuple(nsq for _, nsq, _ in kept[rank:]))
+
+
+def face_frame(poly: Polytope, I: Sequence[int]) -> FaceFrame:
+    """The frame of the face on rows I (see the module docstring);
+    ValueError if those rows are inconsistent."""
+    return _face_frame_cached(poly.A, poly.b, tuple(sorted(I)))
+
+
+def active_set(poly: Polytope, x) -> FaceFrame:
+    """The frame of the rows with slack exactly 0 at x; ValueError if x
+    violates a row."""
+    return face_frame(poly, poly.active_rows(x))
 
 
 def project(poly: Polytope, v) -> tuple:
@@ -176,17 +199,17 @@ def _project_general(poly: Polytope, w: list[Fraction]) -> list[Fraction]:
     best_dist = None
     for size in range(1, d + 1):
         for subset in itertools.combinations(range(poly.m), size):
-            rows = [list(poly.A[j]) for j in subset]
-            if len(independent_rows(rows)) < size:
+            # projection onto the affine set A_S x = b_S of consistent,
+            # independent rows
+            try:
+                frame = face_frame(poly, subset)
+            except ValueError:
                 continue
-            rhs = [poly.b[j] for j in subset]
-            # projection onto the affine set A_S x = b_S
-            gram = [[sum(a * c for a, c in zip(r1, r2)) for r2 in rows] for r1 in rows]
-            resid = [[sum(a * c for a, c in zip(rows[i], w)) - rhs[i]] for i in range(size)]
-            mult = _solve_frac(gram, resid)
-            if mult is None:
+            if frame.dim != d - size:
                 continue
-            cand = [w[k] - sum(mult[i][0] * rows[i][k] for i in range(size)) for k in range(d)]
+            cand = list(frame.x_ref)
+            for coeff, v in zip(frame.coords(w), frame.basis):
+                cand = [c + coeff * a for c, a in zip(cand, v)]
             if not poly.contains(cand):
                 continue
             dist = sum((a - b) * (a - b) for a, b in zip(cand, w))
@@ -211,39 +234,6 @@ def proximal_gradient(x, grad, L1, poly: Polytope) -> tuple:
     x = [to_fraction(c) for c in x]
     proj = project(poly, (c - to_fraction(g) / L1 for c, g in zip(x, grad)))
     return tuple(L1 * (p - c) for p, c in zip(proj, x))
-
-
-def active_set(poly: Polytope, x) -> ActiveSet:
-    """Rows with slack exactly 0 at x (ValueError if x violates a row), with
-    an orthogonal basis of their null space."""
-    idx = poly.active_rows(x)
-    basis, norms_sq = tangent_frame([poly.A[j] for j in idx], poly.d)
-    return ActiveSet(x=tuple(x), indices=idx, basis=basis, norms_sq=norms_sq)
-
-
-def tangent_frame(rows: Sequence[Sequence[Fraction]], d: int) -> tuple[tuple, tuple]:
-    """(basis, norms_sq): an orthogonal rational basis of
-    {y : r.y = 0 for every row r} and the squared norms of its vectors.
-
-    Gram-Schmidt runs over the rows and then over the unit vectors e_1..e_d;
-    a vector that depends on the earlier ones reduces to zero and is dropped,
-    so dependent rows are allowed.  The unit-vector residues that remain
-    form the basis."""
-    units = ([Fraction(int(i == j)) for j in range(d)] for i in range(d))
-    kept: list[tuple[list[Fraction], Fraction]] = []
-    rank = 0  # how many of the kept vectors come from the rows
-    for i, w in enumerate(itertools.chain(rows, units)):
-        for v, nsq in kept:
-            dot = sum(a * c for a, c in zip(w, v))
-            if dot != 0:
-                f = dot / nsq
-                w = [a - f * c for a, c in zip(w, v)]
-        nsq = sum(c * c for c in w)
-        if nsq != 0:
-            kept.append((w, nsq))
-            rank += i < len(rows)
-    return (tuple(tuple(w) for w, _ in kept[rank:]),
-            tuple(nsq for _, nsq in kept[rank:]))
 
 
 def tangent_hessian(H, basis) -> list[list[Fraction]]:
@@ -300,35 +290,19 @@ def projected_hessian_min_eig(R, basis, norms_sq):
                       for a, c in zip(*basis))
 
 
-def is_psd(M: list[list[Fraction]]) -> bool:
-    """Exact PSD test for a symmetric rational matrix."""
-    A = [[to_fraction(v) for v in row] for row in M]
-    n = len(A)
-    live = list(range(n))
-    while live:
-        piv = max(live, key=lambda i: A[i][i])
-        if A[piv][piv] < 0:
-            return False
-        if A[piv][piv] == 0:
-            # all remaining diagonal entries are <= 0 here, i.e. exactly 0;
-            # any nonzero off-diagonal entry makes the matrix indefinite
-            return all(A[i][j] == 0 for i in live for j in live)
-        p = A[piv][piv]
-        live.remove(piv)
-        for i in live:
-            f = A[i][piv] / p
-            for j in live:
-                A[i][j] -= f * A[piv][j]
-    return True
-
-
 def psd_on_tangent(R, norms_sq, eps) -> bool:
     """Exact test that y^T H y >= -eps ||y||^2 for all y in the span of a
     frame, from R = tangent_hessian(H, basis) and the frame's squared norms:
-    R + eps diag(norms_sq) is PSD."""
+    M = R + eps diag(norms_sq) is PSD.  A frame has at most two vectors, so
+    the test is closed form: M's diagonal is >= 0 and, for two vectors,
+    det M >= 0.  ValueError for a frame of three or more vectors."""
+    if len(R) > 2:
+        raise ValueError("curvature is computed on null spaces of dimension <= 2")
     eps = to_fraction(eps)
-    return is_psd([[v + eps * nsq if i == j else v for j, v in enumerate(row)]
-                   for i, (row, nsq) in enumerate(zip(R, norms_sq))])
+    diag = [row[i] + eps * nsq for i, (row, nsq) in enumerate(zip(R, norms_sq))]
+    if any(m < 0 for m in diag):
+        return False
+    return len(diag) < 2 or diag[0] * diag[1] >= R[0][1] * R[1][0]
 
 
 @dataclass(frozen=True)

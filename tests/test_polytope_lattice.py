@@ -10,12 +10,12 @@ import pytest
 
 from sospgrid.polytope_lattice import (
     box_grid_step,
-    face_frame,
     frac_gcd,
     lattice_cardinality_bound,
+    lattice_steps,
     map_to_grid,
 )
-from sospgrid.stationarity import Polytope
+from sospgrid.stationarity import Polytope, face_frame
 
 
 def random_polytope(rng):
@@ -45,18 +45,18 @@ def random_feasible_point(rng, poly, center):
 
 def on_lattice(poly, y, delta):
     """Exact check that y lies on the rounding lattice of one of its faces:
-    y = x_ref(I) + sum_k c_k v_k with every c_k a multiple of delta/nu_k."""
-    active = tuple(j for j in range(poly.m) if poly.slack(j, y) == 0)
+    y = x_ref(I) + sum_k c_k v_k with every c_k a multiple of its lattice
+    step delta/nu_k."""
+    active = tuple(j for j, s in enumerate(poly.slacks(y)) if s == 0)
     for r in range(len(active) + 1):
         for I in itertools.combinations(active, r):
             frame = face_frame(poly, I)
             diff = [c - x for c, x in zip(y, frame.x_ref)]
             recon = list(frame.x_ref)
             ok = True
-            for v, nsq, nu in zip(frame.basis, frame.norms_sq,
-                                  frame.norm_bounds):
+            for v, nsq, step in zip(frame.basis, frame.norms_sq,
+                                    lattice_steps(frame, Fraction(delta))):
                 coeff = sum(a * c for a, c in zip(diff, v)) / nsq
-                step = Fraction(delta) / nu
                 if (coeff / step).denominator != 1:
                     ok = False
                     break
@@ -111,7 +111,7 @@ def test_face_frame_basis_is_orthogonal_in_kernel():
     for _ in range(30):
         poly, center = random_polytope(rng)
         x = random_feasible_point(rng, poly, center)
-        active = tuple(j for j in range(poly.m) if poly.slack(j, x) == 0)
+        active = tuple(j for j, s in enumerate(poly.slacks(x)) if s == 0)
         frame = face_frame(poly, active)
         for j in frame.indices:
             for v in frame.basis:
@@ -119,9 +119,10 @@ def test_face_frame_basis_is_orthogonal_in_kernel():
         for i, vi in enumerate(frame.basis):
             for vj in frame.basis[i + 1:]:
                 assert sum(a * c for a, c in zip(vi, vj)) == 0
-        for v, nsq, nu in zip(frame.basis, frame.norms_sq, frame.norm_bounds):
+        # the lattice step is delta / nu with nu >= ||v||
+        for v, nsq, step in zip(frame.basis, frame.norms_sq, lattice_steps(frame, 1)):
             assert sum(c * c for c in v) == nsq
-            assert nu * nu >= nsq
+            assert step ** -2 >= nsq
 
 
 def test_map_to_grid_rejects_bad_input():

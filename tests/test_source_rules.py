@@ -55,15 +55,17 @@ CACHE_ATTRIBUTE = re.compile(r"\b_cache\b\s*(:|=(?!=))")
 
 def test_instance_data_cached_only_by_the_patch_lru():
     """HardInstance's patch LRU is the one cache of instance data, and the
-    face-frame lru_cache of polytope_lattice.py the one function cache: no
-    other module defines a _cache attribute or uses lru_cache."""
+    face-frame lru_cache of stationarity.py the one function cache: no
+    other module defines a _cache attribute or uses lru_cache, and
+    stationarity.py applies it once."""
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert "hard_instance.py" in sources and "polytope_lattice.py" in sources
+    assert "hard_instance.py" in sources and "stationarity.py" in sources
     cache_hits = [name for name, text in sources.items()
                   if name != "hard_instance.py" and CACHE_ATTRIBUTE.search(text)]
     lru_hits = [name for name, text in sources.items()
-                if name != "polytope_lattice.py" and "lru_cache" in text]
+                if name != "stationarity.py" and "lru_cache" in text]
     assert cache_hits == [] and lru_hits == []
+    assert sources["stationarity.py"].count("@lru_cache") == 1
 
 
 # A high-precision helper, or a patch evaluated in high precision.
@@ -97,4 +99,20 @@ def test_eigen_2x2_is_the_only_eigen_solver():
     hits = [f"{name}:{lineno}" for name, text in sources.items()
             for lineno, line in enumerate(text.splitlines(), 1)
             if NOT_EIGEN_2X2.search(line)]
+    assert hits == []
+
+
+# The names of the second and third face builders and of the general PSD
+# test, which the face frame and the closed-form 2x2 test replaced.
+NOT_FACE_FRAME = re.compile(r"\b(independent_rows|tangent_frame|ActiveSet|is_psd)\b")
+
+
+def test_face_frame_is_the_only_face_builder():
+    """The active set, the lattice face and the affine projection all read
+    stationarity.face_frame: no second null-space or rank routine and no
+    general PSD test appears in the source."""
+    hits = [f"{path.name}:{lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if NOT_FACE_FRAME.search(line)]
     assert hits == []

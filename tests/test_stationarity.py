@@ -1,4 +1,4 @@
-"""Polytopes, exact projection, proximal gradient, tangent frames, the
+"""Polytopes, exact projection, proximal gradient, face frames, the
 restricted Hessian and its eigenvalues, and the SOSP verifier."""
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from sospgrid.stationarity import (
     Polytope,
     active_set,
     eigen_2x2,
-    independent_rows,
+    face_frame,
     project,
     projected_hessian_min_eig,
     proximal_gradient,
     psd_on_tangent,
-    tangent_frame,
     tangent_hessian,
     verify_sosp,
 )
@@ -45,7 +44,7 @@ def test_box_membership_and_slack():
     assert poly.contains((1, 1))
     assert poly.contains((0, 3))
     assert not poly.contains((-Fraction(1, 10**9), 0))
-    assert poly.slack(2, (Fraction(1, 2), 0)) == Fraction(3, 2)
+    assert poly.slacks((Fraction(1, 2), 0)) == (Fraction(1, 2), 0, Fraction(3, 2), 3)
 
 
 def test_projection_variational_inequality():
@@ -109,42 +108,92 @@ def test_proximal_gradient_hp_off_box_projects_the_exact_step():
         assert got == L1 * (p - c)
 
 
-def test_active_set_and_tangent_frame():
+def test_active_set_and_face_frame():
     poly = Polytope.box((0, 0), (1, 1))
     act = active_set(poly, (Fraction(0), Fraction(1, 2)))
     assert act.indices == (0,)
-    assert act.dim_null == 1
+    assert act.dim == 1
     # the wall x = 0 leaves the frame e_y
     assert act.basis == ((0, 1),) and act.norms_sq == (1,)
     interior = active_set(poly, (Fraction(1, 2), Fraction(1, 2)))
     assert interior.indices == ()
-    assert interior.dim_null == 2
+    assert interior.dim == 2
 
 
-def test_tangent_frame_orthogonal_and_annihilated():
+def test_face_frame_orthogonal_and_annihilated():
     """The basis is orthogonal, every row annihilates it, and it has
-    d - rank vectors, also when some rows depend on others."""
+    d - rank vectors, also when some rows depend on others; x_ref lies on
+    every row and is orthogonal to the basis."""
     rng = random.Random(9)
     for _ in range(60):
         d = rng.randrange(1, 4)
         rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(d)]
-                for _ in range(rng.randrange(0, d + 1))]
-        if rows and rng.random() < 0.5:
+                for _ in range(rng.randrange(1, d + 2))]
+        if rng.random() < 0.5:
             # a dependent row: a combination of the others
             f = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
             rows.append([f * a + c for a, c in zip(rows[0], rows[-1])])
-        basis, norms_sq = tangent_frame(rows, d)
-        assert len(basis) == d - len(independent_rows(rows))
-        for i, (v, nsq) in enumerate(zip(basis, norms_sq)):
+        # right-hand sides of a point, so that the rows are consistent
+        x0 = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(d)]
+        poly = Polytope(rows, [sum(a * c for a, c in zip(r, x0)) for r in rows])
+        I = sorted(rng.sample(range(poly.m), rng.randrange(0, poly.m + 1)))
+        frame = face_frame(poly, I)
+        rank = np.linalg.matrix_rank(np.array([rows[j] for j in I], dtype=float)) if I else 0
+        assert frame.indices == tuple(I) and frame.dim == d - rank
+        for i, (v, nsq) in enumerate(zip(frame.basis, frame.norms_sq)):
             assert nsq == sum(c * c for c in v) != 0
-            assert all(sum(a * c for a, c in zip(v, w)) == 0 for w in basis[:i])
-            assert all(sum(a * c for a, c in zip(r, v)) == 0 for r in rows)
+            assert all(sum(a * c for a, c in zip(v, w)) == 0 for w in frame.basis[:i])
+            assert all(sum(a * c for a, c in zip(poly.A[j], v)) == 0 for j in I)
+            assert sum(a * c for a, c in zip(frame.x_ref, v)) == 0
+        assert all(sum(a * c for a, c in zip(poly.A[j], frame.x_ref)) == poly.b[j]
+                   for j in I)
+
+
+def test_face_frame_with_dependent_rows():
+    """Consistent dependent rows give the frame of an independent subset;
+    inconsistent rows raise; the active set is the frame of the active
+    rows, the one cached object."""
+    # x + y = 1, 2x + 2y = 2, x - y = 0, -x - y = 5, x + y = 3
+    poly = Polytope([(1, 1), (2, 2), (1, -1), (-1, -1), (1, 1)], [1, 2, 0, 5, 3])
+
+    def geometry(frame):
+        return frame.x_ref, frame.basis, frame.norms_sq
+
+    assert geometry(face_frame(poly, (0, 1))) == geometry(face_frame(poly, (0,)))
+    assert geometry(face_frame(poly, (1,))) == geometry(face_frame(poly, (0,)))
+    vertex = face_frame(poly, (0, 1, 2))
+    assert geometry(vertex) == geometry(face_frame(poly, (0, 2)))
+    assert vertex.dim == 0 and vertex.x_ref == (Fraction(1, 2), Fraction(1, 2))
+    line = face_frame(poly, (1, 0))
+    assert line.indices == (0, 1) and line.dim == 1
+    for j in (0, 1):
+        assert sum(a * c for a, c in zip(poly.A[j], line.x_ref)) == poly.b[j]
+    assert sum(a * c for a, c in zip(line.x_ref, line.basis[0])) == 0
+    for I in ((0, 3), (0, 4), (0, 1, 4), (1, 3)):
+        with pytest.raises(ValueError):
+            face_frame(poly, I)
+
+    cut = Polytope.box((0, 0), (1, 1)).with_cut((1, 1), 1)
+    for x in ((Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1, 2)),
+              (Fraction(1, 4), Fraction(1, 4))):
+        assert active_set(cut, x) is face_frame(cut, cut.active_rows(x))
+    # three rows meet at (1, 0): x <= 1, y >= 0 and x + y <= 1
+    assert active_set(cut, (Fraction(1), Fraction(0))).indices == (1, 2, 4)
+
+
+def null_frame(rows, d):
+    """The face frame of {y : r.y = 0 for every row r}; a zero row keeps the
+    polytope non-empty when there is no row."""
+    rows = [list(r) for r in rows]
+    poly = Polytope(rows + [[0] * d], [0] * (len(rows) + 1))
+    return face_frame(poly, range(len(rows)))
 
 
 def frame_min_eig(H, rows, d):
     """projected_hessian_min_eig of H on the null space of rows."""
-    basis, norms_sq = tangent_frame(rows, d)
-    return projected_hessian_min_eig(tangent_hessian(H, basis), basis, norms_sq)
+    frame = null_frame(rows, d)
+    return projected_hessian_min_eig(tangent_hessian(H, frame.basis), frame.basis,
+                                     frame.norms_sq)
 
 
 def test_projected_hessian_min_eig_matches_numpy():
@@ -226,7 +275,8 @@ def test_projected_hessian_min_eig_rank_one_projector():
 
 
 def test_psd_on_tangent_exact():
-    basis, norms_sq = tangent_frame([[Fraction(1), Fraction(0)]], 2)
+    frame = null_frame([[Fraction(1), Fraction(0)]], 2)
+    basis, norms_sq = frame.basis, frame.norms_sq
     H = [[Fraction(-5), Fraction(0)], [Fraction(0), Fraction(2)]]
     # -5 lives in the annihilated direction
     assert psd_on_tangent(tangent_hessian(H, basis), norms_sq, 0)
@@ -259,6 +309,12 @@ def test_curvature_on_three_dimensional_null_space_is_refused():
         frame_min_eig(H, [], 3)
 
 
+def test_psd_on_tangent_refuses_three_vectors():
+    R = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError):
+        psd_on_tangent(R, (1, 1, 1), 0)
+
+
 def test_psd_on_tangent_agrees_with_lambda_min():
     """The exact verdict equals lambda_min >= -eps wherever the two are not
     within rounding of a tie."""
@@ -270,7 +326,8 @@ def test_psd_on_tangent_agrees_with_lambda_min():
         a, b, c = (Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 100))
                    for _ in range(3))
         eps = Fraction(rng.randrange(0, 10**4), rng.randrange(1, 100))
-        basis, norms_sq = tangent_frame(rows, 2)
+        frame = null_frame(rows, 2)
+        basis, norms_sq = frame.basis, frame.norms_sq
         R = tangent_hessian([[a, b], [b, c]], basis)
         lam, _ = projected_hessian_min_eig(R, basis, norms_sq)
         if basis and abs(lam + hp(eps)) <= hp(Fraction(1, 10**30)) * (1 + abs(lam)):
