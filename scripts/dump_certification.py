@@ -9,13 +9,15 @@ identical files, and a change to the certifier is checked with diff:
     PYTHONPATH=src python scripts/dump_certification.py after.json
     diff before.json after.json
 
-Without an output path the JSON goes to stdout.
+Without an output path the JSON goes to stdout.  Each instance's wall
+time goes to stderr.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import time
 
 from sospgrid.box_certifier import certification_report
 from sospgrid.iter_problems import IterInstance
@@ -25,9 +27,13 @@ INSTANCES = ((1, (2, 2)), (2, (3, 4, 4, 1)), (2, (2, 3, 4, 4)))
 
 
 def main(argv: list[str]) -> None:
-    reports = [{"table": list(table),
-                "report": certification_report(IterInstance(n, table))}
-               for n, table in INSTANCES]
+    reports = []
+    for n, table in INSTANCES:
+        start = time.perf_counter()
+        report = certification_report(IterInstance(n, table))
+        print(f"n = {n}, C = {table}: {time.perf_counter() - start:.1f} s",
+              file=sys.stderr)
+        reports.append({"table": list(table), "report": report})
     text = json.dumps(reports, indent=1, sort_keys=True) + "\n"
     if len(argv) > 1:
         with open(argv[1], "w", encoding="utf-8") as fh:

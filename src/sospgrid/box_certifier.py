@@ -20,18 +20,24 @@ kernel (BoxPatch.fields in biquintic) as integer matrices over one known
 scale per sample.  The gradient tests are integer comparisons; the
 curvature test is sqrt-free (lambda_min < -EPS0 iff H + EPS0 I has a
 negative diagonal entry or determinant).  The Newton polish steps on the
-2^-192 grid with the same kernel, and the 1/sqrt(gap) offsets are integer
-square roots on that grid: no high-precision float is used.  The reported
-worst margin is rounded to float once, from exact integers.  Boundary
-cells are checked the same way: the proximal step is exact in rationals
-and ||g_pi||^2 > EPS0^2 needs no square root.  X cells contain a genuine
-SOSP and must fail certification; they serve as the negative control.
+2^-192 grid with the same kernel; its damped step, the first of 2^-j
+times the Newton step that stays inside the cell, is found by bisection
+on j.  The 1/sqrt(gap) offsets are integer square roots on that grid: no
+high-precision float is used.  The reported worst margin is rounded to
+float once, from exact integers; the curvature part of a sample's margin
+is read only where the gradient part leaves it a chance to be the worst.
+Boundary cells are checked the same way: the proximal step is exact in
+rationals and ||g_pi||^2 > EPS0^2 needs no square root.  X cells contain
+a genuine SOSP and must fail certification; they serve as the negative
+control.  certification_report certifies once per key (the patch up to
+an additive constant, the targeted offsets and the resolution) and copies
+the certificate to every other interior or X cell with that key.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -332,9 +338,6 @@ def _neg_lambda_min(hxx: int, hyy: int, hxy: int, scale: int) -> float:
     return (-2 * det << k) / (scale * (r + (t << k)))
 
 
-_neg_lambda_grid = np.frompyfunc(_neg_lambda_min, 4, 1)
-
-
 def _record(report: CriterionReport, xs, ys, F: Fields, eps: Fraction):
     """Decide the three criteria exactly at every sample of the grid.
 
@@ -355,18 +358,63 @@ def _record(report: CriterionReport, xs, ys, F: Fields, eps: Fraction):
     report.gx_count += int(ok_gx.sum())
     report.gy_count += int(ok_gy.sum())
     report.lambda_count += int(ok_lam.sum())
-    # Each margin is rounded to float once, from exact integers, so the
-    # worst sample is the first one with the least rounded margin.
-    margin = np.maximum(np.maximum(abs_gx, abs_gy) / F.scale,
-                        _neg_lambda_grid(F.hxx, F.hyy, F.hxy, F.scale)
-                        ).astype(float)
-    i, j = np.unravel_index(np.argmin(margin), margin.shape)
-    if margin[i, j] < report.worst_margin:
-        report.worst_margin = float(margin[i, j])
+    # A sample's margin is max(g, -lambda_min), g = max(|gx|, |gy|) / scale,
+    # each rounded to float once from exact integers; the worst sample is
+    # the first in row-major order with the least margin.  The margin is at
+    # least g, so visiting samples by ascending g, -lambda_min is read only
+    # while g does not exceed the least margin so far.
+    g = (np.maximum(abs_gx, abs_gy) / F.scale).astype(float).ravel()
+    hxx, hyy, hxy, scale = (v.ravel() for v in F[3:7])
+    best, best_k = float("inf"), -1
+    for k in np.argsort(g, kind="stable"):
+        gk = float(g[k])
+        if gk > best:
+            break
+        lam = _neg_lambda_min(hxx[k], hyy[k], hxy[k], scale[k])
+        margin = gk if gk >= lam else lam  # g on a tie: 0.0, not -0.0
+        if margin < best or (margin == best and k < best_k):
+            best, best_k = margin, k
+    if best < report.worst_margin:
+        i, j = divmod(int(best_k), len(ys))
+        report.worst_margin = best
         report.worst_point = (float(xs[i]), float(ys[j]))
     for i, j in zip(*np.nonzero(~(ok_gx | ok_gy | ok_lam))):
         report.failing.append((float(xs[i]), float(ys[j])))
         report.passed = False
+
+
+_POLISH_STEPS = 40  # the step is 2^-j times the Newton step, j < 40
+
+
+def _polish_step(X: int, Y: int, sx: int, sy: int, det: int):
+    """The grid point (X, Y) + 2^-j (sx, sy) / det for the least j <
+    _POLISH_STEPS that lies strictly inside the cell, or None.
+
+    Each coordinate's step is rounded half up to the grid.  From a start
+    strictly inside the cell a shorter step moves no farther, so the
+    feasible j are all those from the first on, which bisection finds.
+    From a start on a wall they need not be (a step that rounds to 0 leaves
+    the wall only for small j), so every j is tried in turn.
+    """
+    one = 1 << _GRID_BITS
+
+    def point(j):
+        nX = X + ((sx << _GRID_BITS - j + 1) + det) // (2 * det)
+        nY = Y + ((sy << _GRID_BITS - j + 1) + det) // (2 * det)
+        return (nX, nY) if 0 < nX < one and 0 < nY < one else None
+
+    if not (0 < X < one and 0 < Y < one):
+        return next(filter(None, map(point, range(_POLISH_STEPS))), None)
+    lo, hi = 0, _POLISH_STEPS - 1
+    found = point(hi)
+    while found is not None and lo < hi:
+        mid = (lo + hi) // 2
+        trial = point(mid)
+        if trial is None:
+            lo = mid + 1
+        else:
+            hi, found = mid, trial
+    return found
 
 
 def _newton_polish(patch: BoxPatch, x0, y0, iters: int = 40):
@@ -374,7 +422,8 @@ def _newton_polish(patch: BoxPatch, x0, y0, iters: int = 40):
 
     The point is (X, Y) / 2^_GRID_BITS in local offsets; the step is the
     first of 1, 1/2, ..., 2^-39 times the exact Newton step that, rounded
-    to the grid, stays strictly inside the cell.  Returns Fractions or None."""
+    to the grid, stays strictly inside the cell (_polish_step).  Returns
+    Fractions or None."""
     one = 1 << _GRID_BITS
     X, Y = (round(to_fraction(t) * one) for t in (x0, y0))
     for _ in range(iters):
@@ -383,14 +432,10 @@ def _newton_polish(patch: BoxPatch, x0, y0, iters: int = 40):
         det = hxx * hyy - hxy * hxy  # the fields' common scale cancels
         if det == 0:
             return None
-        sx, sy = gy * hxy - gx * hyy, gx * hxy - gy * hxx
-        for j in range(40):  # s 2^-j / det rounded to the grid, half up
-            nX = X + ((sx << _GRID_BITS - j + 1) + det) // (2 * det)
-            nY = Y + ((sy << _GRID_BITS - j + 1) + det) // (2 * det)
-            if 0 < nX < one and 0 < nY < one:
-                break
-        else:
+        step = _polish_step(X, Y, gy * hxy - gx * hyy, gx * hxy - gy * hxx, det)
+        if step is None:
             return None
+        nX, nY = step
         moved, X, Y = abs(nX - X) + abs(nY - Y), nX, nY
         if moved * 10**40 < one:  # moved less than 1e-40
             break
@@ -528,6 +573,21 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
 # ---------------------------------------------------------------------------
 
 
+def _labelled_entry(label: GroupLabel, rep) -> tuple[dict, bool]:
+    """The report entry of a classified cell from its BoundaryReport or
+    CriterionReport, and whether it passes."""
+    entry = {"cell": list(rep.cell), "label": label.kind,
+             "transforms": list(label.transforms)}
+    if label.kind == "Boundary":
+        entry["boundary"] = rep.to_json()
+        return entry, rep.passed
+    entry["certificate"] = rep.to_json()
+    if label.kind == "X":
+        entry["expected_fail"] = True
+        return entry, not rep.passed
+    return entry, rep.passed
+
+
 def certify_labelled_cell(h: HardInstance, a: int, b: int, label: GroupLabel,
                           resolution: int = 51) -> tuple[dict, bool]:
     """The report entry of one classified cell, and whether it passes.
@@ -536,34 +596,42 @@ def certify_labelled_cell(h: HardInstance, a: int, b: int, label: GroupLabel,
     cells run certify_cell at the given resolution.  X cells, the negative
     control, contain an SOSP: one passes here only if its certificate fails.
     """
-    entry = {"cell": [a, b], "label": label.kind,
-             "transforms": list(label.transforms)}
     if label.kind == "Boundary":
-        rep = boundary_prox_check(h, [(a, b)])[0]
-        entry["boundary"] = rep.to_json()
-        return entry, rep.passed
-    rep = certify_cell(h, a, b, resolution)
-    entry["certificate"] = rep.to_json()
-    if label.kind == "X":
-        entry["expected_fail"] = True
-        return entry, not rep.passed
-    return entry, rep.passed
+        return _labelled_entry(label, boundary_prox_check(h, [(a, b)])[0])
+    return _labelled_entry(label, certify_cell(h, a, b, resolution))
 
 
 def certification_report(inst: IterInstance, resolution: int = 51) -> dict:
     """Classify and certify every cell (certify_labelled_cell);
-    JSON-serializable summary."""
+    JSON-serializable summary.
+
+    Cells that agree in all certify_no_sosp reads share one certificate:
+    the patch's K but for K[0][0] (which only f, not its derivatives,
+    reads; adding a constant to the four corner values changes it alone),
+    D, the targeted offsets and the resolution.  A shared certificate is
+    copied with the cell rewritten.
+    """
     h = build(inst, ScaleMode.UNIT)
     field = h.field
     N = field.N
     cells = []
     counts: dict[str, int] = {}
+    certificates: dict[tuple, CriterionReport] = {}
     ok = True
     for a in range(N):
         for b in range(N):
             label = classify_cell(field, a, b)
             counts[label.kind] = counts.get(label.kind, 0) + 1
-            entry, passed = certify_labelled_cell(h, a, b, label, resolution)
+            if label.kind == "Boundary":
+                entry, passed = certify_labelled_cell(h, a, b, label, resolution)
+            else:
+                patch = h.patch(a, b)
+                key = (patch.K[0][1:], patch.K[1:], patch.D, resolution,
+                       tuple(_targeted_offsets(cell_corner_data(field, a, b))))
+                if key not in certificates:
+                    certificates[key] = certify_cell(h, a, b, resolution)
+                entry, passed = _labelled_entry(
+                    label, replace(certificates[key], cell=(a, b)))
             cells.append(entry)
             ok = ok and passed
     return {"n": inst.n, "N": N, "counts": counts, "passed": ok,

@@ -37,7 +37,9 @@ INF = float("inf")
 
 
 class Polytope:
-    """Rational polytope {x : Ax <= b}."""
+    """Rational polytope {x : Ax <= b}.  Two polytopes are equal when their
+    A and b are, and the hash of (A, b) is taken once, at construction:
+    the face-frame cache looks polytopes up by it."""
 
     def __init__(self, A: Sequence[Sequence], b: Sequence,
                  box_bounds: Optional[tuple[tuple, tuple]] = None):
@@ -49,12 +51,20 @@ class Polytope:
             raise ValueError("empty constraint system")
         self.d = len(self.A[0])
         self.m = len(self.A)
+        self._hash = hash((self.A, self.b))
         if box_bounds is not None:
             lo, hi = box_bounds
             self.box_bounds = (tuple(to_fraction(v) for v in lo),
                                tuple(to_fraction(v) for v in hi))
         else:
             self.box_bounds = None
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Polytope) and self._hash == other._hash
+                and (self.A, self.b) == (other.A, other.b))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def box(cls, lo: Sequence, hi: Sequence) -> "Polytope":
@@ -140,9 +150,9 @@ class FaceFrame:
 
 
 @lru_cache(maxsize=4096)
-def _face_frame_cached(A: tuple, b: tuple, I: tuple) -> FaceFrame:
-    d = len(A[0])
-    rows = ((A[j], b[j]) for j in I)
+def _face_frame_cached(poly: Polytope, I: tuple) -> FaceFrame:
+    d = poly.d
+    rows = ((poly.A[j], poly.b[j]) for j in I)
     units = (([Fraction(int(i == j)) for j in range(d)], None) for i in range(d))
     # (q, q.q, beta): q.x = beta on the face for an orthogonalised row; a
     # unit-vector residue carries no right-hand side
@@ -173,7 +183,7 @@ def _face_frame_cached(A: tuple, b: tuple, I: tuple) -> FaceFrame:
 def face_frame(poly: Polytope, I: Sequence[int]) -> FaceFrame:
     """The frame of the face on rows I (see the module docstring);
     ValueError if those rows are inconsistent."""
-    return _face_frame_cached(poly.A, poly.b, tuple(sorted(I)))
+    return _face_frame_cached(poly, tuple(sorted(I)))
 
 
 def active_set(poly: Polytope, x) -> FaceFrame:

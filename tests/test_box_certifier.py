@@ -7,7 +7,9 @@ from collections import Counter
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from patch_reference import patch_of, reference_eval
 from sospgrid._precision import to_fraction
@@ -19,7 +21,11 @@ from sospgrid.box_certifier import (
     CornerData,
     CriterionReport,
     GroupLabel,
+    _GRID_BITS,
+    _neg_lambda_min,
     _newton_polish,
+    _polish_step,
+    _record,
     _targeted_offsets,
     boundary_prox_check,
     canonicalize,
@@ -214,6 +220,27 @@ def test_refinement_keeps_a_failing_coarse_pass():
     assert rep.failing == coarse.failing
 
 
+def test_report_certifies_each_key_once(inst_n1, hard_n1, monkeypatch):
+    # cells whose patches differ by a constant share one certificate, and
+    # each copy is the certificate that cell would get on its own
+    certify = box_certifier.certify_cell
+    certified = []
+
+    def counting_certify_cell(h, a, b, resolution=51):
+        certified.append((a, b))
+        return certify(h, a, b, resolution)
+
+    monkeypatch.setattr(box_certifier, "certify_cell", counting_certify_cell)
+    report = box_certifier.certification_report(inst_n1, resolution=9)
+    monkeypatch.undo()
+    entries = [e for e in report["cells"] if e["label"] != "Boundary"]
+    assert report["passed"] and len(certified) < len(entries) / 2
+    for entry in entries:
+        label = GroupLabel(entry["label"], tuple(entry["transforms"]))
+        assert entry == certify_labelled_cell(hard_n1, *entry["cell"], label,
+                                              resolution=9)[0]
+
+
 def _reference_sample(patch, x, y, eps):
     """Verdicts and margin at local (x, y) from the reference evaluation,
     with lambda_min at 512 bits."""
@@ -291,3 +318,184 @@ def test_criteria_pass_beyond_the_threshold(i, j, c):
     assert rep.passed
     assert rep.sample_count == 81
     assert not rep.failing
+
+
+# ---------------------------------------------------------------------------
+# The worst sample and the polish step against their plain references.
+# ---------------------------------------------------------------------------
+
+
+_neg_lambda_grid = np.frompyfunc(_neg_lambda_min, 4, 1)
+
+
+def _record_whole_grid(report, xs, ys, F, eps):
+    """Reference for _record: the margin max(g, -lambda_min) at every
+    sample, and the first sample in row-major order with the least one."""
+    num, den = eps.numerator, eps.denominator
+    eps_scaled = F.scale * num
+    abs_gx, abs_gy = abs(F.gx), abs(F.gy)
+    ok_gx = abs_gx * den > eps_scaled
+    ok_gy = abs_gy * den > eps_scaled
+    a = F.hxx * den + eps_scaled
+    b = F.hyy * den + eps_scaled
+    c = F.hxy * den
+    ok_lam = (a < 0) | (b < 0) | (a * b < c * c)
+    report.sample_count += ok_gx.size
+    report.gx_count += int(ok_gx.sum())
+    report.gy_count += int(ok_gy.sum())
+    report.lambda_count += int(ok_lam.sum())
+    margin = np.maximum(np.maximum(abs_gx, abs_gy) / F.scale,
+                        _neg_lambda_grid(F.hxx, F.hyy, F.hxy, F.scale)
+                        ).astype(float)
+    i, j = np.unravel_index(np.argmin(margin), margin.shape)
+    if margin[i, j] < report.worst_margin:
+        report.worst_margin = float(margin[i, j])
+        report.worst_point = (float(xs[i]), float(ys[j]))
+    for i, j in zip(*np.nonzero(~(ok_gx | ok_gy | ok_lam))):
+        report.failing.append((float(xs[i]), float(ys[j])))
+        report.passed = False
+
+
+@pytest.fixture(scope="module")
+def hard_c21():
+    """n = 1 with C = (2, 1): every label kind, X included, occurs."""
+    return build(IterInstance(1, (2, 1)))
+
+
+def test_worst_sample_matches_the_whole_grid_on_every_label_kind(
+        hard_c21, monkeypatch):
+    first_of_kind = {}
+    for (a, b), label in sorted(classify_all(hard_c21.instance).items()):
+        first_of_kind.setdefault(label.kind, (a, b))
+    assert set(first_of_kind) == {*"ABCDEFG", "G1", "G2", "G3", "G4", "X",
+                                  "Boundary"}
+
+    def report(cell):
+        patch = hard_c21.patch(*cell)
+        offsets = _targeted_offsets(cell_corner_data(hard_c21.field, *cell))
+        return certify_no_sosp(patch, resolution=15, extra_offsets=offsets,
+                               _refine=0).to_json()
+
+    reports = {cell: report(cell) for cell in first_of_kind.values()}
+    monkeypatch.setattr(box_certifier, "_record", _record_whole_grid)
+    for cell, rep in reports.items():
+        assert repr(rep) == repr(report(cell)), cell
+    assert not reports[first_of_kind["X"]]["passed"]
+
+
+_TINY = Fraction(1, 2**1100)  # below the least positive float
+
+
+@pytest.mark.parametrize("terms, margin, point", [
+    # f = 2 EPS0 x: every sample has margin 2 EPS0
+    ({(1, 0): 2 * EPS}, 2 * EPS0, (0.125, 0.125)),
+    # f = -x^2/2 + 9x/8: margin max(|9/8 - x|, 1) = 1 everywhere; the
+    # first sample has the largest g, exactly 1
+    ({(2, 0): Fraction(-1, 2), (1, 0): Fraction(9, 8)}, 1.0, (0.125, 0.125)),
+    # f = TINY ((x - 1/2)^2 + (y - 1/2)^2): g rounds to 0.0 and
+    # -lambda_min to -0.0, and the margin is g
+    ({(2, 0): _TINY, (1, 0): -_TINY, (0, 2): _TINY, (0, 1): -_TINY,
+      (0, 0): _TINY / 2}, 0.0, (0.125, 0.125)),
+], ids=["linear", "curvature_floor", "signed_zero"])
+def test_worst_sample_is_the_first_of_a_tie(terms, margin, point):
+    coords = [Fraction(i + 1, 8) for i in range(7)]
+    F = _synthetic_patch(terms).fields(coords, coords)
+    rep = CriterionReport(cell=(0, 0), resolution=7)
+    _record(rep, coords, coords, F, EPS)
+    ref = CriterionReport(cell=(0, 0), resolution=7)
+    _record_whole_grid(ref, coords, coords, F, EPS)
+    assert repr(rep) == repr(ref)  # repr tells 0.0 from -0.0
+    assert repr((rep.worst_margin, rep.worst_point)) == repr((margin, point))
+
+
+# Coefficients that make ties and sign changes of -lambda_min likely.
+_coefficient = st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-1, 3),
+                                EPS, -EPS, 2 * EPS, -EPS / 2, 3 * EPS])
+_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                         _coefficient, max_size=5)
+_offsets = st.lists(st.fractions(0, 1, max_denominator=64), max_size=3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_terms, _offsets, _offsets)
+def test_worst_sample_matches_the_whole_grid_on_synthetic_patches(terms, ox, oy):
+    patch = _synthetic_patch(terms)
+    xs = [Fraction(i + 1, 8) for i in range(7)] + ox
+    ys = [Fraction(i + 1, 6) for i in range(5)] + oy
+    F = patch.fields(xs, ys)
+    rep = CriterionReport(cell=(0, 0), resolution=7)
+    _record(rep, xs, ys, F, EPS)
+    ref = CriterionReport(cell=(0, 0), resolution=7)
+    _record_whole_grid(ref, xs, ys, F, EPS)
+    assert repr(rep) == repr(ref)
+
+
+_ONE = 1 << _GRID_BITS  # the polish grid: local offsets are k / _ONE
+
+
+def _linear_polish_step(X, Y, sx, sy, det):
+    """Reference for _polish_step: try j = 0, 1, ..., 39 in turn."""
+    for j in range(40):
+        nX = X + ((sx << _GRID_BITS - j + 1) + det) // (2 * det)
+        nY = Y + ((sy << _GRID_BITS - j + 1) + det) // (2 * det)
+        if 0 < nX < _ONE and 0 < nY < _ONE:
+            return nX, nY
+    return None
+
+
+_start = st.one_of(st.integers(1, _ONE - 1), st.integers(1, 2**48),
+                   st.integers(_ONE - 2**48, _ONE - 1), st.sampled_from([0, _ONE]))
+# A Newton step of about 2^e times the cell, as a numerator s over the
+# shared det.  For e in -2..42 the first j inside the cell varies; for e in
+# -195..-150 the step rounds to 0 on the 2^-192 grid for the last j.
+_scaled_step = st.tuples(st.sampled_from([-1, 1]), st.integers(2**63, 2**64),
+                         st.one_of(st.integers(-2, 42), st.integers(-195, -150),
+                                   st.integers(-260, 50)),
+                         st.integers(-3, 3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_start, _start, _scaled_step, _scaled_step,
+       st.integers(1, 2**64), st.integers(0, 320), st.sampled_from([-1, 1]))
+# From the wall x = 0, a step of 2^-183 cells rounds to 0 for j > 10, so it
+# leaves the wall only for j <= 10, while y needs j >= 5: the feasible j are
+# 5..10, not all j from the first on.
+@example(0, _ONE // 2, (1, 2**64, -183, 0), (1, 2**64, 3, 0), 1, 300, 1)
+def test_polish_step_is_the_linear_scans(X, Y, step_x, step_y, det_mantissa,
+                                         det_shift, det_sign):
+    det = det_sign * det_mantissa << det_shift
+    sx, sy = ((sign * m * det >> 64 - e) + jitter
+              for sign, m, e, jitter in (step_x, step_y))
+    assert _polish_step(X, Y, sx, sy, det) == _linear_polish_step(X, Y, sx, sy, det)
+
+
+def test_polish_step_from_a_wall_is_not_bisected():
+    det = 1 << 300
+    sx, sy = det >> 183, 8 * det  # steps of 2^-183 and 8 cells
+    expected = (16, 3 * _ONE // 4)  # j = 5
+    assert _linear_polish_step(0, _ONE // 2, sx, sy, det) == expected
+    assert _polish_step(0, _ONE // 2, sx, sy, det) == expected
+
+
+# ---------------------------------------------------------------------------
+# Classification over random ITER tables.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _iter_tables(draw):
+    n = draw(st.integers(1, 3))
+    size = 1 << n
+    rest = draw(st.lists(st.integers(1, size), min_size=size - 1,
+                         max_size=size - 1))
+    return IterInstance(n, (draw(st.integers(2, size)), *rest))
+
+
+@settings(deadline=None, max_examples=25)
+@given(_iter_tables())
+def test_classify_all_on_random_tables(inst):
+    C = dict(enumerate(inst.table, start=1))
+    solutions = [k for k in C if C[k] < k or (C[k] > k and C[C[k]] == C[k])]
+    labels = classify_all(inst)
+    assert {cell for cell, lab in labels.items() if lab.kind == "X"} == {
+        (a, 6 * k + 2) for k in solutions for a in range(6 * k - 3, 6 * k)}

@@ -149,6 +149,16 @@ def test_face_frame_orthogonal_and_annihilated():
                    for j in I)
 
 
+def test_polytopes_with_equal_constraints_share_frames():
+    """A polytope is equal to, and hashes like, any polytope with the same
+    A and b, so the frame cache serves both."""
+    box = Polytope.box((0, 0), (1, 1))
+    same = Polytope(box.A, box.b)
+    assert box == same and hash(box) == hash(same) and box != "box"
+    assert box != box.with_cut((1, 1), 1)
+    assert face_frame(box, (1, 2)) is face_frame(same, (2, 1))
+
+
 def test_face_frame_with_dependent_rows():
     """Consistent dependent rows give the frame of an independent subset;
     inconsistent rows raise; the active set is the frame of the active
