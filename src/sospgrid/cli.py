@@ -193,12 +193,10 @@ def render(instance: str, out: str) -> None:
 @click.option("--eps-h", type=float, default=1e-2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-iter", type=int, default=20000, show_default=True)
-@click.option("--adaptive/--fixed", default=True, show_default=True,
-              help="Use backtracked local smoothness in the descent step.")
 @click.option("--out", type=click.Path(), default=None)
-def solve(instance, scale, eps_g, eps_h, seed, max_iter, adaptive,
-          out) -> None:
-    """Run the solver from a seeded start point and decode the result."""
+def solve(instance, scale, eps_g, eps_h, seed, max_iter, out) -> None:
+    """Run the adaptive solver from a seeded start point and decode the
+    result."""
     inst = _load(instance)
     h = build(inst, scale)
     hi = h.domain_high
@@ -209,7 +207,7 @@ def solve(instance, scale, eps_g, eps_h, seed, max_iter, adaptive,
     poly = h.domain_polytope()
     t0 = time.perf_counter()
     trace = snap_run(h.objective(exact=False), poly, x0, eps_g, eps_h,
-                     rec.L1, rec.L2, max_iter=max_iter, adaptive=adaptive)
+                     rec.L1, rec.L2, max_iter=max_iter, adaptive=True)
     elapsed = time.perf_counter() - t0
     final = trace.final_point
     decoded = h.decode_scaled(final[0], final[1])

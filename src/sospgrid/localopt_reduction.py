@@ -1,7 +1,8 @@
 """Potential/neighbor structure turning a constrained-SOSP instance into a
 local-search problem: potential p = f + w * dim(Null(A'(x))), neighbor
-g = Rounding of the SNAP update, and the improvement harness asserting that
-non-SOSP grid points strictly improve.
+g = Rounding of the SNAP update, whose terminal step is the SOSP verdict,
+and the improvement harness asserting that non-SOSP grid points strictly
+improve.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from sospgrid.polytope_lattice import (
     lattice_steps,
     map_to_grid,
 )
-from sospgrid.snap_solver import snap_update
-from sospgrid.stationarity import Polytope, active_set, verify_sosp
+from sospgrid.snap_solver import StepKind, snap_update
+from sospgrid.stationarity import Polytope, active_set
 
 
 @dataclass(frozen=True)
@@ -92,30 +93,29 @@ class ReductionInstance:
             raise ValueError("potential is defined on grid points only")
         return to_fraction(self.objective(x)[0]) + self.weight * self.dim_null(x)
 
-    def _rounded_update(self, x) -> tuple:
-        """Rounding(h(x)), with h the solver's three-case update."""
+    def _update(self, x) -> tuple:
+        """(kind, g(x)) from one full evaluation at x: the kind of h(x),
+        TERMINAL exactly where verify_sosp passes, and x or Rounding(h(x))."""
         _, grad, hess = self.objective(x)
-        _, y, _, _ = snap_update(self.objective, self.poly, x, grad, hess,
-                                 self.eps_g, self.eps_h, self.L1, self.L2,
-                                 L_max=self.L_max)
-        return self.round_point(y)
+        kind, y, _, _ = snap_update(self.objective, self.poly, x, grad, hess,
+                                    self.eps_g, self.eps_h, self.L1, self.L2)
+        if kind is StepKind.TERMINAL:
+            return kind, tuple(x)
+        return kind, self.round_point(y)
 
     def neighbor(self, x) -> tuple:
-        """g(x) = Rounding(h(x)); fixed point exactly at verified SOSPs."""
-        rep = verify_sosp(self.objective, self.poly, x,
-                          self.eps_g, self.eps_h, self.L1)
-        if rep.passed:
-            return tuple(x)
-        return self._rounded_update(x)
+        """g(x) = Rounding(h(x)); fixed point exactly at the SOSPs.
+        ValueError if x lies outside the polytope."""
+        if not self.poly.contains(x):
+            raise ValueError("point lies outside the polytope")
+        return self._update(x)[1]
 
     def improvement_check(self, x) -> Verdict:
         """Non-SOSP grid points must strictly decrease the potential."""
-        rep = verify_sosp(self.objective, self.poly, x,
-                          self.eps_g, self.eps_h, self.L1)
-        p_x = self.potential(x)
-        if rep.passed:
-            return Verdict("solution", tuple(x), tuple(x), p_x, p_x)
-        y = self._rounded_update(x)
+        p_x = self.potential(x)  # ValueError off the grid or the polytope
+        kind, y = self._update(x)
+        if kind is StepKind.TERMINAL:
+            return Verdict("solution", tuple(x), y, p_x, p_x)
         p_y = self.potential(y)
         if p_y < p_x:
             kind = ("improved-C2"

@@ -4,16 +4,17 @@ second-order stationary point of a smooth objective over a polytope.
 
 snap_update is the three-case update h(x); the local-search reduction
 rounds the same h(x) onto its grid.  Which case applies is decided exactly,
-by the tests verify_sosp makes.  High precision only moves the point: the
-step x - g/L, the curvature direction, the line-search f values and step
-lengths.  Every iterate is rational and lies in the polytope exactly: a
-gradient step is the exact projection of the rational value of its
-high-precision step, and a line-search probe is x + t d formed in
-rationals, with the maximal t from an exact ratio test, so a maximal step
-ends exactly on its blocking rows.  The line-search f values, like the
-backtracking and split probes, are value-only reads (objective(x)[0]): an
-objective that computes f alone, as HardInstance.objective does, skips the
-derivatives there.
+by the tests verify_sosp makes, so the reduction reads the terminal step as
+its SOSP verdict.  High precision only moves the point: the step x - g/L,
+the curvature direction, the split probes and the line-search f values.
+Every iterate is rational and lies in the polytope exactly: a gradient step
+is the exact projection of the rational value of its high-precision step,
+and a line-search probe is x + t d formed in rationals, with t doubled up
+to the maximal t of an exact ratio test, so a maximal step ends exactly on
+its blocking rows.  The line-search f values, like the backtracking and
+split probes, are value-only reads (objective(x)[0]): an objective that
+computes f alone, as HardInstance.objective does, skips the derivatives
+there.
 
 snap_run's adaptive gradient step backtracks a local smoothness estimate,
 which along a narrow valley is set by the stiff curvature across it, so
@@ -29,7 +30,6 @@ so the decrease that the backtracked step certifies still holds.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -203,47 +203,44 @@ def curvature_direction(grad, hess, act: FaceFrame, eps_h):
     return tuple(v) if tuple(v) >= neg else neg
 
 
-def line_search(objective: Callable, poly: Polytope, x, d, eps_h, L2,
-                L_max=None):
+def line_search(objective: Callable, poly: Polytope, x, d, eps_h, L2):
     """Move along d: either a point with the required curvature decrease
     (max-step False) or the maximal feasible step (max-step True).
 
     Probes x + t d are formed exactly from t = eps_h/L2 doubled up to the
-    ratio-test maximum; f is compared in high precision."""
+    finite ratio-test maximum, where the search ends at the latest; f is
+    compared in high precision.  ValueError unless eps_h > 0 and L2 > 0."""
+    eps_h, L2 = to_fraction(eps_h), to_fraction(L2)
+    if eps_h <= 0 or L2 <= 0:
+        raise ValueError("the line search needs eps_h > 0 and L2 > 0")
     x = _fracvec(x)
     d = _fracvec(d)
     fx = _fval(objective, x)
     t_max, blockers = max_feasible_step(poly, x, d)
-    eps_h, L2 = to_fraction(eps_h), to_fraction(L2)
     decrease = hp(CURVATURE_DECREASE * eps_h**3 / (L2 * L2))
-    if L_max is None:
-        L_max = L2
-    eps = float(eps_h) if eps_h > 0 else 1e-16
-    cap = math.ceil(math.log2(max(float(L_max) * len(x) / eps, 2))) + 10
     t = eps_h / L2
     best = None  # (fy, y, hit_max)
-    for _ in range(cap):
-        t_probe = min(t, t_max)
-        y = tuple(c + t_probe * dc for c, dc in zip(x, d))
+    while True:
+        t = min(t, t_max)
+        y = tuple(c + t * dc for c, dc in zip(x, d))
         fy = _fval(objective, y)
         if fy <= fx - decrease:
             # Keep doubling past the first acceptable probe: with the
             # worst-case L2 the certified step is microscopic, while the
             # local smoothness usually admits far larger decrease.
             if best is None or fy < best[0]:
-                best = (fy, y, t_probe == t_max)
+                best = (fy, y, t == t_max)
             elif fy > best[0]:
                 break
         elif best is not None:
             break
-        if t_probe == t_max:
+        if t == t_max:
             break
         t = 2 * t
     if best is not None:
         _, y, hit = best
         return y, hit, (blockers if hit else ())
-    y = tuple(c + t_max * dc for c, dc in zip(x, d))
-    fy = _fval(objective, y)
+    # No probe met the decrease, so the last one was the maximal step.
     if fy <= fx:
         return y, True, blockers
     raise SnapViolation("line-search", "no feasible step decreases f; "
@@ -251,7 +248,7 @@ def line_search(objective: Callable, poly: Polytope, x, d, eps_h, L2,
 
 
 def snap_update(objective: Callable, poly: Polytope, x, grad, hess, eps_g, eps_h,
-                L1, L2, L_max=None):
+                L1, L2):
     """One step h(x) of the three-case update from the evaluated derivatives.
 
     Returns (kind, y, max_step, new_active): a projected gradient step
@@ -265,7 +262,7 @@ def snap_update(objective: Callable, poly: Polytope, x, grad, hess, eps_g, eps_h
     direction = curvature_direction(grad, hess, act, eps_h)
     if direction is not None:
         y, hit_max, blockers = line_search(objective, poly, x, direction,
-                                           eps_h, L2, L_max=L_max)
+                                           eps_h, L2)
         return StepKind.NEGATIVE_CURVATURE, y, hit_max, blockers
     return StepKind.TERMINAL, tuple(x), False, ()
 

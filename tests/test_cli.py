@@ -155,6 +155,14 @@ def test_solve_finds_encoded_solution(runner, n1_file):
     assert payload["objective_calls"] > payload["iterations"]
 
 
+@pytest.mark.parametrize("flag", ["--fixed", "--adaptive"])
+def test_solve_has_no_step_switch(runner, n1_file, flag):
+    """solve always runs the adaptive step: the fixed 1/L1 step ends
+    unconverged at the iteration limit on the n = 1 instance."""
+    res = runner.invoke(main, ["solve", "--instance", str(n1_file), flag])
+    assert res.exit_code == 2
+
+
 def test_solve_final_point_verifies_exactly(runner, n1_file):
     """solve prints its final point as exact fractions, and verify --exact
     accepts that point on the same instance and scale."""

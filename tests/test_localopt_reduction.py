@@ -10,6 +10,7 @@ import pytest
 
 from sospgrid._precision import to_fraction
 from sospgrid.localopt_reduction import ReductionInstance, Verdict
+from sospgrid.snap_solver import StepKind, snap_run, snap_update
 from sospgrid.stationarity import Polytope, verify_sosp
 
 
@@ -128,6 +129,93 @@ def test_improvement_at_non_sosp_grid_points(make_ri, n_trials, request):
             assert verify_sosp(ri.objective, ri.poly, x,
                                ri.eps_g, ri.eps_h, ri.L1).passed
     assert any(k.startswith("improved") for k in kinds)
+
+
+def grid_points(ri, lo, hi, extra, count=6, seed=5):
+    """extra, rounded onto the grid, and count grid points rounded from
+    uniform raw points of [lo, hi]^2 that lie in the polytope."""
+    rng = random.Random(seed)
+    raws = list(extra)
+    while len(raws) < len(extra) + count:
+        raw = tuple(Fraction(rng.randrange(0, 10**6 + 1), 10**6) * (hi - lo) + lo
+                    for _ in range(2))
+        if ri.poly.contains(raw):
+            raws.append(raw)
+    return [ri.round_point(raw) for raw in raws]
+
+
+@pytest.fixture(scope="module")
+def hard_ris(moderate_n1):
+    """The reduction on the moderate n = 1 instance over its box and over
+    the box cut by x + y <= 3/2, each with the end point of the seed-1
+    start of `sospgrid solve`, an SOSP that rounds to an SOSP grid point."""
+    h = moderate_n1
+    rec = h.lipschitz_report()
+    eps = Fraction(1, 100)
+    box = h.domain_polytope()
+    rng = random.Random(1)
+    start = tuple(Fraction(rng.randrange(1, 1000), 1000) for _ in range(2))
+    end = snap_run(h.objective(exact=False), box, start, eps, eps,
+                   rec.L1, rec.L2, max_iter=1000, adaptive=True).final_point
+    return {name: (ReductionInstance(h.objective(exact=False), poly, eps, eps,
+                                     rec.L, rec.L1, rec.L2), end)
+            for name, poly in (("box", box),
+                               ("cut", box.with_cut((1, 1), Fraction(3, 2))))}
+
+
+@pytest.mark.parametrize("case", ["saddle", "quartic", "hard-box", "hard-cut"])
+def test_terminal_step_is_the_sosp_verdict(case, request):
+    """The reduction decides a grid point from the update alone: its kind
+    is TERMINAL exactly where verify_sosp passes, and neighbor fixes
+    exactly those points."""
+    half = Fraction(1, 2)
+    if case == "saddle":
+        ri, lo, hi = request.getfixturevalue("saddle_ri"), 0, 1
+        extra = [(half, half), (half, 0), (half, 1)]  # saddle, two minima
+    elif case == "quartic":
+        ri, lo, hi = request.getfixturevalue("quartic_ri"), -2, 2
+        extra = [(0, 0), (1, 1), (-1, 1)]  # maximum, two minima
+    else:
+        ri, end = request.getfixturevalue("hard_ris")[case.removeprefix("hard-")]
+        lo, hi, extra = 0, 1, [end]
+    terminal = []
+    for x in grid_points(ri, lo, hi, extra):
+        _, grad, hess = ri.objective(x)
+        kind = snap_update(ri.objective, ri.poly, x, grad, hess,
+                           ri.eps_g, ri.eps_h, ri.L1, ri.L2)[0]
+        passed = verify_sosp(ri.objective, ri.poly, x,
+                             ri.eps_g, ri.eps_h, ri.L1).passed
+        assert (kind is StepKind.TERMINAL) == passed
+        assert (ri.neighbor(x) == x) == passed
+        terminal.append(passed)
+    assert any(terminal) and not all(terminal)
+
+
+def test_improvement_check_evaluates_once_at_x():
+    """A grid point whose update is a gradient step costs three objective
+    calls: f at x for the potential, one full evaluation at x that both
+    decides and moves, and f at g(x)."""
+    calls = []
+    saddle = saddle_objective()
+
+    def counted(p):
+        calls.append(p)
+        return saddle(p)
+
+    eps = Fraction(1, 100)
+    ri = ReductionInstance(counted, Polytope.box((0, 0), (1, 1)), eps, eps, 2, 2, 1)
+    x = ri.round_point((Fraction(1, 4), Fraction(1, 3)))
+    assert snap_update(saddle, ri.poly, x, *saddle(x)[1:], eps, eps, 2, 1)[0] \
+        is StepKind.PGD
+    v = ri.improvement_check(x)
+    assert v.improved
+    assert calls == [x, x, v.g_x]
+
+
+@pytest.mark.parametrize("method", ["neighbor", "improvement_check"])
+def test_points_outside_the_polytope_are_rejected(saddle_ri, method):
+    with pytest.raises(ValueError):
+        getattr(saddle_ri, method)((Fraction(3, 2), Fraction(1, 2)))
 
 
 def test_improvement_c2_on_curvature_escape(saddle_ri):

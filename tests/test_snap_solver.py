@@ -173,6 +173,30 @@ def test_line_search_raises_on_contract_breach():
                     (Fraction(0), Fraction(1)), Fraction(1, 100), 1)
 
 
+@pytest.mark.parametrize("eps_h, L2", [(Fraction(1, 10**400), 1),
+                                       (Fraction(1, 100), 10**400)],
+                         ids=["eps_h-below-float", "L2-above-float"])
+def test_line_search_reaches_the_maximal_step_from_any_start(eps_h, L2):
+    """t doubles in rationals from eps_h/L2 to the ratio-test maximum,
+    however far below a double's range eps_h/L2 lies: f falls all along
+    d, so the search ends on the wall."""
+    poly = Polytope.box((0, 0), (1, 1))
+    y, hit_max, blockers = line_search(saddle_objective(), poly,
+                                       (Fraction(1, 2), Fraction(1, 2)),
+                                       (Fraction(0), Fraction(1)), eps_h, L2)
+    assert y == (Fraction(1, 2), Fraction(1)) and hit_max and blockers == (3,)
+
+
+@pytest.mark.parametrize("eps_h, L2", [(0, 1), (Fraction(-1, 100), 1),
+                                       (Fraction(1, 100), 0), (Fraction(1, 100), -1)])
+def test_line_search_needs_positive_constants(eps_h, L2):
+    """With eps_h <= 0 or L2 <= 0 the doubling would never reach t_max."""
+    poly = Polytope.box((0, 0), (1, 1))
+    with pytest.raises(ValueError):
+        line_search(saddle_objective(), poly, (Fraction(1, 2), Fraction(1, 2)),
+                    (Fraction(0), Fraction(1)), eps_h, L2)
+
+
 def test_snap_run_saddle_uses_negative_curvature():
     poly = Polytope.box((0, 0), (1, 1))
     obj = saddle_objective()

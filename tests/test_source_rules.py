@@ -22,6 +22,21 @@ def test_no_float_round_trip_to_rational():
     assert hits == []
 
 
+# A float() call on anything but the "inf" literal.
+FLOAT_CALL = re.compile(r'\bfloat\((?!"inf"\))')
+
+
+def test_exact_modules_make_no_float():
+    """The solver, the stationarity tests and the reduction hold rational
+    and high-precision values only: snap_solver.py, stationarity.py and
+    localopt_reduction.py call float() only to spell infinity."""
+    names = ("snap_solver.py", "stationarity.py", "localopt_reduction.py")
+    hits = [f"{name}:{lineno}" for name in names
+            for lineno, line in enumerate((SRC / name).read_text().splitlines(), 1)
+            if FLOAT_CALL.search(line)]
+    assert hits == []
+
+
 HP_BACKEND_IMPORT = re.compile(r"^\s*(import|from)\s+(mpmath|gmpy2)\b")
 
 
