@@ -10,7 +10,9 @@ rejection-sampled into the cut.  Each raw point is rounded onto the grid
 polytope, the grid point x, the verdict kind, g(x), p(x) and p(g(x)) as
 exact fractions.  The records carry no timings, so two checkouts that
 reduce alike write identical files, and a change to the reduction is
-checked with diff:
+checked with diff.  The reduction's gradient step now rounds the exact
+h(x) = pi_X(x - g/L1) rather than its 192-bit rounding, so these dumps
+differ from those of earlier commits only in g_x and p_gx:
 
     PYTHONPATH=src python scripts/dump_reduce.py before.json
     (switch checkout)

@@ -1,8 +1,8 @@
 """Potential/neighbor structure turning a constrained-SOSP instance into a
 local-search problem: potential p = f + w * dim(Null(A'(x))), neighbor
-g = Rounding of the SNAP update, whose terminal step is the SOSP verdict,
-and the improvement harness asserting that non-SOSP grid points strictly
-improve.
+g = Rounding of the SNAP update h(x) (exact for a gradient step), whose
+terminal step is the SOSP verdict, and the improvement harness asserting
+that non-SOSP grid points strictly improve.
 """
 
 from __future__ import annotations
@@ -87,16 +87,20 @@ class ReductionInstance:
     def dim_null(self, x) -> int:
         return active_set(self.poly, x).dim
 
-    def potential(self, x) -> Fraction:
-        """f(x) + weight * dim_null(x), exact at the rational value of f(x)."""
+    def _grid_weight(self, x) -> tuple[int, Fraction]:
+        """(dim_null(x), weight * dim_null(x)); ValueError off the grid."""
         if not self.on_grid(x):
             raise ValueError("potential is defined on grid points only")
-        return to_fraction(self.objective(x)[0]) + self.weight * self.dim_null(x)
+        dim = self.dim_null(x)
+        return dim, self.weight * dim
 
-    def _update(self, x) -> tuple:
-        """(kind, g(x)) from one full evaluation at x: the kind of h(x),
+    def potential(self, x) -> Fraction:
+        """f(x) + weight * dim_null(x), exact at the rational value of f(x)."""
+        return self._grid_weight(x)[1] + to_fraction(self.objective(x)[0])
+
+    def _update(self, x, grad, hess) -> tuple:
+        """(kind, g(x)) from the derivatives at x: the kind of h(x),
         TERMINAL exactly where verify_sosp passes, and x or Rounding(h(x))."""
-        _, grad, hess = self.objective(x)
         kind, y, _, _ = snap_update(self.objective, self.poly, x, grad, hess,
                                     self.eps_g, self.eps_h, self.L1, self.L2)
         if kind is StepKind.TERMINAL:
@@ -108,17 +112,19 @@ class ReductionInstance:
         ValueError if x lies outside the polytope."""
         if not self.poly.contains(x):
             raise ValueError("point lies outside the polytope")
-        return self._update(x)[1]
+        return self._update(x, *self.objective(x)[1:])[1]
 
     def improvement_check(self, x) -> Verdict:
         """Non-SOSP grid points must strictly decrease the potential."""
-        p_x = self.potential(x)  # ValueError off the grid or the polytope
-        kind, y = self._update(x)
+        dim_x, w_x = self._grid_weight(x)  # ValueError off the grid or the polytope
+        f, grad, hess = self.objective(x)  # for p(x) and the update
+        p_x = to_fraction(f) + w_x
+        kind, y = self._update(x, grad, hess)
         if kind is StepKind.TERMINAL:
             return Verdict("solution", tuple(x), y, p_x, p_x)
-        p_y = self.potential(y)
+        dim_y, w_y = self._grid_weight(y)
+        p_y = to_fraction(self.objective(y)[0]) + w_y
         if p_y < p_x:
-            kind = ("improved-C2"
-                    if self.dim_null(y) < self.dim_null(x) else "improved-C1")
+            kind = "improved-C2" if dim_y < dim_x else "improved-C1"
             return Verdict(kind, tuple(x), y, p_x, p_y)
         return Verdict("violation", tuple(x), y, p_x, p_y)

@@ -5,16 +5,16 @@ second-order stationary point of a smooth objective over a polytope.
 snap_update is the three-case update h(x); the local-search reduction
 rounds the same h(x) onto its grid.  Which case applies is decided exactly,
 by the tests verify_sosp makes, so the reduction reads the terminal step as
-its SOSP verdict.  High precision only moves the point: the step x - g/L,
-the curvature direction, the split probes and the line-search f values.
-Every iterate is rational and lies in the polytope exactly: a gradient step
-is the exact projection of the rational value of its high-precision step,
-and a line-search probe is x + t d formed in rationals, with t doubled up
-to the maximal t of an exact ratio test, so a maximal step ends exactly on
-its blocking rows.  The line-search f values, like the backtracking and
-split probes, are value-only reads (objective(x)[0]): an objective that
-computes f alone, as HardInstance.objective does, skips the derivatives
-there.
+its SOSP verdict, and a gradient step is the exact pi_X(x - g/L1) that the
+first-order test projects.  High precision only moves the point: snap_run's
+gradient steps (projected_step, which keeps iterates short), the curvature
+direction, the split probes and the line-search f values.  Every iterate is
+rational and lies in the polytope exactly: a line-search probe is x + t d
+formed in rationals, with t doubled up to the maximal t of an exact ratio
+test, so a maximal step ends exactly on its blocking rows.  The line-search
+f values, like the backtracking and split probes, are value-only reads
+(objective(x)[0]): an objective that computes f alone, as
+HardInstance.objective does, skips the derivatives there.
 
 snap_run's adaptive gradient step backtracks a local smoothness estimate,
 which along a narrow valley is set by the stiff curvature across it, so
@@ -251,13 +251,14 @@ def snap_update(objective: Callable, poly: Polytope, x, grad, hess, eps_g, eps_h
                 L1, L2):
     """One step h(x) of the three-case update from the evaluated derivatives.
 
-    Returns (kind, y, max_step, new_active): a projected gradient step
-    pi_X(x - grad/L1) while ||g_pi(x)|| > eps_G, else a line search along
-    the negative-curvature direction, else the terminal step y = x.
+    Returns (kind, y, max_step, new_active): the exact projected gradient
+    step pi_X(x - grad/L1) = x + g_pi/L1 while ||g_pi(x)|| > eps_G, else a
+    line search along the negative-curvature direction, else y = x.
     """
     gpi = proximal_gradient(x, grad, L1, poly)
     if sum(g * g for g in gpi) > to_fraction(eps_g) ** 2:
-        return StepKind.PGD, projected_step(poly, x, grad, L1), False, ()
+        y = tuple(to_fraction(c) + g / to_fraction(L1) for c, g in zip(x, gpi))
+        return StepKind.PGD, y, False, ()
     act = active_set(poly, x)
     direction = curvature_direction(grad, hess, act, eps_h)
     if direction is not None:
@@ -320,13 +321,15 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
             if cand is not None:
                 fy, y = cand
                 trace.split_accepted += 1
+        elif kind is StepKind.PGD:
+            y = projected_step(poly, x, grad, L1)  # keeps the iterate short
+            fy = _fval(counted, y)
+            move = _dist(y, x)
+            shortfall = fy > fx - L1_h * move * move / 18
+            if fy > fx:
+                raise SnapViolation("pgd", "projected gradient step increased f")
         else:
             fy = _fval(counted, y)
-            if kind is StepKind.PGD:
-                move = _dist(y, x)
-                shortfall = fy > fx - L1_h * move * move / 18
-                if fy > fx:
-                    raise SnapViolation("pgd", "projected gradient step increased f")
         trace.steps.append(SnapStep(kind, x, y, fx - fy, max_step=hit_max,
                                     new_active=blockers,
                                     decrease_shortfall=shortfall))

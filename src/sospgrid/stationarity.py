@@ -17,10 +17,10 @@ of the rows active at x; the projection onto a polytope without box bounds
 and polytope_lattice's lattices read the same frames.  Second order reads
 one matrix, R = B^T H B, with k = dim <= 2 (every objective of the package
 is 2-D), and decides it in closed form.  High precision only moves points:
-projected_step rounds x - g/L in high precision and projects its exact
-rational value, and the eigenpairs of R (exact for k = 1, closed form for
-k = 2) give the solver its curvature direction and the report its
-lambda_min.
+projected_step (snap_run's step; the exact pi_X(x - g/L) is x + g_pi/L)
+projects the exact value of x - g/L rounded in high precision, and the
+eigenpairs of R (exact for k = 1, closed form for k = 2) give the solver
+its curvature direction and the report its lambda_min.
 """
 
 from __future__ import annotations
@@ -231,9 +231,8 @@ def _project_general(poly: Polytope, w: list[Fraction]) -> list[Fraction]:
 
 
 def projected_step(poly: Polytope, x, g, L) -> tuple:
-    """pi_X(x - g/L): the step is computed in high precision and its exact
-    rational value is projected exactly, so the result lies in the polytope
-    exactly."""
+    """pi_X(x - g/L), with x - g/L rounded in high precision and then
+    projected exactly: in the polytope exactly, with short denominators."""
     return project(poly, (hp(c) - hp(gi) / hp(L) for c, gi in zip(x, g)))
 
 
@@ -252,8 +251,8 @@ def tangent_hessian(H, basis) -> list[list[Fraction]]:
     H = [[to_fraction(v) for v in row] for row in H]
     if any(H[i][j] != H[j][i] for i in range(len(H)) for j in range(i)):
         raise ValueError("Hessian must be symmetric")
-    HB = [[sum(h * c for h, c in zip(row, b)) for row in H] for b in basis]
-    return [[sum(a * c for a, c in zip(bi, hbj)) for hbj in HB] for bi in basis]
+    HB = [[sum(h * c for h, c in zip(row, b) if c) for row in H] for b in basis]
+    return [[sum(a * c for a, c in zip(bi, hbj) if a) for hbj in HB] for bi in basis]
 
 
 def eigen_2x2(a, b, c):

@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+from sospgrid import localopt_reduction, snap_solver
 from sospgrid._precision import to_fraction
 from sospgrid.localopt_reduction import ReductionInstance, Verdict
 from sospgrid.snap_solver import StepKind, snap_run, snap_update
-from sospgrid.stationarity import Polytope, verify_sosp
+from sospgrid.stationarity import Polytope, proximal_gradient, verify_sosp
 
 
 def saddle_objective():
@@ -191,25 +192,58 @@ def test_terminal_step_is_the_sosp_verdict(case, request):
     assert any(terminal) and not all(terminal)
 
 
-def test_improvement_check_evaluates_once_at_x():
-    """A grid point whose update is a gradient step costs three objective
-    calls: f at x for the potential, one full evaluation at x that both
-    decides and moves, and f at g(x)."""
-    calls = []
+def test_improvement_check_evaluates_once_at_x(monkeypatch):
+    """A grid point whose update is a gradient step costs two objective
+    calls, one full evaluation at x that gives p(x), decides and moves, and
+    f at g(x); and two active sets, one at x and one at g(x)."""
+    calls, frames = [], []
     saddle = saddle_objective()
 
     def counted(p):
         calls.append(p)
         return saddle(p)
 
+    for module in (localopt_reduction, snap_solver):
+        def framed(poly, x, active_set=module.active_set):
+            frames.append(tuple(x))
+            return active_set(poly, x)
+
+        monkeypatch.setattr(module, "active_set", framed)
     eps = Fraction(1, 100)
     ri = ReductionInstance(counted, Polytope.box((0, 0), (1, 1)), eps, eps, 2, 2, 1)
     x = ri.round_point((Fraction(1, 4), Fraction(1, 3)))
     assert snap_update(saddle, ri.poly, x, *saddle(x)[1:], eps, eps, 2, 1)[0] \
         is StepKind.PGD
+    frames.clear()
     v = ri.improvement_check(x)
     assert v.improved
-    assert calls == [x, x, v.g_x]
+    assert calls == [x, v.g_x]
+    assert frames == [x, v.g_x]
+
+
+@pytest.mark.parametrize("case", ["saddle", "hard-box", "hard-cut"])
+def test_gradient_step_rounds_the_exact_projection(case, request):
+    """At a gradient-step grid point, h(x) is the exact pi_X(x - g/L1) =
+    x + g_pi/L1 that the first-order test projects, and g(x) is its
+    rounding."""
+    if case == "saddle":
+        ri, extra = request.getfixturevalue("saddle_ri"), []
+    else:
+        ri, end = request.getfixturevalue("hard_ris")[case.removeprefix("hard-")]
+        extra = [end]
+    steps = 0
+    for x in grid_points(ri, 0, 1, extra, count=8):
+        _, grad, hess = ri.objective(x)
+        kind, y, _, _ = snap_update(ri.objective, ri.poly, x, grad, hess,
+                                    ri.eps_g, ri.eps_h, ri.L1, ri.L2)
+        if kind is not StepKind.PGD:
+            continue
+        steps += 1
+        gpi = proximal_gradient(x, grad, ri.L1, ri.poly)
+        exact = tuple(c + g / ri.L1 for c, g in zip(x, gpi))
+        assert y == exact
+        assert ri.neighbor(x) == ri.round_point(exact)
+    assert steps > 0
 
 
 @pytest.mark.parametrize("method", ["neighbor", "improvement_check"])

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from sospgrid import snap_solver
 from sospgrid._precision import to_fraction
 from sospgrid.hard_instance import build
 from sospgrid.iter_problems import IterInstance
@@ -369,6 +370,31 @@ def test_trace_counts_its_work(adaptive):
         assert counts["decrease_shortfalls"] == 0
     else:
         assert counts["split_tried"] == counts["backtrack_probes"] == 0
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_high_precision_step_only_where_an_iterate_takes_it(adaptive,
+                                                            monkeypatch):
+    """snap_update's gradient step is exact, so projected_step runs only
+    where snap_run moves: once per backtracking probe of an adaptive run,
+    once per gradient step of a fixed one."""
+    calls = 0
+    step = snap_solver.projected_step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(snap_solver, "projected_step", counted)
+    poly = Polytope.box((-2, -2), (2, 2)).with_cut((1, 1), Fraction(1, 2))
+    eps = Fraction(1, 100)
+    trace = snap_run(quartic_objective(), poly, (Fraction(1, 5), Fraction(-3, 2)),
+                     eps, eps, 11, 12, max_iter=2000, adaptive=adaptive)
+    assert trace.converged
+    pgd = trace.counts()["steps"][StepKind.PGD.value]
+    assert pgd > 0
+    assert calls == (trace.backtrack_probes if adaptive else pgd)
 
 
 def test_value_only_reads_change_no_trajectory():
