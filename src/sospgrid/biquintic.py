@@ -4,9 +4,9 @@ Each unit cell Box(a, b) gets a polynomial sum_ij c_ij (x-a)^i (y-b)^j whose
 value, first derivative, and pure second derivative match the corner data at
 all four corners (mixed corner derivatives are exactly zero).  A patch is
 its coefficient matrix C = A^-1 V (A^-1)^T held as integers: K over the
-least common denominator D.  It is solved in integers, since 2 A^-1 is an
-integer matrix: with V scaled to integers by the common denominator d of
-its entries, (2 A^-1) (d V) (2 A^-1)^T is C times 4 d.
+least common denominator D.  It is solved in integers, since 2 A^-1 is the
+integer matrix A_INV2: with V scaled to integers by the common denominator
+d of its entries, (2 A^-1) (d V) (2 A^-1)^T is C times 4 d.
 
 One evaluation path serves every caller.  A grid of rational offsets p/q
 becomes integer power rows scaled by q^5, and the value, gradient and
@@ -43,30 +43,16 @@ A_MATRIX = (
     (0, 0, 2, 6, 12, 20),
 )
 
-
-def _solve_frac(M, R) -> list[list[Fraction]] | None:
-    """Solve M Z = R exactly for the matrix Z (Gauss-Jordan; R is given by
-    rows, so R = I gives the inverse); None if M is singular."""
-    n = len(M)
-    aug = [list(row) + list(rhs) for row, rhs in zip(M, R)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n:] for r in range(n)]
-
-
-A_INV = tuple(map(tuple, _solve_frac(
-    A_MATRIX, [[int(i == j) for j in range(6)] for i in range(6)])))
 # 2 A^-1, an integer matrix: A^-1 has denominator 2.
-A_INV2 = tuple(tuple(int(2 * c) for c in row) for row in A_INV)
+A_INV2 = (
+    (2, 0, 0, 0, 0, 0),
+    (0, 0, 2, 0, 0, 0),
+    (0, 0, 0, 0, 1, 0),
+    (-20, 20, -12, -8, -3, 1),
+    (30, -30, 16, 14, 3, -2),
+    (-12, 12, -6, -6, -1, 1),
+)
+A_INV = tuple(tuple(Fraction(c, 2) for c in row) for row in A_INV2)
 
 
 CornerBlock = tuple[tuple[Fraction, ...], ...]

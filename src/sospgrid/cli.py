@@ -9,6 +9,7 @@ arithmetic runs at the fixed 192 bits of _precision; no subcommand sets it.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 import time
@@ -45,11 +46,21 @@ def _load(path: str) -> IterInstance:
 def _parse_number(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError:
-        try:
-            return Fraction(float(text))
-        except (OverflowError, ValueError) as exc:
-            raise click.UsageError(f"cannot parse number {text!r}: {exc}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.UsageError(f"cannot parse number {text!r}: {exc}")
+
+
+def _finite(ctx, param, value: float) -> float:
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
+def _eps_option(name: str, default: float, steps: bool):
+    """A finite eps >= 0, and > 0 for a command that steps (its line search
+    or grid needs it); click.FloatRange alone lets nan and inf through."""
+    return click.option(name, type=click.FloatRange(min=0, min_open=steps),
+                        callback=_finite, default=default, show_default=True)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -94,8 +105,8 @@ def gen(instance: str, scale: str, out: str | None) -> None:
               default="unit", show_default=True)
 @click.option("-x", "x_text", required=True)
 @click.option("-y", "y_text", required=True)
-@click.option("--eps-g", type=float, default=1e-4, show_default=True)
-@click.option("--eps-h", type=float, default=1e-4, show_default=True)
+@_eps_option("--eps-g", 1e-4, steps=False)
+@_eps_option("--eps-h", 1e-4, steps=False)
 @click.option("--exact/--float", "exact", default=False, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def verify(instance, scale, x_text, y_text, eps_g, eps_h, exact, out) -> None:
@@ -189,8 +200,8 @@ def render(instance: str, out: str) -> None:
 @click.option("--instance", required=True, type=click.Path(exists=True))
 @click.option("--scale", type=click.Choice(["unit", "moderate", "aggressive"]),
               default="moderate", show_default=True)
-@click.option("--eps-g", type=float, default=1e-2, show_default=True)
-@click.option("--eps-h", type=float, default=1e-2, show_default=True)
+@_eps_option("--eps-g", 1e-2, steps=True)
+@_eps_option("--eps-h", 1e-2, steps=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-iter", type=int, default=20000, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -246,8 +257,8 @@ def _reduction_bowl(dim: int):
 @click.option("--dim", type=click.IntRange(1, 2), default=2, show_default=True,
               help="Dimension of the bowl; curvature is computed on null "
                    "spaces of dimension <= 2.")
-@click.option("--eps-g", type=float, default=1e-2, show_default=True)
-@click.option("--eps-h", type=float, default=1e-2, show_default=True)
+@_eps_option("--eps-g", 1e-2, steps=True)
+@_eps_option("--eps-h", 1e-2, steps=True)
 @click.option("--samples", type=int, default=200, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -292,6 +303,10 @@ def classify(instance, cell_a, cell_b, certify, resolution, out) -> None:
     inst = _load(instance)
     if (cell_a is None) != (cell_b is None):
         raise click.UsageError("-a and -b must be given together")
+    N = GridGeometry(inst.n).N
+    if cell_a is not None and not (0 <= cell_a < N and 0 <= cell_b < N):
+        raise click.UsageError(
+            f"cell ({cell_a}, {cell_b}) outside [0, {N - 1}]^2")
     try:
         if cell_a is not None:
             h = build(inst, ScaleMode.UNIT)
@@ -313,8 +328,7 @@ def classify(instance, cell_a, cell_b, certify, resolution, out) -> None:
         counts: dict[str, int] = {}
         for label in labels.values():
             counts[label.kind] = counts.get(label.kind, 0) + 1
-        _emit({"n": inst.n, "N": GridGeometry(inst.n).N, "counts": counts},
-              out)
+        _emit({"n": inst.n, "N": N, "counts": counts}, out)
     except ClassificationError as exc:
         click.echo(f"classification error: {exc}", err=True)
         sys.exit(1)

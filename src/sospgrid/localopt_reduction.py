@@ -2,7 +2,8 @@
 local-search problem: potential p = f + w * dim(Null(A'(x))), neighbor
 g = Rounding of the SNAP update h(x) (exact for a gradient step), whose
 terminal step is the SOSP verdict, and the improvement harness asserting
-that non-SOSP grid points strictly improve.
+that non-SOSP grid points strictly improve.  One active_set read per grid
+point gives dim(Null) and, off the box, the face lattice of the grid test.
 """
 
 from __future__ import annotations
@@ -74,11 +75,15 @@ class ReductionInstance:
         return y
 
     def on_grid(self, x) -> bool:
+        u = tuple(to_fraction(c) for c in x)
+        return self._on_grid(u, None if self.gamma is not None
+                             else active_set(self.poly, u))
+
+    def _on_grid(self, u, frame) -> bool:
+        """Off the box, the rational point u's face frame gives its lattice."""
         if self.gamma is not None:
             lo, _ = self.poly.box_bounds
-            return all((to_fraction(c) - a) % self.gamma == 0 for c, a in zip(x, lo))
-        u = tuple(to_fraction(c) for c in x)
-        frame = active_set(self.poly, u)
+            return all((c - a) % self.gamma == 0 for c, a in zip(u, lo))
         return all(coeff % step == 0 for coeff, step
                    in zip(frame.coords(u), lattice_steps(frame, self.delta)))
 
@@ -89,10 +94,11 @@ class ReductionInstance:
 
     def _grid_weight(self, x) -> tuple[int, Fraction]:
         """(dim_null(x), weight * dim_null(x)); ValueError off the grid."""
-        if not self.on_grid(x):
+        u = tuple(to_fraction(c) for c in x)
+        frame = active_set(self.poly, u)
+        if not self._on_grid(u, frame):
             raise ValueError("potential is defined on grid points only")
-        dim = self.dim_null(x)
-        return dim, self.weight * dim
+        return frame.dim, self.weight * frame.dim
 
     def potential(self, x) -> Fraction:
         """f(x) + weight * dim_null(x), exact at the rational value of f(x)."""

@@ -4,7 +4,7 @@ with its active-set / feasibility / distance guarantees.
 
 The lattice of face I is x_ref + sum_k (delta / nu_k) Z v_k on the face's
 stationarity.face_frame, the frame the active set reads too, with the
-rational nu_k >= ||v_k|| of lattice_steps.
+rational nu_k >= ||v_k|| of lattice_steps; at a vertex it is the vertex.
 """
 
 from __future__ import annotations
@@ -92,22 +92,18 @@ def _round_to_multiple(c: Fraction, step: Fraction) -> Fraction:
 
 
 def map_to_grid(poly: Polytope, x, delta) -> tuple[tuple, RoundingCertificate]:
-    """Round x onto the lattice of its face, ray-shooting on exit (exact)."""
+    """Round x onto the lattice of its face, ray-shooting on exit (exact);
+    ValueError if x is infeasible."""
     delta = to_fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
     x0 = tuple(to_fraction(c) for c in x)
-    if not poly.contains(x0):
-        raise ValueError("point is not feasible")
     d = poly.d
     cur = x0
     bounces: list[tuple[int, Fraction]] = []
     dists: list[Fraction] = []
     for _ in range(d + 1):
-        frame = active_set(poly, cur)
-        if frame.dim == 0:
-            y = frame.x_ref
-            break
+        frame = active_set(poly, cur)  # ValueError at an infeasible start
         target = list(frame.x_ref)
         for coeff, v, step in zip(frame.coords(cur), frame.basis,
                                   lattice_steps(frame, delta)):

@@ -6,7 +6,9 @@ snap_update is the three-case update h(x); the local-search reduction
 rounds the same h(x) onto its grid.  Which case applies is decided exactly,
 by the tests verify_sosp makes, so the reduction reads the terminal step as
 its SOSP verdict, and a gradient step is the exact pi_X(x - g/L1) that the
-first-order test projects.  High precision only moves the point: snap_run's
+first-order test projects; snap_run passes it the objective's own
+derivatives, so it stops exactly where verify_sosp(..., exact=True) passes
+on an exact objective.  High precision only moves the point: snap_run's
 gradient steps (projected_step, which keeps iterates short), the curvature
 direction, the split probes and the line-search f values.  Every iterate is
 rational and lies in the polytope exactly: a line-search probe is x + t d
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from sospgrid._precision import hp, hp_sqrt, to_fraction
+from sospgrid._precision import hp, to_fraction
 from sospgrid.stationarity import (
     FaceFrame,
     Polytope,
@@ -127,10 +129,9 @@ def _fracvec(x) -> tuple:
     return tuple(to_fraction(c) for c in x)
 
 
-def _dist(y, x):
-    """||y - x|| in high precision."""
-    diff = [hp(a) - hp(b) for a, b in zip(y, x)]
-    return hp_sqrt(sum(c * c for c in diff))
+def _dist_sq(y, x):
+    """||y - x||^2 in high precision."""
+    return sum((hp(a) - hp(b)) ** 2 for a, b in zip(y, x))
 
 
 def _fval(objective: Callable, x):
@@ -295,7 +296,7 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
     for _ in range(max_iter):
         trace.iterations += 1
         fx, grad, hess = counted(x)
-        fx, grad = hp(fx), _hpvec(grad)
+        fx = hp(fx)
         kind, y, hit_max, blockers = snap_update(counted, poly, x, grad, hess,
                                                  eps_g, eps_h, L1, L2)
         if kind is StepKind.TERMINAL:
@@ -305,10 +306,9 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
         if kind is StepKind.PGD and adaptive:
             for _ in range(200):
                 y = projected_step(poly, x, grad, L_hat)
-                move = _dist(y, x)
                 fy = _fval(counted, y)
                 trace.backtrack_probes += 1
-                if fy <= fx - L_hat * move * move / 18:
+                if fy <= fx - L_hat * _dist_sq(y, x) / 18:
                     break
                 L_hat = 2 * L_hat
             else:
@@ -324,8 +324,7 @@ def snap_run(objective: Callable, poly: Polytope, x0, eps_g, eps_h, L1, L2,
         elif kind is StepKind.PGD:
             y = projected_step(poly, x, grad, L1)  # keeps the iterate short
             fy = _fval(counted, y)
-            move = _dist(y, x)
-            shortfall = fy > fx - L1_h * move * move / 18
+            shortfall = fy > fx - L1_h * _dist_sq(y, x) / 18
             if fy > fx:
                 raise SnapViolation("pgd", "projected gradient step increased f")
         else:

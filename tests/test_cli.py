@@ -119,6 +119,53 @@ def test_classify_requires_both_coordinates(runner, n1_file):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("cell", [("18", "0"), ("0", "18"), ("-1", "9")])
+@pytest.mark.parametrize("certify", [False, True])
+def test_classify_rejects_a_cell_outside_the_grid(runner, n1_file, cell, certify):
+    """The n = 1 instance has cells 0-17 on each axis."""
+    args = ["classify", "--instance", str(n1_file), "-a", cell[0], "-b", cell[1]]
+    res = runner.invoke(main, args + ["--certify"] * certify)
+    assert res.exit_code == 2
+    assert "outside [0, 17]^2" in res.output
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("verify", "--eps-g", "nan"), ("verify", "--eps-h", "nan"),
+    ("verify", "--eps-g", "inf"), ("verify", "--eps-g", "-1"),
+    ("verify", "--eps-h", "-inf"),
+    ("solve", "--eps-g", "0"), ("solve", "--eps-h", "nan"),
+    ("solve", "--eps-h", "inf"), ("solve", "--eps-g", "-1e-2"),
+    ("reduce", "--eps-g", "0"), ("reduce", "--eps-g", "inf"),
+    ("reduce", "--eps-h", "nan"), ("reduce", "--eps-h", "-1"),
+])
+def test_invalid_eps_is_a_usage_error(runner, n1_file, command, option, value):
+    """eps must be finite and non-negative, and positive for the commands
+    that step, whose line search and grid need eps > 0."""
+    args = {"verify": ["verify", "--instance", str(n1_file), "-x", "1", "-y", "1"],
+            "solve": ["solve", "--instance", str(n1_file), "--max-iter", "1"],
+            "reduce": ["reduce", "--samples", "1"]}[command]
+    res = runner.invoke(main, args + [option, value])
+    assert res.exit_code == 2, res.output
+    assert option in res.output
+
+
+def test_verify_accepts_zero_eps(runner, n1_file):
+    """eps = 0 asks for an exact stationary point: a verdict, not a usage
+    error."""
+    res = runner.invoke(main, ["verify", "--instance", str(n1_file),
+                               "-x", "1", "-y", "1", "--eps-g", "0", "--eps-h", "0"])
+    assert res.exit_code in (0, 1)
+    assert json.loads(res.output)["eps_g"] == 0
+
+
+@pytest.mark.parametrize("text", ["inf", "nan", "1/0", "0x10"])
+def test_verify_rejects_a_number_that_is_not_rational(runner, n1_file, text):
+    res = runner.invoke(main, ["verify", "--instance", str(n1_file),
+                               "-x", text, "-y", "1"])
+    assert res.exit_code == 2
+    assert "cannot parse number" in res.output
+
+
 def test_reduce_contract_holds(runner):
     res = runner.invoke(main, ["reduce", "--dim", "2", "--samples", "50"])
     assert res.exit_code == 0

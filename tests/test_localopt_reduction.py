@@ -195,7 +195,9 @@ def test_terminal_step_is_the_sosp_verdict(case, request):
 def test_improvement_check_evaluates_once_at_x(monkeypatch):
     """A grid point whose update is a gradient step costs two objective
     calls, one full evaluation at x that gives p(x), decides and moves, and
-    f at g(x); and two active sets, one at x and one at g(x)."""
+    f at g(x); and two active sets, one at x and one at g(x), on the box and
+    on the box cut by x + y <= 3/2, where the face's frame gives both the
+    lattice and dim Null."""
     calls, frames = [], []
     saddle = saddle_objective()
 
@@ -210,15 +212,18 @@ def test_improvement_check_evaluates_once_at_x(monkeypatch):
 
         monkeypatch.setattr(module, "active_set", framed)
     eps = Fraction(1, 100)
-    ri = ReductionInstance(counted, Polytope.box((0, 0), (1, 1)), eps, eps, 2, 2, 1)
-    x = ri.round_point((Fraction(1, 4), Fraction(1, 3)))
-    assert snap_update(saddle, ri.poly, x, *saddle(x)[1:], eps, eps, 2, 1)[0] \
-        is StepKind.PGD
-    frames.clear()
-    v = ri.improvement_check(x)
-    assert v.improved
-    assert calls == [x, v.g_x]
-    assert frames == [x, v.g_x]
+    box = Polytope.box((0, 0), (1, 1))
+    for poly in (box, box.with_cut((1, 1), Fraction(3, 2))):
+        ri = ReductionInstance(counted, poly, eps, eps, 2, 2, 1)
+        x = ri.round_point((Fraction(1, 4), Fraction(1, 3)))
+        assert snap_update(saddle, ri.poly, x, *saddle(x)[1:], eps, eps, 2, 1)[0] \
+            is StepKind.PGD
+        calls.clear()
+        frames.clear()
+        v = ri.improvement_check(x)
+        assert v.improved
+        assert calls == [x, v.g_x]
+        assert frames == [x, v.g_x]
 
 
 @pytest.mark.parametrize("case", ["saddle", "hard-box", "hard-cut"])

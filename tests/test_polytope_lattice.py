@@ -130,6 +130,9 @@ def test_map_to_grid_rejects_bad_input():
     with pytest.raises(ValueError):
         map_to_grid(poly, (Fraction(2), Fraction(0)), Fraction(1, 10))
     with pytest.raises(ValueError):
+        map_to_grid(poly.with_cut((1, 1), Fraction(3, 2)), (Fraction(1), Fraction(1)),
+                    Fraction(1, 10))
+    with pytest.raises(ValueError):
         map_to_grid(poly, (Fraction(1, 2), Fraction(1, 2)), 0)
 
 
@@ -157,6 +160,29 @@ def test_map_to_grid_fixed_point_for_lattice_points():
     x = (Fraction(3, 8), Fraction(5, 8))
     y, cert = map_to_grid(poly, x, delta)
     assert y == x and cert.bounce_count == 0
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["box-corner", "cut-vertex"])
+def test_map_to_grid_returns_a_vertex_with_one_read(cut, monkeypatch):
+    """At a vertex the face's lattice is the vertex itself: map_to_grid
+    returns its start without a bounce, from a single read of the slacks."""
+    poly = Polytope.box((0, 0), (1, 1))
+    x = (Fraction(0), Fraction(1))
+    if cut:
+        poly = poly.with_cut((1, 1), Fraction(3, 2))
+        x = (Fraction(1), Fraction(1, 2))
+    reads = 0
+    slacks = Polytope.slacks
+
+    def counted(self, p):
+        nonlocal reads
+        reads += 1
+        return slacks(self, p)
+
+    monkeypatch.setattr(Polytope, "slacks", counted)
+    y, cert = map_to_grid(poly, x, Fraction(1, 7))
+    assert y == x and cert.bounce_count == 0 and cert.step_dist_sq == ()
+    assert reads == 1
 
 
 def test_map_to_grid_half_ties_round_down():

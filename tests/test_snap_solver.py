@@ -272,6 +272,26 @@ def test_snap_run_terminal_step_at_sosp_start():
     assert trace.final_report is not None and trace.final_report.passed
 
 
+def test_snap_run_decides_on_the_exact_derivatives():
+    """An exact objective is decided at its own derivatives, as verify_sosp
+    decides: f = x/10 + (y - 1/2)^2 at (1/2, 1/2) has ||g_pi|| = 1/10 =
+    eps_G exactly, so the start is an SOSP, while the 192-bit rounding of
+    1/10 lies above it and would take gradient steps away."""
+    half, tenth = Fraction(1, 2), Fraction(1, 10)
+
+    def obj(p):
+        x, y = p
+        return x / 10 + (y - half) ** 2, (tenth, 2 * (y - half)), ((0, 0), (0, 2))
+
+    poly = Polytope.box((0, 0), (1, 1))
+    x0 = (half, half)
+    report = verify_sosp(obj, poly, x0, tenth, tenth, 4, exact=True)
+    trace = snap_run(obj, poly, x0, tenth, tenth, 4, 1)
+    assert trace.iterations == 1
+    assert [(s.kind, s.dst) for s in trace.steps] == [(StepKind.TERMINAL, x0)]
+    assert report.passed and trace.converged
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_snap_run_refuses_a_polytope_that_is_not_2d(d):
     """The split step reads a 2x2 Hessian, so a run on any other dimension

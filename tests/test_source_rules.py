@@ -13,10 +13,10 @@ FLOAT_TO_RATIONAL = re.compile(r"(Fraction|_frac|to_fraction)\(float\(")
 
 def test_no_float_round_trip_to_rational():
     """High-precision values become rational only through to_fraction, which
-    is exact.  cli.py is exempt: it parses user text, where a float literal
-    is the input."""
+    is exact, and user text only through Fraction(text), which parses every
+    decimal, exponent and p/q form."""
     hits = [f"{path.name}:{lineno}"
-            for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+            for path in sorted(SRC.glob("*.py"))
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if FLOAT_TO_RATIONAL.search(line)]
     assert hits == []
