@@ -127,8 +127,7 @@ def verify(instance, scale, x_text, y_text, eps_g, eps_h, exact, out) -> None:
         "eps_g": eps_g,
         "eps_h": eps_h,
         "gpi_norm": str(report.gpi_norm),
-        "lambda_min": (None if report.lambda_min is None
-                       else str(report.lambda_min)),
+        "lambda_min": str(report.lambda_min),
         "active": list(report.active_indices),
         "first_order": report.pass_first,
         "second_order": report.pass_second,

@@ -20,15 +20,19 @@ is 2-D), and decides it in closed form.  High precision only moves points:
 projected_step (snap_run's step; the exact pi_X(x - g/L) is x + g_pi/L)
 projects the exact value of x - g/L rounded in high precision, and the
 eigenpairs of R (exact for k = 1, closed form for k = 2) give the solver
-its curvature direction and the report its lambda_min.
+its curvature direction and the report its lambda_min.  The report's two
+high-precision figures, lambda_min and ||g_pi||, decide nothing, so they
+are computed when first read, from the exact ||g_pi||^2 and R that the
+verdict already holds.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from sospgrid._precision import hp, hp_sqrt, to_fraction
@@ -41,8 +45,7 @@ class Polytope:
     A and b are, and the hash of (A, b) is taken once, at construction:
     the face-frame cache looks polytopes up by it."""
 
-    def __init__(self, A: Sequence[Sequence], b: Sequence,
-                 box_bounds: Optional[tuple[tuple, tuple]] = None):
+    def __init__(self, A: Sequence[Sequence], b: Sequence):
         self.A = tuple(tuple(to_fraction(v) for v in row) for row in A)
         self.b = tuple(to_fraction(v) for v in b)
         if len(self.A) != len(self.b):
@@ -52,12 +55,8 @@ class Polytope:
         self.d = len(self.A[0])
         self.m = len(self.A)
         self._hash = hash((self.A, self.b))
-        if box_bounds is not None:
-            lo, hi = box_bounds
-            self.box_bounds = (tuple(to_fraction(v) for v in lo),
-                               tuple(to_fraction(v) for v in hi))
-        else:
-            self.box_bounds = None
+        # (lo, hi), set only by Polytope.box, whose rows it builds from them
+        self.box_bounds: Optional[tuple[tuple, tuple]] = None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polytope) and self._hash == other._hash
@@ -84,16 +83,23 @@ class Polytope:
             row[i] = Fraction(1)
             A.append(row)
             b.append(hi[i])
-        return cls(A, b, box_bounds=(lo, hi))
+        poly = cls(A, b)
+        poly.box_bounds = (tuple(lo), tuple(hi))
+        return poly
 
     def with_cut(self, row: Sequence, rhs) -> "Polytope":
         """New polytope with one extra half-space a.x <= rhs."""
         return Polytope(list(self.A) + [list(row)], list(self.b) + [rhs])
 
     def slacks(self, x) -> tuple[Fraction, ...]:
-        """b - Ax, exact at the rational value of x (zero entries of A, most
-        of a box row, are skipped)."""
+        """b - Ax, exact at the rational value of x.  A box reads its
+        bounds, in the order of its rows: x - lo, then hi - x; otherwise
+        zero entries of A are skipped."""
         x = [to_fraction(c) for c in x]
+        if self.box_bounds is not None:
+            lo, hi = self.box_bounds
+            return (tuple(c - l for c, l in zip(x, lo))
+                    + tuple(h - c for c, h in zip(x, hi)))
         return tuple(bj - sum(a * c for a, c in zip(row, x) if a)
                      for row, bj in zip(self.A, self.b))
 
@@ -247,10 +253,14 @@ def proximal_gradient(x, grad, L1, poly: Polytope) -> tuple:
 
 def tangent_hessian(H, basis) -> list[list[Fraction]]:
     """R = B^T H B, the Hessian restricted to the frame B (rows of basis),
-    exact at the rational value of H; ValueError unless H is symmetric."""
+    exact at the rational value of H; ValueError unless H is symmetric.  On
+    a frame of the unit vectors (every interior point) R is H itself."""
     H = [[to_fraction(v) for v in row] for row in H]
     if any(H[i][j] != H[j][i] for i in range(len(H)) for j in range(i)):
         raise ValueError("Hessian must be symmetric")
+    if len(basis) == len(H) and all(
+            all(c == int(i == j) for j, c in enumerate(b)) for i, b in enumerate(basis)):
+        return H
     HB = [[sum(h * c for h, c in zip(row, b) if c) for row in H] for b in basis]
     return [[sum(a * c for a, c in zip(bi, hbj) if a) for hbj in HB] for bi in basis]
 
@@ -281,21 +291,27 @@ def projected_hessian_min_eig(R, basis, norms_sq):
 
     (+inf, None) for an empty frame.  For one vector b, lambda = R/||b||^2,
     computed exactly and rounded once, and v = b/||b||.  For two, the
-    eigenpair of D^-1/2 R D^-1/2 with D = diag(norms_sq).  ValueError for a
-    frame of three or more vectors.
+    eigenpair of D^-1/2 R D^-1/2 with D = diag(norms_sq).  A vector of norm
+    1 (all of a box's frames) takes no square root and no division by it:
+    both are exact there.  ValueError for a frame of three or more vectors.
     """
     if not basis:
         return INF, None
     if len(basis) > 2:
         raise ValueError("curvature is computed on null spaces of dimension <= 2")
-    roots = [hp_sqrt(hp(nsq)) for nsq in norms_sq]
+    roots = [None if nsq == 1 else hp_sqrt(hp(nsq)) for nsq in norms_sq]
+
+    def unit(value, root):
+        return value if root is None else value / root
+
     if len(basis) == 1:
         return (hp(R[0][0] / norms_sq[0]),
-                tuple(hp(c) / roots[0] for c in basis[0]))
+                tuple(unit(hp(c), roots[0]) for c in basis[0]))
     n0, n1 = norms_sq
-    _, (lam, u) = eigen_2x2(R[0][0] / n0, hp(R[0][1]) / (roots[0] * roots[1]),
-                            R[1][1] / n1)
-    return lam, tuple(u[0] * hp(a) / roots[0] + u[1] * hp(c) / roots[1]
+    kept = [r for r in roots if r is not None]
+    off = hp(R[0][1]) / math.prod(kept) if kept else hp(R[0][1])
+    _, (lam, u) = eigen_2x2(R[0][0] / n0, off, R[1][1] / n1)
+    return lam, tuple(unit(u[0] * hp(a), roots[0]) + unit(u[1] * hp(c), roots[1])
                       for a, c in zip(*basis))
 
 
@@ -316,16 +332,34 @@ def psd_on_tangent(R, norms_sq, eps) -> bool:
 
 @dataclass(frozen=True)
 class SospReport:
+    """The verdict of verify_sosp at x, with what it was decided from: the
+    exact ||g_pi||^2 and R = B^T H B on the active frame.  gpi_norm and
+    lambda_min are high-precision figures of the verdict that decide
+    nothing; each is computed when first read."""
     x: tuple
-    gpi_norm: object
-    lambda_min: object
     pass_first: bool
     pass_second: bool
-    active_indices: tuple[int, ...]
+    gpi_sq: Fraction
+    R: tuple
+    frame: FaceFrame
 
     @property
     def passed(self) -> bool:
         return self.pass_first and self.pass_second
+
+    @property
+    def active_indices(self) -> tuple[int, ...]:
+        return self.frame.indices
+
+    @cached_property
+    def gpi_norm(self):
+        return hp_sqrt(hp(self.gpi_sq))
+
+    @cached_property
+    def lambda_min(self):
+        lam, _ = projected_hessian_min_eig(self.R, self.frame.basis,
+                                           self.frame.norms_sq)
+        return lam
 
 
 def verify_sosp(objective: Callable, poly: Polytope, x, eps_g, eps_h, L1,
@@ -335,7 +369,8 @@ def verify_sosp(objective: Callable, poly: Polytope, x, eps_g, eps_h, L1,
     objective(x) must return (f, grad, hess).  Both orders are decided
     exactly at the rational values of x and of the derivatives:
     ||g_pi||^2 <= eps_G^2, and y^T H y >= -eps_H ||y||^2 on the active null
-    space.  lambda_min is reported (high precision) but decides nothing.
+    space.  The report's gpi_norm and lambda_min (high precision) decide
+    nothing and are computed only when read.
     With exact=True the derivatives must be rational, so that the verdict is
     a statement about f itself; TypeError otherwise.
     """
@@ -346,9 +381,7 @@ def verify_sosp(objective: Callable, poly: Polytope, x, eps_g, eps_h, L1,
         raise TypeError("exact=True needs rational derivatives")
     gpi = proximal_gradient(x, grad, L1, poly)
     R = tangent_hessian(hess, act.basis)
-    lam, _ = projected_hessian_min_eig(R, act.basis, act.norms_sq)
     sq = sum(g * g for g in gpi)
-    return SospReport(x=tuple(x), gpi_norm=hp_sqrt(hp(sq)), lambda_min=lam,
-                      pass_first=sq <= to_fraction(eps_g) ** 2,
+    return SospReport(x=tuple(x), pass_first=sq <= to_fraction(eps_g) ** 2,
                       pass_second=psd_on_tangent(R, act.norms_sq, eps_h),
-                      active_indices=act.indices)
+                      gpi_sq=sq, R=tuple(map(tuple, R)), frame=act)

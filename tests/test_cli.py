@@ -53,6 +53,17 @@ def test_verify_non_sosp_exits_one(runner, n1_file):
     assert payload["passed"] is False
 
 
+@pytest.mark.parametrize("exact", ["--exact", "--float"])
+def test_verify_at_a_corner_reports_no_curvature(runner, n1_file, exact):
+    """At a corner of the box both walls are active and the null space is
+    {0}: lambda_min is +inf, printed as "inf"."""
+    res = runner.invoke(main, ["verify", "--instance", str(n1_file), exact,
+                               "-x", "0", "-y", "0"])
+    payload = json.loads(res.output)
+    assert payload["lambda_min"] == "inf" and payload["active"] == [0, 1]
+    assert payload["second_order"] is True
+
+
 def test_render_is_byte_stable(runner, n1_file, tmp_path, inst_n1):
     out1, out2 = tmp_path / "a.svg", tmp_path / "b.svg"
     r1 = runner.invoke(main, ["render", "--instance", str(n1_file),

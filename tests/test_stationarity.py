@@ -9,8 +9,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from sospgrid._precision import hp, to_fraction
+from sospgrid import stationarity
+from sospgrid._precision import hp, hp_sqrt, to_fraction
 from sospgrid.stationarity import (
     Polytope,
     active_set,
@@ -45,6 +47,38 @@ def test_box_membership_and_slack():
     assert poly.contains((0, 3))
     assert not poly.contains((-Fraction(1, 10**9), 0))
     assert poly.slacks((Fraction(1, 2), 0)) == (Fraction(1, 2), 0, Fraction(3, 2), 3)
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(small_rationals, st.fractions(0, 3, max_denominator=12)),
+             min_size=d, max_size=d),
+    st.lists(small_rationals, min_size=d, max_size=d))))
+@example(([(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(2))],
+          [Fraction(1, 2), Fraction(1)]))  # inside, on the second upper wall
+@example(([(Fraction(1, 3), Fraction(0))], [Fraction(1, 3)]))  # a point box
+def test_box_slacks_read_from_bounds_match_the_rows(case):
+    """A box's slacks come from its bounds; a polytope built from the same
+    rows has no bounds and reads them from (A, b).  The two give the same
+    slacks, active rows and violated row at points inside and outside."""
+    sides, x = case
+    lo = [l for l, _ in sides]
+    hi = [l + w for l, w in sides]
+    box = Polytope.box(lo, hi)
+    rows = Polytope(box.A, box.b)
+    assert box.box_bounds is not None and rows.box_bounds is None
+    assert box.slacks(x) == rows.slacks(x)
+    try:
+        active = rows.active_rows(x)
+    except ValueError as err:
+        with pytest.raises(ValueError) as box_err:
+            box.active_rows(x)
+        assert str(box_err.value) == str(err)
+    else:
+        assert box.active_rows(x) == active
 
 
 def test_projection_variational_inequality():
@@ -284,6 +318,61 @@ def test_projected_hessian_min_eig_rank_one_projector():
             assert abs(cross) <= mpmath.mpf(2) ** -176 * mpmath.sqrt(_mp(rr))
 
 
+def _min_eig_with_all_roots(R, basis, norms_sq):
+    """projected_hessian_min_eig's formula with a square root and a
+    division for every vector, also of norm 1."""
+    roots = [hp_sqrt(hp(nsq)) for nsq in norms_sq]
+    if len(basis) == 1:
+        return (hp(R[0][0] / norms_sq[0]),
+                tuple(hp(c) / roots[0] for c in basis[0]))
+    n0, n1 = norms_sq
+    _, (lam, u) = eigen_2x2(R[0][0] / n0, hp(R[0][1]) / (roots[0] * roots[1]),
+                            R[1][1] / n1)
+    return lam, tuple(u[0] * hp(a) / roots[0] + u[1] * hp(c) / roots[1]
+                      for a, c in zip(*basis))
+
+
+def _restricted(H, basis):
+    """B^T H B by its sums, with no shortcut for a frame of unit vectors."""
+    return [[sum(a * H[i][j] * c for i, a in enumerate(bi) for j, c in enumerate(bj))
+             for bj in basis] for bi in basis]
+
+
+def test_min_eig_without_roots_of_one_is_bit_identical():
+    """Skipping sqrt(1) and the divisions by it changes no bit of lambda
+    or v, on frames of unit vectors, of one unit vector and of vectors of
+    other norms."""
+    rng = random.Random(59)
+    frames = [((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+              ((Fraction(0), Fraction(1)),),
+              ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(3, 2))),
+              ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))),
+              ((Fraction(1), Fraction(2)), (Fraction(-2), Fraction(1))),
+              ((Fraction(1), Fraction(-1)),)]
+    for _ in range(50):
+        a, b, c = (Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
+                   for _ in range(3))
+        H = [[a, b], [b, c]]
+        for basis in frames:
+            norms_sq = tuple(sum(v * v for v in w) for w in basis)
+            R = tangent_hessian(H, basis)
+            assert R == _restricted(H, basis)
+            got = projected_hessian_min_eig(R, basis, norms_sq)
+            assert got == _min_eig_with_all_roots(R, basis, norms_sq)
+
+
+def test_tangent_hessian_on_unit_vectors_is_h():
+    """On a frame of the unit vectors R is the rational H itself; an
+    asymmetric H is still refused."""
+    units = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    H = [[hp(1) / 3, Fraction(2, 7)], [Fraction(2, 7), 5]]
+    R = tangent_hessian(H, units)
+    assert R == [[to_fraction(v) for v in row] for row in H] == _restricted(R, units)
+    assert all(isinstance(v, Fraction) for row in R for v in row)
+    with pytest.raises(ValueError):
+        tangent_hessian([[1, 2], [3, 4]], units)
+
+
 def test_psd_on_tangent_exact():
     frame = null_frame([[Fraction(1), Fraction(0)]], 2)
     basis, norms_sq = frame.basis, frame.norms_sq
@@ -449,3 +538,67 @@ def test_active_set_is_exact():
     assert active_set(poly, (Fraction(1, 10**60), Fraction(1, 2))).indices == ()
     with pytest.raises(ValueError):
         active_set(poly, (-Fraction(1, 10**60), Fraction(1, 2)))
+
+
+def _counting(monkeypatch, name, calls):
+    """Replace stationarity.<name> by a wrapper that counts its calls."""
+    original = getattr(stationarity, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(stationarity, name, counted)
+
+
+def test_report_figures_are_computed_when_read(monkeypatch):
+    """The verdict computes neither high-precision figure; the first read
+    of each computes it once, and later reads reuse it."""
+    calls = {"projected_hessian_min_eig": 0, "hp_sqrt": 0}
+    for name in calls:
+        _counting(monkeypatch, name, calls)
+    poly = Polytope.box((0, 0), (1, 1))
+    obj = quad_objective((Fraction(1, 3), Fraction(2, 3)), (1, -2))
+    rep = verify_sosp(obj, poly, (Fraction(1, 2), Fraction(1, 2)), 1, 1, 1)
+    assert rep.passed is False
+    assert calls == {"projected_hessian_min_eig": 0, "hp_sqrt": 0}
+    gpi_norm = rep.gpi_norm
+    assert calls == {"projected_hessian_min_eig": 0, "hp_sqrt": 1}
+    lam = rep.lambda_min
+    assert calls["projected_hessian_min_eig"] == 1
+    seen = dict(calls)
+    assert rep.gpi_norm is gpi_norm and rep.lambda_min is lam
+    assert calls == seen
+
+
+def test_report_figures_equal_the_eager_formulas():
+    """gpi_norm and lambda_min read from a report equal the figures formed
+    directly from g_pi and B^T H B, on box and cut points in the interior,
+    on a wall and at a vertex (where lambda_min is +inf)."""
+    rng = random.Random(61)
+    box = Polytope.box((0, 0), (1, 1))
+    cut = box.with_cut((1, 1), Fraction(3, 2))
+    points = [(box, (Fraction(1, 3), Fraction(1, 2))), (box, (Fraction(0), Fraction(2, 5))),
+              (box, (Fraction(1), Fraction(1))), (cut, (Fraction(1, 4), Fraction(1, 3))),
+              (cut, (Fraction(3, 4), Fraction(3, 4))), (cut, (Fraction(1), Fraction(1, 2)))]
+    for _ in range(20):
+        grad = tuple(Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 100))
+                     for _ in range(2))
+        a, b, c = (Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 100))
+                   for _ in range(3))
+        L1 = Fraction(rng.randrange(1, 10**3))
+
+        def obj(x):
+            return 0, grad, ((a, b), (b, c))
+
+        for poly, x in points:
+            rep = verify_sosp(obj, poly, x, 1, 1, L1)
+            act = active_set(poly, x)
+            gpi = proximal_gradient(x, grad, L1, poly)
+            assert rep.gpi_norm == hp_sqrt(hp(sum(g * g for g in gpi)))
+            if act.dim == 0:
+                assert rep.lambda_min == float("inf")
+            else:
+                R = _restricted([[a, b], [b, c]], act.basis)
+                lam, _ = _min_eig_with_all_roots(R, act.basis, act.norms_sq)
+                assert rep.lambda_min == lam
