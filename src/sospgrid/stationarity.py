@@ -29,7 +29,6 @@ verdict already holds.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -55,7 +54,8 @@ class Polytope:
         self.d = len(self.A[0])
         self.m = len(self.A)
         self._hash = hash((self.A, self.b))
-        # (lo, hi), set only by Polytope.box, whose rows it builds from them
+        # (lo, hi): by convention set only by Polytope.box, which builds the
+        # rows from them; slacks, project and the reduction trust it unchecked
         self.box_bounds: Optional[tuple[tuple, tuple]] = None
 
     def __eq__(self, other) -> bool:
@@ -291,27 +291,21 @@ def projected_hessian_min_eig(R, basis, norms_sq):
 
     (+inf, None) for an empty frame.  For one vector b, lambda = R/||b||^2,
     computed exactly and rounded once, and v = b/||b||.  For two, the
-    eigenpair of D^-1/2 R D^-1/2 with D = diag(norms_sq).  A vector of norm
-    1 (all of a box's frames) takes no square root and no division by it:
-    both are exact there.  ValueError for a frame of three or more vectors.
+    eigenpair of D^-1/2 R D^-1/2 with D = diag(norms_sq).  ValueError for a
+    frame of three or more vectors.
     """
     if not basis:
         return INF, None
     if len(basis) > 2:
         raise ValueError("curvature is computed on null spaces of dimension <= 2")
-    roots = [None if nsq == 1 else hp_sqrt(hp(nsq)) for nsq in norms_sq]
-
-    def unit(value, root):
-        return value if root is None else value / root
-
+    roots = [hp_sqrt(hp(nsq)) for nsq in norms_sq]
     if len(basis) == 1:
         return (hp(R[0][0] / norms_sq[0]),
-                tuple(unit(hp(c), roots[0]) for c in basis[0]))
+                tuple(hp(c) / roots[0] for c in basis[0]))
     n0, n1 = norms_sq
-    kept = [r for r in roots if r is not None]
-    off = hp(R[0][1]) / math.prod(kept) if kept else hp(R[0][1])
-    _, (lam, u) = eigen_2x2(R[0][0] / n0, off, R[1][1] / n1)
-    return lam, tuple(unit(u[0] * hp(a), roots[0]) + unit(u[1] * hp(c), roots[1])
+    _, (lam, u) = eigen_2x2(R[0][0] / n0, hp(R[0][1]) / (roots[0] * roots[1]),
+                            R[1][1] / n1)
+    return lam, tuple(u[0] * hp(a) / roots[0] + u[1] * hp(c) / roots[1]
                       for a, c in zip(*basis))
 
 
