@@ -12,20 +12,22 @@ negation).
 Certification is a sampling certificate, not a proof: on a dense interior
 grid (plus targeted near-edge offsets and a Newton-polished stationary
 candidate) every sample must satisfy |Gx| > EPS0, |Gy| > EPS0 or
-lambda_min < -EPS0.  Only a passing near miss is re-sampled on a finer
-grid; a cell with a failing sample keeps its coarse report.  Each sample's
-verdict is exact.  Sample coordinates are rationals p/q, and the gradient
-and Hessian on the whole grid come from the patch's own exact integer
-kernel (BoxPatch.fields in biquintic) as integer matrices over one known
-scale per sample.  The gradient tests are integer comparisons; the
-curvature test is sqrt-free (lambda_min < -EPS0 iff H + EPS0 I has a
-negative diagonal entry or determinant).  The Newton polish steps on the
-2^-192 grid with the same kernel; its damped step, the first of 2^-j
-times the Newton step that stays inside the cell, is found by bisection
-on j.  The 1/sqrt(gap) offsets are integer square roots on that grid: no
-high-precision float is used.  The reported worst margin is rounded to
-float once, from exact integers; the curvature part of a sample's margin
-is read only where the gradient part leaves it a chance to be the worst.
+lambda_min < -EPS0, with EPS0 exactly 10^-10.  Only a passing near miss is
+re-sampled on a finer grid; a cell with a failing sample keeps its coarse
+report.  Each sample's verdict is exact.  Sample coordinates are rationals
+p/q, and the gradient and Hessian on the whole grid come from the patch's
+own exact integer kernel (BoxPatch.fields in biquintic) as integer
+matrices over one known scale per sample.  The gradient tests are integer
+comparisons; the curvature test is sqrt-free (lambda_min < -EPS0 iff
+H + EPS0 I has a negative diagonal entry or determinant).  The Newton
+polish steps on the 2^-192 grid with the same kernel, from exact starts
+strictly inside the cell; its damped step, the first of 2^-j times the
+Newton step that stays inside the cell, is found by bisection on j.  The
+1/sqrt(gap) offsets are integer square roots on that grid: no
+high-precision float is used.  Reports keep their points exact: floats
+appear only in to_json and in the margin figures, each rounded once from
+exact integers.  The curvature part of a sample's margin is read only
+where the gradient part leaves it a chance to be the worst.
 Boundary cells are checked the same way: the proximal step is exact in
 rationals and ||g_pi||^2 > EPS0^2 needs no square root.  X cells contain
 a genuine SOSP and must fail certification; they serve as the negative
@@ -66,7 +68,7 @@ __all__ = [
     "certification_report",
 ]
 
-EPS0 = 1e-10
+EPS0 = Fraction(1, 10**10)
 BOUNDARY_RESOLUTION = 5  # samples per side of a boundary cell in the report
 _GRID_BITS = 192  # polished points and 1/sqrt(gap) offsets are k / 2^192
 
@@ -293,8 +295,8 @@ class CriterionReport:
     gy_count: int = 0
     lambda_count: int = 0
     worst_margin: float = float("inf")
-    worst_point: tuple = (float("nan"), float("nan"))
-    failing: list = field(default_factory=list)
+    worst_point: tuple = (float("nan"), float("nan"))  # exact once sampled
+    failing: list = field(default_factory=list)  # exact sample points
     refined: bool = False
     passed: bool = True
 
@@ -306,8 +308,8 @@ class CriterionReport:
             "criteria": {"gx": self.gx_count, "gy": self.gy_count,
                          "lambda": self.lambda_count},
             "worst_margin": self.worst_margin,
-            "worst_point": list(self.worst_point),
-            "failing": [list(p) for p in self.failing],
+            "worst_point": [float(t) for t in self.worst_point],
+            "failing": [[float(t) for t in p] for p in self.failing],
             "refined": self.refined,
             "passed": self.passed,
         }
@@ -377,24 +379,24 @@ def _record(report: CriterionReport, xs, ys, F: Fields, eps: Fraction):
     if best < report.worst_margin:
         i, j = divmod(int(best_k), len(ys))
         report.worst_margin = best
-        report.worst_point = (float(xs[i]), float(ys[j]))
+        report.worst_point = (xs[i], ys[j])
     for i, j in zip(*np.nonzero(~(ok_gx | ok_gy | ok_lam))):
-        report.failing.append((float(xs[i]), float(ys[j])))
+        report.failing.append((xs[i], ys[j]))
         report.passed = False
 
 
 _POLISH_STEPS = 40  # the step is 2^-j times the Newton step, j < 40
+_POLISH_ITERS = 40  # Newton steps per polish
 
 
 def _polish_step(X: int, Y: int, sx: int, sy: int, det: int):
     """The grid point (X, Y) + 2^-j (sx, sy) / det for the least j <
     _POLISH_STEPS that lies strictly inside the cell, or None.
 
-    Each coordinate's step is rounded half up to the grid.  From a start
-    strictly inside the cell a shorter step moves no farther, so the
-    feasible j are all those from the first on, which bisection finds.
-    From a start on a wall they need not be (a step that rounds to 0 leaves
-    the wall only for small j), so every j is tried in turn.
+    (X, Y) must lie strictly inside the cell: 0 < X, Y < 2^_GRID_BITS.
+    Each coordinate's step is rounded half up to the grid.  From such a
+    start a shorter step moves no farther, so the feasible j are all those
+    from the first on, which bisection finds.
     """
     one = 1 << _GRID_BITS
 
@@ -403,8 +405,6 @@ def _polish_step(X: int, Y: int, sx: int, sy: int, det: int):
         nY = Y + ((sy << _GRID_BITS - j + 1) + det) // (2 * det)
         return (nX, nY) if 0 < nX < one and 0 < nY < one else None
 
-    if not (0 < X < one and 0 < Y < one):
-        return next(filter(None, map(point, range(_POLISH_STEPS))), None)
     lo, hi = 0, _POLISH_STEPS - 1
     found = point(hi)
     while found is not None and lo < hi:
@@ -417,16 +417,17 @@ def _polish_step(X: int, Y: int, sx: int, sy: int, det: int):
     return found
 
 
-def _newton_polish(patch: BoxPatch, x0, y0, iters: int = 40):
+def _newton_polish(patch: BoxPatch, x0: Fraction, y0: Fraction):
     """Damped Newton on grad f = 0 inside the open unit cell, in integers.
 
-    The point is (X, Y) / 2^_GRID_BITS in local offsets; the step is the
-    first of 1, 1/2, ..., 2^-39 times the exact Newton step that, rounded
-    to the grid, stays strictly inside the cell (_polish_step).  Returns
+    The point is (X, Y) / 2^_GRID_BITS in local offsets, from (x0, y0)
+    rounded to the grid and clamped strictly inside the cell; the step is
+    the first of 1, 1/2, ..., 2^-39 times the exact Newton step that,
+    rounded to the grid, stays inside too (_polish_step).  Returns
     Fractions or None."""
     one = 1 << _GRID_BITS
-    X, Y = (round(to_fraction(t) * one) for t in (x0, y0))
-    for _ in range(iters):
+    X, Y = (min(max(round(t * one), 1), one - 1) for t in (x0, y0))
+    for _ in range(_POLISH_ITERS):
         F = patch.fields([Fraction(X, one)], [Fraction(Y, one)])
         gx, gy, hxx, hyy, hxy = (v[0, 0] for v in F[1:6])
         det = hxx * hyy - hxy * hxy  # the fields' common scale cancels
@@ -460,19 +461,18 @@ def certify_no_sosp(patch: BoxPatch, resolution: int = 51,
     """
     offsets = [t for t in map(to_fraction, extra_offsets) if 0 < t < 1]
     report = CriterionReport(cell=(patch.a, patch.b), resolution=resolution)
-    eps = Fraction(EPS0)
     coords = [Fraction(i + 1, resolution + 1)
               for i in range(resolution)] + offsets
-    _record(report, coords, coords, patch.fields(coords, coords), eps)
+    _record(report, coords, coords, patch.fields(coords, coords), EPS0)
 
     # Also polish from a mid-cell start: near-edge worst samples can drag
     # Newton away from an interior stationary point.
-    for wx, wy in {report.worst_point, (0.5, 0.5)}:
-        polished = _newton_polish(patch, wx, wy)
+    for start in dict.fromkeys([report.worst_point, (Fraction(1, 2),) * 2]):
+        polished = _newton_polish(patch, *start)
         if polished is None:
             continue
-        px, py = ([to_fraction(t)] for t in polished)
-        _record(report, px, py, patch.fields(px, py), eps)
+        px, py = ([t] for t in polished)
+        _record(report, px, py, patch.fields(px, py), EPS0)
 
     if (report.passed and report.worst_margin < 10 * EPS0
             and resolution < _refine):
@@ -519,8 +519,8 @@ class BoundaryReport:
     cell: tuple
     resolution: int
     worst_norm: float = float("inf")
-    worst_point: tuple = (float("nan"), float("nan"))
-    failing: list = field(default_factory=list)
+    worst_point: tuple = (float("nan"), float("nan"))  # exact once sampled
+    failing: list = field(default_factory=list)  # exact sample points
     passed: bool = True
 
     def to_json(self) -> dict:
@@ -528,8 +528,8 @@ class BoundaryReport:
             "cell": list(self.cell),
             "resolution": self.resolution,
             "worst_norm": self.worst_norm,
-            "worst_point": list(self.worst_point),
-            "failing": [list(p) for p in self.failing],
+            "worst_point": [float(t) for t in self.worst_point],
+            "failing": [[float(t) for t in p] for p in self.failing],
             "passed": self.passed,
         }
 
@@ -544,7 +544,7 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
     """
     poly = h.domain_polytope()
     L1 = h.lipschitz_report().L1
-    eps_sq = Fraction(EPS0) ** 2
+    eps_sq = EPS0 ** 2
     reports = []
     ticks = [Fraction(i, resolution - 1) for i in range(resolution)]
     for (a, b) in cells:
@@ -560,9 +560,9 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
                 norm = r / (norm_sq.denominator << k)
                 if norm < rep.worst_norm:
                     rep.worst_norm = norm
-                    rep.worst_point = (float(x), float(y))
+                    rep.worst_point = (x, y)
                 if norm_sq <= eps_sq:
-                    rep.failing.append((float(x), float(y)))
+                    rep.failing.append((x, y))
                     rep.passed = False
         reports.append(rep)
     return reports

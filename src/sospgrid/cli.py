@@ -9,7 +9,6 @@ arithmetic runs at the fixed 192 bits of _precision; no subcommand sets it.
 from __future__ import annotations
 
 import json
-import math
 import random
 import sys
 import time
@@ -47,20 +46,19 @@ def _parse_number(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"cannot parse number {text!r}: {exc}")
+        raise click.BadParameter(f"cannot parse number {text!r}: {exc}")
 
 
-def _finite(ctx, param, value: float) -> float:
-    if not math.isfinite(value):
-        raise click.BadParameter(f"{value} is not a finite number")
-    return value
-
-
-def _eps_option(name: str, default: float, steps: bool):
-    """A finite eps >= 0, and > 0 for a command that steps (its line search
-    or grid needs it); click.FloatRange alone lets nan and inf through."""
-    return click.option(name, type=click.FloatRange(min=0, min_open=steps),
-                        callback=_finite, default=default, show_default=True)
+def _eps_option(name: str, default: str, steps: bool):
+    """An eps >= 0 read by _parse_number, and > 0 for a command that steps
+    (its line search or grid needs it)."""
+    def parse(ctx, param, text: str) -> Fraction:
+        eps = _parse_number(text)
+        if eps < 0 or steps and eps == 0:
+            raise click.BadParameter(f"{text} must be {'>' if steps else '>='} 0")
+        return eps
+    return click.option(name, callback=parse, default=default,
+                        show_default=True)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -105,8 +103,8 @@ def gen(instance: str, scale: str, out: str | None) -> None:
               default="unit", show_default=True)
 @click.option("-x", "x_text", required=True)
 @click.option("-y", "y_text", required=True)
-@_eps_option("--eps-g", 1e-4, steps=False)
-@_eps_option("--eps-h", 1e-4, steps=False)
+@_eps_option("--eps-g", "1e-4", steps=False)
+@_eps_option("--eps-h", "1e-4", steps=False)
 @click.option("--exact/--float", "exact", default=False, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def verify(instance, scale, x_text, y_text, eps_g, eps_h, exact, out) -> None:
@@ -124,8 +122,8 @@ def verify(instance, scale, x_text, y_text, eps_g, eps_h, exact, out) -> None:
     payload = {
         "point": [str(x), str(y)],
         "scale": scale,
-        "eps_g": eps_g,
-        "eps_h": eps_h,
+        "eps_g": float(eps_g),
+        "eps_h": float(eps_h),
         "gpi_norm": str(report.gpi_norm),
         "lambda_min": str(report.lambda_min),
         "active": list(report.active_indices),
@@ -199,8 +197,8 @@ def render(instance: str, out: str) -> None:
 @click.option("--instance", required=True, type=click.Path(exists=True))
 @click.option("--scale", type=click.Choice(["unit", "moderate", "aggressive"]),
               default="moderate", show_default=True)
-@_eps_option("--eps-g", 1e-2, steps=True)
-@_eps_option("--eps-h", 1e-2, steps=True)
+@_eps_option("--eps-g", "1e-2", steps=True)
+@_eps_option("--eps-h", "1e-2", steps=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-iter", type=int, default=20000, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
@@ -256,8 +254,8 @@ def _reduction_bowl(dim: int):
 @click.option("--dim", type=click.IntRange(1, 2), default=2, show_default=True,
               help="Dimension of the bowl; curvature is computed on null "
                    "spaces of dimension <= 2.")
-@_eps_option("--eps-g", 1e-2, steps=True)
-@_eps_option("--eps-h", 1e-2, steps=True)
+@_eps_option("--eps-g", "1e-2", steps=True)
+@_eps_option("--eps-h", "1e-2", steps=True)
 @click.option("--samples", type=int, default=200, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)

@@ -42,9 +42,6 @@ from sospgrid.iter_problems import IterInstance
 from sospgrid.stationarity import verify_sosp
 
 
-EPS = Fraction(EPS0)
-
-
 def _synthetic_patch(terms):
     """Unit-cell patch sum of c x^i y^j over terms {(i, j): c}."""
     coeffs = [[Fraction(0)] * 6 for _ in range(6)]
@@ -193,7 +190,7 @@ def test_refinement_resamples_iterator_offsets():
     # the refinement pass must see the same offsets as the first pass, also
     # when they come from a one-shot iterator.  f = 2 EPS0 x passes every
     # sample with margin 2 EPS0 < 10 EPS0: a near miss, so it is refined.
-    patch = _synthetic_patch({(1, 0): 2 * EPS})
+    patch = _synthetic_patch({(1, 0): 2 * EPS0})
     offsets = [Fraction(1, 3), Fraction(1, 7), Fraction(5, 6)]
     from_list = certify_no_sosp(patch, resolution=15, extra_offsets=offsets,
                                 _refine=21)
@@ -211,7 +208,7 @@ def test_refinement_keeps_a_failing_coarse_pass():
     # report would pass: a failing sample must end the certificate.
     patch = _synthetic_patch({(2, 0): Fraction(1, 2), (1, 0): Fraction(-1, 52),
                               (0, 0): Fraction(1, 2 * 52 ** 2),
-                              (0, 1): EPS / 2})
+                              (0, 1): EPS0 / 2})
     coarse = certify_no_sosp(patch, _refine=0)
     assert not coarse.passed and len(coarse.failing) == 51
     rep = certify_no_sosp(patch)
@@ -257,26 +254,25 @@ def _reference_sample(patch, x, y, eps):
 
 
 def _reference_report(patch, coords):
-    eps = Fraction(EPS0)
     counts = [0, 0, 0]
     failing = []
     worst = [float("inf"), None]
 
     def record(x, y):
-        *oks, margin = _reference_sample(patch, x, y, eps)
+        *oks, margin = _reference_sample(patch, x, y, EPS0)
         counts[:] = [c + ok for c, ok in zip(counts, oks)]
         if margin < worst[0]:
-            worst[:] = [margin, (float(x), float(y))]
+            worst[:] = [margin, (x, y)]
         if not any(oks):
-            failing.append((float(x), float(y)))
+            failing.append((x, y))
 
     for x in coords:
         for y in coords:
             record(x, y)
-    for start in {worst[1], (0.5, 0.5)}:
+    for start in dict.fromkeys([worst[1], (Fraction(1, 2),) * 2]):
         polished = _newton_polish(patch, *start)
         if polished is not None:
-            record(*map(to_fraction, polished))
+            record(*polished)
     return counts, failing, worst[1]
 
 
@@ -299,7 +295,7 @@ def test_exact_kernel_matches_reference(hard_n1, cell):
 
 
 
-@pytest.mark.parametrize("i, j, c", [(1, 0, EPS), (0, 2, -EPS / 2)],
+@pytest.mark.parametrize("i, j, c", [(1, 0, EPS0), (0, 2, -EPS0 / 2)],
                          ids=["gx_at_eps0", "lambda_at_minus_eps0"])
 def test_criteria_are_strict_at_the_threshold(i, j, c):
     rep = certify_no_sosp(_synthetic_patch({(i, j): c}), resolution=9,
@@ -310,7 +306,7 @@ def test_criteria_are_strict_at_the_threshold(i, j, c):
     assert rep.gx_count == rep.gy_count == rep.lambda_count == 0
 
 
-@pytest.mark.parametrize("i, j, c", [(1, 0, 2 * EPS), (0, 2, -EPS)],
+@pytest.mark.parametrize("i, j, c", [(1, 0, 2 * EPS0), (0, 2, -EPS0)],
                          ids=["gx_above_eps0", "lambda_below_minus_eps0"])
 def test_criteria_pass_beyond_the_threshold(i, j, c):
     rep = certify_no_sosp(_synthetic_patch({(i, j): c}), resolution=9,
@@ -350,9 +346,9 @@ def _record_whole_grid(report, xs, ys, F, eps):
     i, j = np.unravel_index(np.argmin(margin), margin.shape)
     if margin[i, j] < report.worst_margin:
         report.worst_margin = float(margin[i, j])
-        report.worst_point = (float(xs[i]), float(ys[j]))
+        report.worst_point = (xs[i], ys[j])
     for i, j in zip(*np.nonzero(~(ok_gx | ok_gy | ok_lam))):
-        report.failing.append((float(xs[i]), float(ys[j])))
+        report.failing.append((xs[i], ys[j]))
         report.passed = False
 
 
@@ -384,33 +380,34 @@ def test_worst_sample_matches_the_whole_grid_on_every_label_kind(
 
 
 _TINY = Fraction(1, 2**1100)  # below the least positive float
+_FIRST = (Fraction(1, 8), Fraction(1, 8))  # the first sample
 
 
 @pytest.mark.parametrize("terms, margin, point", [
     # f = 2 EPS0 x: every sample has margin 2 EPS0
-    ({(1, 0): 2 * EPS}, 2 * EPS0, (0.125, 0.125)),
+    ({(1, 0): 2 * EPS0}, float(2 * EPS0), _FIRST),
     # f = -x^2/2 + 9x/8: margin max(|9/8 - x|, 1) = 1 everywhere; the
     # first sample has the largest g, exactly 1
-    ({(2, 0): Fraction(-1, 2), (1, 0): Fraction(9, 8)}, 1.0, (0.125, 0.125)),
+    ({(2, 0): Fraction(-1, 2), (1, 0): Fraction(9, 8)}, 1.0, _FIRST),
     # f = TINY ((x - 1/2)^2 + (y - 1/2)^2): g rounds to 0.0 and
     # -lambda_min to -0.0, and the margin is g
     ({(2, 0): _TINY, (1, 0): -_TINY, (0, 2): _TINY, (0, 1): -_TINY,
-      (0, 0): _TINY / 2}, 0.0, (0.125, 0.125)),
+      (0, 0): _TINY / 2}, 0.0, _FIRST),
 ], ids=["linear", "curvature_floor", "signed_zero"])
 def test_worst_sample_is_the_first_of_a_tie(terms, margin, point):
     coords = [Fraction(i + 1, 8) for i in range(7)]
     F = _synthetic_patch(terms).fields(coords, coords)
     rep = CriterionReport(cell=(0, 0), resolution=7)
-    _record(rep, coords, coords, F, EPS)
+    _record(rep, coords, coords, F, EPS0)
     ref = CriterionReport(cell=(0, 0), resolution=7)
-    _record_whole_grid(ref, coords, coords, F, EPS)
+    _record_whole_grid(ref, coords, coords, F, EPS0)
     assert repr(rep) == repr(ref)  # repr tells 0.0 from -0.0
     assert repr((rep.worst_margin, rep.worst_point)) == repr((margin, point))
 
 
 # Coefficients that make ties and sign changes of -lambda_min likely.
 _coefficient = st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-1, 3),
-                                EPS, -EPS, 2 * EPS, -EPS / 2, 3 * EPS])
+                                EPS0, -EPS0, 2 * EPS0, -EPS0 / 2, 3 * EPS0])
 _terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                          _coefficient, max_size=5)
 _offsets = st.lists(st.fractions(0, 1, max_denominator=64), max_size=3)
@@ -424,9 +421,9 @@ def test_worst_sample_matches_the_whole_grid_on_synthetic_patches(terms, ox, oy)
     ys = [Fraction(i + 1, 6) for i in range(5)] + oy
     F = patch.fields(xs, ys)
     rep = CriterionReport(cell=(0, 0), resolution=7)
-    _record(rep, xs, ys, F, EPS)
+    _record(rep, xs, ys, F, EPS0)
     ref = CriterionReport(cell=(0, 0), resolution=7)
-    _record_whole_grid(ref, xs, ys, F, EPS)
+    _record_whole_grid(ref, xs, ys, F, EPS0)
     assert repr(rep) == repr(ref)
 
 
@@ -443,8 +440,11 @@ def _linear_polish_step(X, Y, sx, sy, det):
     return None
 
 
+# Starts strictly inside the cell, as _polish_step requires; 1 and _ONE - 1
+# are the grid points next to the walls.
 _start = st.one_of(st.integers(1, _ONE - 1), st.integers(1, 2**48),
-                   st.integers(_ONE - 2**48, _ONE - 1), st.sampled_from([0, _ONE]))
+                   st.integers(_ONE - 2**48, _ONE - 1),
+                   st.sampled_from([1, _ONE - 1]))
 # A Newton step of about 2^e times the cell, as a numerator s over the
 # shared det.  For e in -2..42 the first j inside the cell varies; for e in
 # -195..-150 the step rounds to 0 on the 2^-192 grid for the last j.
@@ -457,10 +457,9 @@ _scaled_step = st.tuples(st.sampled_from([-1, 1]), st.integers(2**63, 2**64),
 @settings(deadline=None, max_examples=300)
 @given(_start, _start, _scaled_step, _scaled_step,
        st.integers(1, 2**64), st.integers(0, 320), st.sampled_from([-1, 1]))
-# From the wall x = 0, a step of 2^-183 cells rounds to 0 for j > 10, so it
-# leaves the wall only for j <= 10, while y needs j >= 5: the feasible j are
-# 5..10, not all j from the first on.
-@example(0, _ONE // 2, (1, 2**64, -183, 0), (1, 2**64, 3, 0), 1, 300, 1)
+# Next to the wall x = 0, a step of -2^-183 cells reaches the wall for
+# j <= 9 and rounds to 0 from j = 10 on, while y needs j >= 5: j = 10.
+@example(1, _ONE // 2, (-1, 2**64, -183, 0), (1, 2**64, 3, 0), 1, 300, 1)
 def test_polish_step_is_the_linear_scans(X, Y, step_x, step_y, det_mantissa,
                                          det_shift, det_sign):
     det = det_sign * det_mantissa << det_shift
@@ -469,12 +468,50 @@ def test_polish_step_is_the_linear_scans(X, Y, step_x, step_y, det_mantissa,
     assert _polish_step(X, Y, sx, sy, det) == _linear_polish_step(X, Y, sx, sy, det)
 
 
-def test_polish_step_from_a_wall_is_not_bisected():
-    det = 1 << 300
-    sx, sy = det >> 183, 8 * det  # steps of 2^-183 and 8 cells
-    expected = (16, 3 * _ONE // 4)  # j = 5
-    assert _linear_polish_step(0, _ONE // 2, sx, sy, det) == expected
-    assert _polish_step(0, _ONE // 2, sx, sy, det) == expected
+@pytest.mark.parametrize("cell", [(1, 2), (1, 16)])
+def test_polish_starts_at_the_exact_worst_sample(hard_n1, monkeypatch, cell):
+    # In these column-1 cells the worst sample lies at the targeted offset
+    # x = 1 - 1/gap, whose float rounding is the wall x = 1.0.  Every polish
+    # must start from an exact point strictly inside the cell, the first
+    # from the worst sample itself.
+    worst, starts = [], []
+    record, polish = box_certifier._record, box_certifier._newton_polish
+
+    def recording_record(report, xs, ys, F, eps):
+        record(report, xs, ys, F, eps)
+        worst.append(report.worst_point)
+
+    def recording_polish(patch, x0, y0):
+        starts.append((x0, y0))
+        return polish(patch, x0, y0)
+
+    monkeypatch.setattr(box_certifier, "_record", recording_record)
+    monkeypatch.setattr(box_certifier, "_newton_polish", recording_polish)
+    certify_cell(hard_n1, *cell)
+    grid_worst = worst[0]  # the first _record call samples the grid
+    assert float(grid_worst[0]) == 1.0 and len(starts) == 2
+    assert all(type(t) is Fraction and 0 < t < 1
+               for start in starts for t in start)
+    assert starts[0] == grid_worst
+
+
+def test_polish_start_below_the_grid_is_clamped_inside(monkeypatch):
+    # f = (x^2 + y^2) / 2 has its worst sample at the offset 2^-200, which
+    # rounds to the wall 0 of the 2^-192 grid: the polish starts at (1, 1).
+    patch = _synthetic_patch({(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)})
+    points = []  # every grid point a polish step leaves
+    step = box_certifier._polish_step
+
+    def recording_step(X, Y, sx, sy, det):
+        points.append((X, Y))
+        return step(X, Y, sx, sy, det)
+
+    monkeypatch.setattr(box_certifier, "_polish_step", recording_step)
+    rep = certify_no_sosp(patch, resolution=3,
+                          extra_offsets=[Fraction(1, 2**200)], _refine=0)
+    assert all(0 < t < _ONE for point in points for t in point)
+    assert (1, 1) in points
+    assert (Fraction(1, _ONE), Fraction(1, _ONE)) in rep.failing
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,14 @@ def test_classify_rejects_a_cell_outside_the_grid(runner, n1_file, cell, certify
     assert "outside [0, 17]^2" in res.output
 
 
+_EPS_COMMANDS = {
+    "verify": lambda path: ["verify", "--instance", str(path), "-x", "1",
+                            "-y", "1"],
+    "solve": lambda path: ["solve", "--instance", str(path), "--max-iter", "1"],
+    "reduce": lambda path: ["reduce", "--samples", "1"],
+}
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("verify", "--eps-g", "nan"), ("verify", "--eps-h", "nan"),
     ("verify", "--eps-g", "inf"), ("verify", "--eps-g", "-1"),
@@ -148,16 +156,27 @@ def test_classify_rejects_a_cell_outside_the_grid(runner, n1_file, cell, certify
     ("solve", "--eps-h", "inf"), ("solve", "--eps-g", "-1e-2"),
     ("reduce", "--eps-g", "0"), ("reduce", "--eps-g", "inf"),
     ("reduce", "--eps-h", "nan"), ("reduce", "--eps-h", "-1"),
+    ("verify", "--eps-g", "1/0"), ("solve", "--eps-h", "abc"),
 ])
 def test_invalid_eps_is_a_usage_error(runner, n1_file, command, option, value):
-    """eps must be finite and non-negative, and positive for the commands
-    that step, whose line search and grid need eps > 0."""
-    args = {"verify": ["verify", "--instance", str(n1_file), "-x", "1", "-y", "1"],
-            "solve": ["solve", "--instance", str(n1_file), "--max-iter", "1"],
-            "reduce": ["reduce", "--samples", "1"]}[command]
-    res = runner.invoke(main, args + [option, value])
+    """eps must be a rational number, non-negative, and positive for the
+    commands that step, whose line search and grid need eps > 0."""
+    res = runner.invoke(main, _EPS_COMMANDS[command](n1_file) + [option, value])
     assert res.exit_code == 2, res.output
     assert option in res.output
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "reduce"])
+def test_eps_takes_a_fraction(runner, n1_file, command):
+    """eps is read exactly, as -x and -y are: p/q is a number, not an error."""
+    res = runner.invoke(main, _EPS_COMMANDS[command](n1_file)
+                        + ["--eps-g", "1/100", "--eps-h", "1/100"])
+    assert res.exit_code in (0, 1), res.output
+    payload = json.loads(res.output)
+    if command == "verify":
+        assert payload["eps_g"] == payload["eps_h"] == 0.01
+    if command == "reduce":  # eps^4 / (100 d L^2) with eps exactly 1/100
+        assert payload["weight"] == "1/20000000000"
 
 
 def test_verify_accepts_zero_eps(runner, n1_file):

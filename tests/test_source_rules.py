@@ -22,6 +22,20 @@ def test_no_float_round_trip_to_rational():
     assert hits == []
 
 
+# A click option read through float.
+FLOAT_OPTION = re.compile(r"\bFloatRange\b|\btype\s*=\s*float\b")
+
+
+def test_cli_reads_no_option_as_float():
+    """cli.py reads every number from user text with Fraction(text): no
+    option is a click.FloatRange or has type=float."""
+    path = SRC / "cli.py"
+    hits = [f"{path.name}:{lineno}"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if FLOAT_OPTION.search(line)]
+    assert hits == []
+
+
 # A float() call on anything but the "inf" literal.
 FLOAT_CALL = re.compile(r'\bfloat\((?!"inf"\))')
 
