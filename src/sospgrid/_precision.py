@@ -6,10 +6,11 @@ numerics run through this module: high-precision ("hp") numbers are
 mpmath mpf values at the fixed working precision PRECISION = 192 bits
 (the hard instance needs at least 128).  This is the only module that
 imports mpmath.  An mpf does not mix with Fraction, so rational data meets
-hp values only after hp(), hp_quotient() or to_fraction().  An exact
-integer ratio becomes hp through hp_quotient(), which rounds it once; an
-hp value becomes rational only through to_fraction(), which is exact.
-Neither goes through float(), which keeps 53 bits.
+hp values only after hp(), hp_quotient(), to_ratio() or to_fraction().  An
+exact integer ratio becomes hp through hp_quotient(), which rounds it once;
+an hp value becomes rational only through to_ratio() (an integer pair) or
+to_fraction() (built on it), which are exact.  None of them goes through
+float(), which keeps 53 bits.
 """
 
 from __future__ import annotations
@@ -61,14 +62,21 @@ def hp_is_type(value) -> bool:
     return isinstance(value, mpmath.mpf)
 
 
-def _hp_ratio(value) -> tuple[int, int]:
-    # Same errors as float.as_integer_ratio on non-finite values.
-    if mpmath.isnan(value):
-        raise ValueError("cannot convert NaN to integer ratio")
-    if mpmath.isinf(value):
+def to_ratio(value) -> tuple[int, int]:
+    """Exact (numerator, denominator), denominator > 0, of an int, Fraction,
+    float or high-precision float; an hp value's pair is its mantissa over
+    a power of two, read without a gcd."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    if not hp_is_type(value):
+        return Fraction(value).as_integer_ratio()
+    sign, man, exp, _ = value._mpf_
+    if not man and exp:  # a zero mantissa with an exponent: NaN or infinity
+        # Same errors as float.as_integer_ratio on non-finite values.
+        if mpmath.isnan(value):
+            raise ValueError("cannot convert NaN to integer ratio")
         raise OverflowError("cannot convert Infinity to integer ratio")
-    man, exp = value.man_exp  # unsigned mantissa
-    if value < 0:
+    if sign:
         man = -man
     if exp >= 0:
         return int(man) << exp, 1
@@ -79,8 +87,4 @@ def to_fraction(value) -> Fraction:
     """Exact Fraction from an int, Fraction, float or high-precision float."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if hp_is_type(value):
-        return Fraction(*_hp_ratio(value))
-    return Fraction(value)
+    return Fraction(*to_ratio(value))

@@ -8,15 +8,20 @@ least common denominator D.  It is solved in integers, since 2 A^-1 is the
 integer matrix A_INV2: with V scaled to integers by the common denominator
 d of its entries, (2 A^-1) (d V) (2 A^-1)^T is C times 4 d.
 
-One evaluation path serves every caller.  A grid of rational offsets p/q
-becomes integer power rows scaled by q^5, and the value, gradient and
-Hessian on the whole grid are integer matrix products over one known
-scale per sample (BoxPatch.fields).  A single point is the 1x1
-grid at its exact rational value (BoxPatch.eval): the results are exact,
-returned as Fractions or each rounded once to a high-precision float
-(see _precision).  A single value is the order-0 row: f alone is the
-order-0 row of x times K times the order-0 row of y (BoxPatch.value), the
-same integer as eval's f over the same scale.
+Two integer kernels share one row builder (_rows): a rational offset
+t = p/q becomes the integer power rows q^5 t^i and their first and second
+derivatives, all over the scale q^5, and an offset may be given as an
+unreduced integer pair (p, q).  The grid kernel (BoxPatch.fields) turns a
+grid of offsets into object arrays and gives the value, gradient and
+Hessian on the whole grid as integer matrix products over one known scale
+per sample; the certifier's sample grids use it.  The point kernel
+(BoxPatch.point_fields) gives the same fields at one point, as seven
+integers in plain Python, from the point's integer pairs with no Fraction
+arithmetic.  BoxPatch.eval reads it and returns the six numbers exactly,
+as Fractions, or each rounded once to a high-precision float (see
+_precision).  A single value is the order-0 slice: f alone is the order-0
+row of x times K times the order-0 row of y (BoxPatch.value), the same
+integer as eval's f over the same scale.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sospgrid._precision import hp_quotient, to_fraction
+from sospgrid._precision import hp_quotient, to_fraction, to_ratio
 from sospgrid.color_field import CornerAssignment
 
 # Rows: value at 0, value at 1, 1st derivative at 0/1, 2nd derivative at 0/1
@@ -80,42 +85,48 @@ def assemble_corner_block(
     )
 
 
-def _value_row(t):
-    """Integer row q^5 t^p (p = 0..5) of a rational t = p/q, and q^5."""
-    num, den = t.numerator, t.denominator
+def _value_row(num: int, den: int):
+    """Integer row q^5 t^p (p = 0..5) of a rational t = num/den (den > 0,
+    not necessarily reduced), and the scale q^5 = den^5."""
     pn = [num ** e for e in range(6)]
     qn = [den ** e for e in range(6)]
     return [pn[e] * qn[5 - e] for e in range(6)], qn[5]
 
 
+def _rows(num: int, den: int):
+    """Integer rows q^5 t^p, q^5 (t^p)' and q^5 (t^p)'' (p = 0..5) of t =
+    num/den, and q^5: since q^5 p t^(p-1) = p num^(p-1) q^(6-p), the
+    derivative rows are the value row shifted, times p and p (p - 1)."""
+    r0, scale = _value_row(num, den)
+    r1 = [0] + [e * r0[e - 1] for e in range(1, 6)]
+    r2 = [0, 0] + [e * (e - 1) * r0[e - 2] for e in range(2, 6)]
+    return r0, r1, r2, scale
+
+
 def _scaled_rows(coords):
-    """Integer rows q^5 t^p, q^5 (t^p)' and q^5 (t^p)'' (p = 0..5) of each
-    rational coordinate t = p/q, and the scales q^5."""
-    r0, r1, r2, scales = [], [], [], []
-    for t in coords:
-        num, den = t.numerator, t.denominator
-        pn = [num ** e for e in range(6)]
-        qn = [den ** e for e in range(8)]
-        r0.append([pn[e] * qn[5 - e] for e in range(6)])
-        r1.append([0] + [e * pn[e - 1] * qn[6 - e] for e in range(1, 6)])
-        r2.append([0, 0] + [e * (e - 1) * pn[e - 2] * qn[7 - e]
-                            for e in range(2, 6)])
-        scales.append(qn[5])
-    return tuple(np.array(r, dtype=object) for r in (r0, r1, r2, scales))
+    """The rows of _rows for each rational coordinate, as object arrays
+    (one row per coordinate), and the scales."""
+    rows = [_rows(t.numerator, t.denominator) for t in coords]
+    return tuple(np.array(r, dtype=object) for r in zip(*rows))
+
+
+def _dot(u, v):
+    return sum(map(operator.mul, u, v))
 
 
 class Fields(NamedTuple):
-    """Exact value, gradient and Hessian of a patch on a grid of samples,
-    all over one integer scale: f at sample (i, j) is f[i, j] / scale[i, j],
-    gx is gx[i, j] / scale[i, j], and so on."""
+    """Exact value, gradient and Hessian of a patch over one integer scale.
+    On a grid of samples (BoxPatch.fields) each is an object array: f at
+    sample (i, j) is f[i, j] / scale[i, j], gx is gx[i, j] / scale[i, j],
+    and so on.  At one point (BoxPatch.point_fields) each is an int."""
 
-    f: np.ndarray
-    gx: np.ndarray
-    gy: np.ndarray
-    hxx: np.ndarray
-    hyy: np.ndarray
-    hxy: np.ndarray
-    scale: np.ndarray
+    f: np.ndarray | int
+    gx: np.ndarray | int
+    gy: np.ndarray | int
+    hxx: np.ndarray | int
+    hyy: np.ndarray | int
+    hxy: np.ndarray | int
+    scale: np.ndarray | int
 
 
 @dataclass(frozen=True)
@@ -145,22 +156,39 @@ class BoxPatch:
                       hxx=(x2 @ K) @ y0.T, hyy=x0k @ y2.T, hxy=x1k @ y1.T,
                       scale=np.outer(sx, sy) * D)
 
+    def point_fields(self, dx, dy) -> Fields:
+        """The point kernel: exact fields at the local offsets dx = (num,
+        den) and dy, integer pairs with den > 0 that need not be reduced,
+        as seven integers in plain Python (K times the three rows of y,
+        then six dot products with the rows of x)."""
+        x0, x1, x2, sx = _rows(*dx)
+        y0, y1, y2, sy = _rows(*dy)
+        k0, k1, k2 = ([_dot(row, r) for row in self.K] for r in (y0, y1, y2))
+        return Fields(f=_dot(x0, k0), gx=_dot(x1, k0), gy=_dot(x0, k1),
+                      hxx=_dot(x2, k0), hyy=_dot(x0, k2), hxy=_dot(x1, k1),
+                      scale=sx * sy * self.D)
+
     def _local(self, x, y):
-        """Exact local offsets (x - a, y - b) of a point inside the cell."""
-        dx, dy = to_fraction(x) - self.a, to_fraction(y) - self.b
-        if not (0 <= dx <= 1 and 0 <= dy <= 1):
-            raise ValueError(f"({x}, {y}) outside Box({self.a}, {self.b})")
-        return dx, dy
+        """Local offsets (x - a, y - b) of a point inside the cell, as
+        integer (num, den) pairs, den > 0.  A coordinate is a number (read
+        exactly by to_ratio) or already such a pair."""
+        offsets = []
+        for t, corner in ((x, self.a), (y, self.b)):
+            num, den = t if isinstance(t, tuple) else to_ratio(t)
+            num -= corner * den
+            if not 0 <= num <= den:
+                raise ValueError(f"({x}, {y}) outside Box({self.a}, {self.b})")
+            offsets.append((num, den))
+        return offsets
 
     def value(self, x, y, exact: bool = True, factor=(1, 1)):
         """f(x, y) alone, times the integer (numerator, denominator) pair
         factor: equal to eval(x, y, exact, factors)[0] when factor is
         factors[0], from the order-0 rows only."""
-        dx, dy = self._local(x, y)
-        xr, sx = _value_row(dx)
-        yr, sy = _value_row(dy)
-        f = sum(map(operator.mul, xr,
-                    [sum(map(operator.mul, row, yr)) for row in self.K]))
+        (xn, xd), (yn, yd) = self._local(x, y)
+        xr, sx = _value_row(xn, xd)
+        yr, sy = _value_row(yn, yd)
+        f = _dot(xr, [_dot(row, yr) for row in self.K])
         num, den = factor
         return (Fraction if exact else hp_quotient)(f * num, sx * sy * self.D * den)
 
@@ -170,17 +198,15 @@ class BoxPatch:
         Returns (f, (fx, fy), ((fxx, fxy), (fxy, fyy))), each multiplied by
         its factor: factors holds integer (numerator, denominator) pairs for
         f, the gradient and the Hessian.  The point is taken at its exact
-        rational value and the six numbers are computed exactly;
-        exact=True returns them as Fractions, exact=False rounds each once
-        to a high-precision float.
+        rational value and the six numbers are computed exactly by the
+        point kernel; exact=True returns them as Fractions, exact=False
+        rounds each once to a high-precision float.
         """
-        dx, dy = self._local(x, y)
-        F = self.fields([dx], [dy])
-        scale = F.scale[0, 0]
+        F = self.point_fields(*self._local(x, y))
         convert = Fraction if exact else hp_quotient
         kf, kg, kh = factors
         f, fx, fy, fxx, fyy, fxy = (
-            convert(v[0, 0] * num, scale * den)
+            convert(v * num, F.scale * den)
             for v, (num, den) in zip(F[:6], (kf, kg, kg, kh, kh, kh)))
         return f, (fx, fy), ((fxx, fxy), (fxy, fyy))
 

@@ -428,8 +428,7 @@ def _newton_polish(patch: BoxPatch, x0: Fraction, y0: Fraction):
     one = 1 << _GRID_BITS
     X, Y = (min(max(round(t * one), 1), one - 1) for t in (x0, y0))
     for _ in range(_POLISH_ITERS):
-        F = patch.fields([Fraction(X, one)], [Fraction(Y, one)])
-        gx, gy, hxx, hyy, hxy = (v[0, 0] for v in F[1:6])
+        _, gx, gy, hxx, hyy, hxy, _ = patch.point_fields((X, one), (Y, one))
         det = hxx * hyy - hxy * hxy  # the fields' common scale cancels
         if det == 0:
             return None
@@ -440,8 +439,8 @@ def _newton_polish(patch: BoxPatch, x0: Fraction, y0: Fraction):
         moved, X, Y = abs(nX - X) + abs(nY - Y), nX, nY
         if moved * 10**40 < one:  # moved less than 1e-40
             break
-    F = patch.fields([Fraction(X, one)], [Fraction(Y, one)])
-    if max(abs(F.gx[0, 0]), abs(F.gy[0, 0])) * 10**6 > F.scale[0, 0]:
+    F = patch.point_fields((X, one), (Y, one))
+    if max(abs(F.gx), abs(F.gy)) * 10**6 > F.scale:
         return None  # did not converge to a FOSP
     return Fraction(X, one), Fraction(Y, one)
 

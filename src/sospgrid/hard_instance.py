@@ -2,7 +2,11 @@
 
 Lazily builds interpolation patches over [0, N]^2, tracks the analytic
 Lipschitz record, supports rescaling onto [0, 1]^2, and decodes points back
-to ITER solutions.
+to ITER solutions.  A point is read as integers: each coordinate's exact
+ratio p/q (to_ratio) times the scale s is tested against the domain and
+floor-divided into its cell in integers, and the patch gets the unscaled
+point as (p s, q) pairs, so no Fraction is formed on the way to the
+patch's integer kernel.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sospgrid._precision import to_fraction
+from sospgrid._precision import to_fraction, to_ratio
 from sospgrid.biquintic import BoxPatch, patch_from_corners
 from sospgrid.color_field import ColorField
 from sospgrid.iter_problems import IterInstance
@@ -129,13 +133,20 @@ class HardInstance:
 
     def _cell_point(self, x, y):
         """(a, b, u, v): the cell Box(a, b) of a domain point and the point
-        (u, v) = s (x, y) in unscaled coordinates, exactly."""
-        x, y = to_fraction(x), to_fraction(y)
-        hi = self.domain_high
-        if not (0 <= x <= hi and 0 <= y <= hi):
-            raise ValueError(f"({x}, {y}) outside [0, {hi}]^2")
-        u, v = x * self._scale, y * self._scale
-        return (*self.locate(u, v), u, v)
+        (u, v) = s (x, y) in unscaled coordinates, as integer (num, den)
+        pairs: a coordinate p/q is read exactly (to_ratio), p s is tested
+        against [0, N q] and the cell is min(p s // q, N - 1)."""
+        s, N = self._scale, self.N
+        out = []
+        for t in (x, y):
+            p, q = to_ratio(t)
+            p *= s
+            if not 0 <= p <= N * q:
+                raise ValueError(f"({to_fraction(x)}, {to_fraction(y)}) outside "
+                                 f"[0, {self.domain_high}]^2")
+            out.append((min(p // q, N - 1), (p, q)))
+        (a, u), (b, v) = out
+        return a, b, u, v
 
     def evaluate(self, x, y, exact: bool = True) -> EvalResult:
         """f, grad f, hess f at a domain point, in the instance's scale mode."""

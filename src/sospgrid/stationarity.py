@@ -7,7 +7,10 @@ rational, and every accept/reject decision is made once, in exact
 arithmetic, at the exact rational value of the point and the derivatives
 (to_fraction is exact for a high-precision value): feasibility, the active
 rows (slack exactly 0), ||g_pi||^2 <= eps_G^2 and the PSD test on the
-active null space.
+active null space.  On a box, project clamps each coordinate by comparing
+its exact integer ratio with the rational bounds in integers (an mpf
+compare would round a bound like 1/3), and forms one Fraction only for a
+coordinate strictly inside.
 
 A face frame (face_frame, cached) is one Gram-Schmidt over a set I of
 rows, carrying their right-hand sides, and then over the unit vectors: it
@@ -34,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
-from sospgrid._precision import hp, hp_sqrt, to_fraction
+from sospgrid._precision import hp, hp_sqrt, to_fraction, to_ratio
 
 INF = float("inf")
 
@@ -199,12 +202,24 @@ def active_set(poly: Polytope, x) -> FaceFrame:
 
 
 def project(poly: Polytope, v) -> tuple:
-    """Euclidean projection of v onto the polytope (exact rational QP)."""
-    w = [to_fraction(c) for c in v]
+    """Euclidean projection of v onto the polytope (exact rational QP).
+    On a box each coordinate is clamped: its exact integer ratio (to_ratio)
+    is compared with the rational bounds in integers, and only a coordinate
+    strictly inside them becomes a Fraction."""
     if poly.box_bounds is not None:
         lo, hi = poly.box_bounds
-        return tuple(min(max(c, l), h) for c, l, h in zip(w, lo, hi))
-    return tuple(_project_general(poly, w))
+        return tuple(map(_clamp, v, lo, hi))
+    return tuple(_project_general(poly, [to_fraction(c) for c in v]))
+
+
+def _clamp(c, lo: Fraction, hi: Fraction) -> Fraction:
+    """min(max(c, lo), hi) for lo <= hi, exactly."""
+    num, den = to_ratio(c)
+    if num * lo.denominator <= lo.numerator * den:
+        return lo
+    if num * hi.denominator >= hi.numerator * den:
+        return hi
+    return Fraction(num, den)
 
 
 def _project_general(poly: Polytope, w: list[Fraction]) -> list[Fraction]:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patch_reference import patch_of, reference_eval
-from sospgrid._precision import hp, to_fraction
+from sospgrid._precision import hp, hp_quotient, to_fraction
 from sospgrid.biquintic import (
     A_INV,
     A_INV2,
@@ -287,3 +287,60 @@ def test_corner_block_layout():
     assert V[0][0] == c00.value and V[1][1] == c11.value
     assert V[2][0] == c00.grad[0] and V[0][2] == c00.grad[1]
     assert V[4][0] == c00.f_xx and V[0][4] == c00.f_yy
+
+
+@pytest.fixture(scope="module")
+def kernel_patches():
+    """The hard patches, and two random-block patches anchored off the
+    origin."""
+    rng = random.Random(29)
+    return [*hard_patches(), *(solve_coefficients(random_block(rng), a=a, b=b)
+                               for a, b in ((3, -2), (-5, 7)))]
+
+
+@st.composite
+def offset_pairs(draw):
+    """A local offset in [0, 1] as an integer (num, den) pair: 0, 1 or a
+    rational with a short, 192-bit dyadic or long denominator, then often
+    times a common factor, so that the pair is not reduced."""
+    den = draw(st.one_of(st.integers(1, 2**12), st.just(2**192),
+                         st.integers(1, 2**200)))
+    num = draw(st.one_of(st.just(0), st.just(den), st.integers(0, den)))
+    common = draw(st.one_of(st.just(1), st.integers(2, 2**64)))
+    return num * common, den * common
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data(), offset_pairs(), offset_pairs())
+def test_point_kernel_is_the_grid_kernel_and_the_reference(kernel_patches, data, dx, dy):
+    """point_fields at (possibly unreduced) integer pairs is the 1 x 1 grid
+    of fields at the same rationals: the same seven integers on reduced
+    pairs, the same ratios otherwise.  eval reads it at absolute integer
+    pairs and at numbers alike, and equals the reference evaluator exactly,
+    and rounded once on the hp path."""
+    patch = data.draw(st.sampled_from(kernel_patches))
+    u, v = Fraction(*dx), Fraction(*dy)
+    point = patch.point_fields(dx, dy)
+    grid = tuple(m[0, 0] for m in patch.fields([u], [v]))
+    assert all(type(n) is int for n in point)
+    assert [Fraction(n, point.scale) for n in point[:6]] == \
+        [Fraction(n, grid[6]) for n in grid[:6]]
+    if dx == u.as_integer_ratio() and dy == v.as_integer_ratio():
+        assert point == grid
+    x, y = patch.a + u, patch.b + v
+    want = reference_eval(patch, x, y)
+    pairs = ((patch.a * dx[1] + dx[0], dx[1]), (patch.b * dy[1] + dy[0], dy[1]))
+    assert patch.eval(x, y) == patch.eval(*pairs) == want
+
+    def rounded(result):
+        f, (fx, fy), ((fxx, fxy), (_, fyy)) = result
+        return hp(f), (hp(fx), hp(fy)), ((hp(fxx), hp(fxy)), (hp(fxy), hp(fyy)))
+
+    assert patch.eval(*pairs, exact=False) == patch.eval(x, y, exact=False) == rounded(want)
+    # An hp point is read at its exact value, which stays inside the cell.
+    xr, yr = hp(x), hp(y)
+    assert patch.eval(xr, yr, exact=False) == rounded(
+        reference_eval(patch, to_fraction(xr), to_fraction(yr)))
+    f = want[0]
+    assert patch.value(*pairs) == patch.value(x, y) == f
+    assert patch.value(*pairs, exact=False) == hp(f) == hp_quotient(*f.as_integer_ratio())

@@ -4,13 +4,15 @@ finite differences, Lipschitz bounds, and the scale modes."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from sospgrid._precision import hp
+from patch_reference import reference_eval
+from sospgrid._precision import hp, to_fraction
 from sospgrid.biquintic import BoxPatch
-from sospgrid.hard_instance import ScaleMode, build
+from sospgrid.hard_instance import C0_AGGRESSIVE, EvalResult, ScaleMode, build
 from sospgrid.iter_problems import IterInstance
 
 
@@ -215,3 +217,51 @@ def test_value_read_skips_the_full_evaluation(moderate_n1, monkeypatch):
     assert calls == 2
     with pytest.raises(ValueError):
         obj((Fraction(3, 2), 0))[0]
+
+
+def located_evaluation(h, mode, x, y, exact):
+    """evaluate(x, y, exact) the long way: the unscaled point s (x, y) as
+    Fractions, its cell from locate, the reference evaluator there and the
+    chain rule's factors 1/v, s/v, s^2/v applied to the exact values."""
+    N = h.N
+    s, div = {ScaleMode.UNIT: (1, 1), ScaleMode.MODERATE: (N, N),
+              ScaleMode.AGGRESSIVE: (N, C0_AGGRESSIVE * N**4)}[mode]
+    u, v = to_fraction(x) * s, to_fraction(y) * s
+    a, b = h.locate(u, v)
+    f, (fx, fy), ((fxx, fxy), (_, fyy)) = reference_eval(h.patch(a, b), u, v)
+    f, fx, fy, fxx, fxy, fyy = (w * Fraction(s**k, div) for w, k in (
+        (f, 0), (fx, 1), (fy, 1), (fxx, 2), (fxy, 2), (fyy, 2)))
+    if not exact:
+        f, fx, fy, fxx, fxy, fyy = map(hp, (f, fx, fy, fxx, fxy, fyy))
+    return EvalResult(f=f, grad=(fx, fy), hess=((fxx, fxy), (fxy, fyy)), cell=(a, b))
+
+
+@pytest.mark.parametrize("mode", list(ScaleMode))
+def test_integer_cell_lookup_is_locate_then_eval(mode):
+    """value and evaluate, which find the cell in integers, equal locate
+    and the reference evaluation at the exact point in every scale mode:
+    at Fractions and hp values, at x = 0, on cell walls and at x =
+    domain_high, which lies in cell N - 1.  A point outside the domain
+    raises the same ValueError as before."""
+    h = build(IterInstance(1, (2, 2)), mode)
+    hi, wall = h.domain_high, Fraction(h.domain_high, h.N)  # wall: one cell
+    rng = random.Random(13)
+    coords = [0, hi, wall, 7 * wall, (h.N - 1) * wall, hp(hi), hp(7 * wall)]
+    coords += [hi * Fraction(rng.getrandbits(192), 2**192) for _ in range(4)]
+    coords += [hp(hi * Fraction(rng.getrandbits(100), 2**100)) for _ in range(4)]
+    for x in coords:
+        for y in rng.sample(coords, 4):
+            for exact in (True, False):
+                want = located_evaluation(h, mode, x, y, exact)
+                got = h.evaluate(x, y, exact=exact)
+                assert got == want
+                assert all(type(g) is type(w) for g, w in zip(
+                    (got.f, *got.grad, *got.hess[0]), (want.f, *want.grad, *want.hess[0])))
+                assert h.value(x, y, exact=exact) == want.f
+    assert h.evaluate(hi, hi).cell == (h.N - 1, h.N - 1)
+    tiny = Fraction(1, 2**200)
+    for x, y in ((-tiny, 0), (0, hi + tiny), (hp(-1), hp(hi)), (2 * hi, Fraction(1, 3))):
+        message = re.escape(f"({to_fraction(x)}, {to_fraction(y)}) outside [0, {hi}]^2")
+        for read in (h.evaluate, h.value):
+            with pytest.raises(ValueError, match=message):
+                read(x, y)

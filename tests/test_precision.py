@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from sospgrid._precision import PRECISION, hp, hp_quotient, to_fraction
+from sospgrid._precision import PRECISION, hp, hp_quotient, to_fraction, to_ratio
 
 
 def test_to_fraction_is_exact_on_hp_values():
@@ -23,6 +23,28 @@ def test_to_fraction_is_exact_on_hp_values():
     for bad in ("inf", "-inf", "nan"):
         with pytest.raises((ValueError, OverflowError)):
             to_fraction(hp(bad))
+
+
+def test_to_ratio_is_exact():
+    """to_ratio gives the exact (numerator, denominator), denominator > 0, of
+    an int, Fraction, float or hp value, reduced as as_integer_ratio is, and
+    to_fraction is that pair as a Fraction."""
+    third = hp(Fraction(1, 3))
+    for value, want in ((7, (7, 1)), (-3, (-3, 1)), (Fraction(-6, 4), (-3, 2)),
+                        (0.375, (3, 8)), (hp(0), (0, 1)), (hp(-12), (-12, 1)),
+                        (hp(2) ** 300, (2**300, 1)), (hp(Fraction(-5, 64)), (-5, 64))):
+        assert to_ratio(value) == want
+        assert all(type(n) is int for n in to_ratio(value))
+        assert to_fraction(value) == Fraction(*want)
+    num, den = to_ratio(third)
+    assert den & (den - 1) == 0 and num % 2 == 1 and num.bit_length() == PRECISION
+    assert hp_quotient(num, den) == third
+    assert abs(Fraction(num, den) - Fraction(1, 3)) < Fraction(1, 2**PRECISION)
+    for bad, error in (("inf", OverflowError), ("-inf", OverflowError), ("nan", ValueError)):
+        with pytest.raises(error):
+            to_ratio(hp(bad))
+        with pytest.raises(error):
+            to_ratio(float(bad))
 
 
 def test_hp_quotient_rounds_once():

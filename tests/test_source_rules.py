@@ -64,6 +64,21 @@ def test_hp_backend_imported_only_by_precision():
     assert hits == []
 
 
+# The fields of an mpf: its (mantissa, exponent) pair or its raw tuple.
+MPF_INTERNALS = re.compile(r"\b(man_exp|_mpf_)\b")
+
+
+def test_mpf_internals_read_only_by_precision():
+    """Only _precision.py reads an mpf's mantissa and exponent (to_ratio):
+    every other module turns an hp value into integers through it."""
+    hits = [f"{path.name}:{lineno}"
+            for path in sorted(SRC.glob("*.py")) if path.name != "_precision.py"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if MPF_INTERNALS.search(line)]
+    assert hits == []
+    assert MPF_INTERNALS.search((SRC / "_precision.py").read_text())
+
+
 # hp(0.06) is the 53-bit double nearest 0.06, not 0.06.
 HP_FLOAT_LITERAL = re.compile(r"\bhp\(\s*[-+]?(\d+\.\d*|\.\d+|\d+[eE])")
 

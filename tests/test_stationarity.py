@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sospgrid import stationarity
-from sospgrid._precision import hp, hp_sqrt, to_fraction
+from sospgrid._precision import PRECISION, hp, hp_quotient, hp_sqrt, to_fraction, to_ratio
 from sospgrid.stationarity import (
     Polytope,
     active_set,
@@ -107,6 +107,53 @@ def test_box_projection_is_clamping():
     assert project(poly, (Fraction(3, 2), Fraction(-1, 2))) == (1, 0)
     assert project(poly, (Fraction(1, 3), Fraction(2, 3))) == (Fraction(1, 3),
                                                                Fraction(2, 3))
+
+
+CLAMP_BOXES = (Polytope.box((Fraction(1, 3), Fraction(-2, 7)), (Fraction(5, 3), Fraction(1, 2))),
+               Polytope.box((0, 0), (1, 1)))
+
+
+def ulp_neighbours(v):
+    """The hp values one unit in the last place below and above v."""
+    num, den = to_ratio(v)
+    shift = PRECISION - abs(num).bit_length()
+    return [hp_quotient((num << shift) + d, den << shift) for d in (-1, 1)]
+
+
+def assert_box_clamp(box, point):
+    """project on a box is min(max(c, lo), hi) at the exact value of each
+    coordinate, returned as Fractions."""
+    lo, hi = box.box_bounds
+    want = tuple(min(max(to_fraction(c), l), h) for c, l, h in zip(point, lo, hi))
+    got = project(box, point)
+    assert got == want and all(type(c) is Fraction for c in got)
+
+
+def test_box_projection_of_hp_values_is_the_exact_clamp():
+    """hp values on a bound, one ulp either side of it and far outside are
+    clamped by their exact value: hp(1/3) is not 1/3, so it is returned
+    itself when above 1/3 and becomes 1/3 when below."""
+    for box in CLAMP_BOXES:
+        lo, hi = box.box_bounds
+        coords = [0, Fraction(1, 3), Fraction(2, 5)]
+        for bound in (*lo, *hi):
+            near = hp(bound)
+            coords += [bound, near, *ulp_neighbours(near), hp(bound - 10),
+                       hp(bound + 10), bound - 2**300, hp(bound + 2**300)]
+        for cx in coords:
+            for cy in coords:
+                assert_box_clamp(box, (cx, cy))
+    third = to_fraction(hp(Fraction(1, 3)))
+    assert third != Fraction(1, 3)  # though mpmath compares them equal
+    assert project(CLAMP_BOXES[0], (hp(Fraction(1, 3)), 0))[0] == max(third, Fraction(1, 3))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(CLAMP_BOXES),
+       st.lists(st.fractions(min_value=-3, max_value=3), min_size=2, max_size=2),
+       st.lists(st.booleans(), min_size=2, max_size=2))
+def test_box_projection_is_the_exact_clamp(box, point, rounded):
+    assert_box_clamp(box, [hp(c) if r else c for c, r in zip(point, rounded)])
 
 
 def test_proximal_gradient_zero_at_interior_critical_point():
