@@ -8,31 +8,29 @@ least common denominator D.  It is solved in integers, since 2 A^-1 is the
 integer matrix A_INV2: with V scaled to integers by the common denominator
 d of its entries, (2 A^-1) (d V) (2 A^-1)^T is C times 4 d.
 
-Two integer kernels share one row builder (_rows): a rational offset
-t = p/q becomes the integer power rows q^5 t^i and their first and second
-derivatives, all over the scale q^5, and an offset may be given as an
-unreduced integer pair (p, q).  The grid kernel (BoxPatch.fields) turns a
-grid of offsets into object arrays and gives the value, gradient and
-Hessian on the whole grid as integer matrix products over one known scale
-per sample; the certifier's sample grids use it.  The point kernel
-(BoxPatch.point_fields) gives the same fields at one point, as seven
-integers in plain Python, from the point's integer pairs with no Fraction
-arithmetic.  BoxPatch.eval reads it and returns the six numbers exactly,
-as Fractions, or each rounded once to a high-precision float (see
-_precision).  A single value is the order-0 slice: f alone is the order-0
-row of x times K times the order-0 row of y (BoxPatch.value), the same
-integer as eval's f over the same scale.
+Every product of the module is one integer primitive, _matvec: the dot
+products of six-entry rows with one vector.  A rational offset t = p/q
+becomes the integer power rows q^5 t^i and their first and second
+derivatives, all over the scale q^5 (_rows), and an offset may be given as
+an unreduced integer pair (p, q).  The point kernel (BoxPatch.point_fields)
+gives the value, gradient and Hessian at one point as seven integers, from
+the point's integer pairs with no Fraction arithmetic: K times the three
+rows of y, then six dot products with the rows of x.  BoxPatch.eval reads
+it and returns the six numbers exactly, as Fractions, or each rounded once
+to a high-precision float (see _precision).  A single value is the order-0
+slice: f alone is the order-0 row of x times K times the order-0 row of y
+(BoxPatch.value), the same integer as eval's f over the same scale.  The
+grid kernel (BoxPatch.fields) gives the gradient and Hessian on a grid of
+rational offsets as lists of rows indexed [i][j], each sample over its own
+known scale; the certifier's sample grids use it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from sospgrid._precision import hp_quotient, to_fraction, to_ratio
 from sospgrid.color_field import CornerAssignment
@@ -103,30 +101,27 @@ def _rows(num: int, den: int):
     return r0, r1, r2, scale
 
 
-def _scaled_rows(coords):
-    """The rows of _rows for each rational coordinate, as object arrays
-    (one row per coordinate), and the scales."""
-    rows = [_rows(t.numerator, t.denominator) for t in coords]
-    return tuple(np.array(r, dtype=object) for r in zip(*rows))
-
-
-def _dot(u, v):
-    return sum(map(operator.mul, u, v))
+def _matvec(rows, c):
+    """The dot product of each six-entry row with c, as a list."""
+    c0, c1, c2, c3, c4, c5 = c
+    return [r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 + r4 * c4 + r5 * c5
+            for r0, r1, r2, r3, r4, r5 in rows]
 
 
 class Fields(NamedTuple):
     """Exact value, gradient and Hessian of a patch over one integer scale.
-    On a grid of samples (BoxPatch.fields) each is an object array: f at
-    sample (i, j) is f[i, j] / scale[i, j], gx is gx[i, j] / scale[i, j],
-    and so on.  At one point (BoxPatch.point_fields) each is an int."""
+    At one point (BoxPatch.point_fields) each is an int: f / scale, gx /
+    scale and so on.  On a grid of samples (BoxPatch.fields) each but f is
+    a list of rows: gx at sample (i, j) is gx[i][j] / scale[i][j]; f is
+    None there, since no grid reader needs it."""
 
-    f: np.ndarray | int
-    gx: np.ndarray | int
-    gy: np.ndarray | int
-    hxx: np.ndarray | int
-    hyy: np.ndarray | int
-    hxy: np.ndarray | int
-    scale: np.ndarray | int
+    f: int | None
+    gx: int | list
+    gy: int | list
+    hxx: int | list
+    hyy: int | list
+    hxy: int | list
+    scale: int | list
 
 
 @dataclass(frozen=True)
@@ -146,15 +141,23 @@ class BoxPatch:
         return tuple(tuple(Fraction(k, self.D) for k in row) for row in self.K)
 
     def fields(self, xs, ys) -> Fields:
-        """Exact fields on the xs x ys grid of rational local offsets
-        (x - a, y - b), in integer arithmetic throughout."""
-        K, D = np.array(self.K, dtype=object), self.D
-        x0, x1, x2, sx = _scaled_rows(xs)
-        y0, y1, y2, sy = _scaled_rows(ys)
-        x0k, x1k = x0 @ K, x1 @ K
-        return Fields(f=x0k @ y0.T, gx=x1k @ y0.T, gy=x0k @ y1.T,
-                      hxx=(x2 @ K) @ y0.T, hyy=x0k @ y2.T, hxy=x1k @ y1.T,
-                      scale=np.outer(sx, sy) * D)
+        """Exact gradient and Hessian on the xs x ys grid of rational local
+        offsets (x - a, y - b), in integer arithmetic throughout: the rows of
+        each x times K once, then one _matvec over the rows of the ys per
+        field."""
+        KT = tuple(zip(*self.K))
+        y0, y1, y2, sy = zip(*(_rows(t.numerator, t.denominator) for t in ys))
+        gx, gy, hxx, hyy, hxy, scale = ([] for _ in range(6))
+        for t in xs:
+            x0, x1, x2, sx = _rows(t.numerator, t.denominator)
+            x0k, x1k, x2k = _matvec(KT, x0), _matvec(KT, x1), _matvec(KT, x2)
+            gx.append(_matvec(y0, x1k))
+            gy.append(_matvec(y1, x0k))
+            hxx.append(_matvec(y0, x2k))
+            hyy.append(_matvec(y2, x0k))
+            hxy.append(_matvec(y1, x1k))
+            scale.append([sx * s * self.D for s in sy])
+        return Fields(None, gx, gy, hxx, hyy, hxy, scale)
 
     def point_fields(self, dx, dy) -> Fields:
         """The point kernel: exact fields at the local offsets dx = (num,
@@ -163,10 +166,11 @@ class BoxPatch:
         then six dot products with the rows of x)."""
         x0, x1, x2, sx = _rows(*dx)
         y0, y1, y2, sy = _rows(*dy)
-        k0, k1, k2 = ([_dot(row, r) for row in self.K] for r in (y0, y1, y2))
-        return Fields(f=_dot(x0, k0), gx=_dot(x1, k0), gy=_dot(x0, k1),
-                      hxx=_dot(x2, k0), hyy=_dot(x0, k2), hxy=_dot(x1, k1),
-                      scale=sx * sy * self.D)
+        k0, k1, k2 = _matvec(self.K, y0), _matvec(self.K, y1), _matvec(self.K, y2)
+        f, gx, hxx = _matvec((x0, x1, x2), k0)
+        gy, hxy = _matvec((x0, x1), k1)
+        (hyy,) = _matvec((x0,), k2)
+        return Fields(f, gx, gy, hxx, hyy, hxy, sx * sy * self.D)
 
     def _local(self, x, y):
         """Local offsets (x - a, y - b) of a point inside the cell, as
@@ -188,7 +192,7 @@ class BoxPatch:
         (xn, xd), (yn, yd) = self._local(x, y)
         xr, sx = _value_row(xn, xd)
         yr, sy = _value_row(yn, yd)
-        f = _dot(xr, [_dot(row, yr) for row in self.K])
+        (f,) = _matvec((xr,), _matvec(self.K, yr))
         num, den = factor
         return (Fraction if exact else hp_quotient)(f * num, sx * sy * self.D * den)
 
@@ -218,8 +222,8 @@ def solve_coefficients(V: CornerBlock, a: int = 0, b: int = 0) -> BoxPatch:
     V = [[to_fraction(x) for x in row] for row in V]
     d = math.lcm(*(x.denominator for row in V for x in row))
     V = [[x.numerator * (d // x.denominator) for x in row] for row in V]
-    L = [[sum(map(operator.mul, row, col)) for col in zip(*V)] for row in A_INV2]
-    M = [[sum(map(operator.mul, row, inv)) for inv in A_INV2] for row in L]
+    VT = tuple(zip(*V))
+    M = [_matvec(A_INV2, _matvec(VT, row)) for row in A_INV2]
     g = math.gcd(4 * d, *(m for row in M for m in row))
     return BoxPatch(a=a, b=b, K=tuple(tuple(m // g for m in row) for row in M),
                     D=4 * d // g)

@@ -16,14 +16,15 @@ lambda_min < -EPS0, with EPS0 exactly 10^-10.  Only a passing near miss is
 re-sampled on a finer grid; a cell with a failing sample keeps its coarse
 report.  Each sample's verdict is exact.  Sample coordinates are rationals
 p/q, and the gradient and Hessian on the whole grid come from the patch's
-own exact integer kernel (BoxPatch.fields in biquintic) as integer
-matrices over one known scale per sample.  The gradient tests are integer
-comparisons; the curvature test is sqrt-free (lambda_min < -EPS0 iff
-H + EPS0 I has a negative diagonal entry or determinant).  The Newton
-polish steps on the 2^-192 grid with the same kernel, from exact starts
-strictly inside the cell; its damped step, the first of 2^-j times the
-Newton step that stays inside the cell, is found by bisection on j.  The
-1/sqrt(gap) offsets are integer square roots on that grid: no
+own exact integer kernel (BoxPatch.fields in biquintic) as rows of
+Python integers over one known scale per sample.  One plain loop decides
+every sample: the gradient tests are integer comparisons; the curvature
+test is sqrt-free (lambda_min < -EPS0 iff H + EPS0 I has a negative
+diagonal entry or determinant).  The Newton polish steps on the
+2^-192 grid with the point kernel (BoxPatch.point_fields), from exact
+starts strictly inside the cell; its damped step, the first of 2^-j
+times the Newton step that stays inside the cell, is found by bisection
+on j.  The 1/sqrt(gap) offsets are integer square roots on that grid: no
 high-precision float is used.  Reports keep their points exact: floats
 appear only in to_json and in the margin figures, each rounded once from
 exact integers.  The curvature part of a sample's margin is read only
@@ -42,8 +43,6 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from ._precision import to_fraction
 from .biquintic import BoxPatch, Fields
@@ -348,41 +347,48 @@ def _record(report: CriterionReport, xs, ys, F: Fields, eps: Fraction):
     diagonal entries or its determinant is negative.
     """
     num, den = eps.numerator, eps.denominator
-    eps_scaled = F.scale * num
-    abs_gx, abs_gy = abs(F.gx), abs(F.gy)
-    ok_gx = abs_gx * den > eps_scaled
-    ok_gy = abs_gy * den > eps_scaled
-    a = F.hxx * den + eps_scaled
-    b = F.hyy * den + eps_scaled
-    c = F.hxy * den
-    ok_lam = (a < 0) | (b < 0) | (a * b < c * c)
-    report.sample_count += ok_gx.size
-    report.gx_count += int(ok_gx.sum())
-    report.gy_count += int(ok_gy.sum())
-    report.lambda_count += int(ok_lam.sum())
+    g = []
+    n_gx = n_gy = n_lam = 0
+    for x, *row in zip(xs, F.gx, F.gy, F.hxx, F.hyy, F.hxy, F.scale):
+        for y, gx, gy, hxx, hyy, hxy, scale in zip(ys, *row):
+            eps_scaled = scale * num
+            abs_gx, abs_gy = abs(gx), abs(gy)
+            ok_gx = abs_gx * den > eps_scaled
+            ok_gy = abs_gy * den > eps_scaled
+            a = hxx * den + eps_scaled
+            b = hyy * den + eps_scaled
+            c = hxy * den
+            ok_lam = a < 0 or b < 0 or a * b < c * c
+            n_gx += ok_gx
+            n_gy += ok_gy
+            n_lam += ok_lam
+            if not (ok_gx or ok_gy or ok_lam):
+                report.failing.append((x, y))
+                report.passed = False
+            g.append((abs_gx if abs_gx >= abs_gy else abs_gy) / scale)
+    report.sample_count += len(g)
+    report.gx_count += n_gx
+    report.gy_count += n_gy
+    report.lambda_count += n_lam
     # A sample's margin is max(g, -lambda_min), g = max(|gx|, |gy|) / scale,
     # each rounded to float once from exact integers; the worst sample is
     # the first in row-major order with the least margin.  The margin is at
     # least g, so visiting samples by ascending g, -lambda_min is read only
     # while g does not exceed the least margin so far.
-    g = (np.maximum(abs_gx, abs_gy) / F.scale).astype(float).ravel()
-    hxx, hyy, hxy, scale = (v.ravel() for v in F[3:7])
     best, best_k = float("inf"), -1
-    for k in np.argsort(g, kind="stable"):
-        gk = float(g[k])
+    for k in sorted(range(len(g)), key=g.__getitem__):
+        gk = g[k]
         if gk > best:
             break
-        lam = _neg_lambda_min(hxx[k], hyy[k], hxy[k], scale[k])
+        i, j = divmod(k, len(ys))
+        lam = _neg_lambda_min(*(m[i][j] for m in F[3:]))
         margin = gk if gk >= lam else lam  # g on a tie: 0.0, not -0.0
         if margin < best or (margin == best and k < best_k):
             best, best_k = margin, k
     if best < report.worst_margin:
-        i, j = divmod(int(best_k), len(ys))
+        i, j = divmod(best_k, len(ys))
         report.worst_margin = best
         report.worst_point = (xs[i], ys[j])
-    for i, j in zip(*np.nonzero(~(ok_gx | ok_gy | ok_lam))):
-        report.failing.append((xs[i], ys[j]))
-        report.passed = False
 
 
 _POLISH_STEPS = 40  # the step is 2^-j times the Newton step, j < 40
@@ -552,7 +558,7 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
         for i, tx in enumerate(ticks):
             for j, ty in enumerate(ticks):
                 x, y = a + tx, b + ty
-                grad = (Fraction(g[i, j], F.scale[i, j]) for g in F[1:3])
+                grad = (Fraction(g[i][j], F.scale[i][j]) for g in F[1:3])
                 norm_sq = sum(g * g for g in proximal_gradient(
                     (x, y), grad, L1, poly))
                 r, k = _isqrt_shifted(norm_sq.numerator * norm_sq.denominator)

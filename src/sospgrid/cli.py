@@ -200,7 +200,8 @@ def render(instance: str, out: str) -> None:
 @_eps_option("--eps-g", "1e-2", steps=True)
 @_eps_option("--eps-h", "1e-2", steps=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-iter", type=int, default=20000, show_default=True)
+@click.option("--max-iter", type=click.IntRange(1, None), default=20000,
+              show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def solve(instance, scale, eps_g, eps_h, seed, max_iter, out) -> None:
     """Run the adaptive solver from a seeded start point and decode the
@@ -290,8 +291,8 @@ def reduce(dim, eps_g, eps_h, samples, seed, out) -> None:
 @click.option("-a", "cell_a", type=int, default=None)
 @click.option("-b", "cell_b", type=int, default=None)
 @click.option("--certify", is_flag=True, default=False)
-@click.option("--resolution", type=int, default=51, show_default=True,
-              help="Samples per side of a non-boundary cell.")
+@click.option("--resolution", type=click.IntRange(1, None), default=51,
+              show_default=True, help="Samples per side of a non-boundary cell.")
 @click.option("--out", type=click.Path(), default=None)
 def classify(instance, cell_a, cell_b, certify, resolution, out) -> None:
     """Classify cells; optionally run the numerical no-SOSP certificates.

@@ -298,6 +298,23 @@ def kernel_patches():
                                for a, b in ((3, -2), (-5, 7)))]
 
 
+def test_grid_kernel_is_the_point_kernel_at_every_sample(kernel_patches):
+    """fields on a 3 x 5 grid holds at [i][j] the point kernel's gradient,
+    Hessian and scale at (xs[i], ys[j]), and no f: a transposed layout or
+    a row read with the wrong x cannot pass on a non-square grid."""
+    long = Fraction(10**60 - 1, 10**60 + 3**100)
+    xs = [Fraction(0), Fraction(1, 3), long]
+    ys = [Fraction(1), Fraction(2, 7), long, Fraction(0), Fraction(5, 6)]
+    for patch in kernel_patches:
+        F = patch.fields(xs, ys)
+        assert F.f is None
+        assert all(len(m) == 3 and all(len(row) == 5 for row in m) for m in F[1:])
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                point = patch.point_fields(x.as_integer_ratio(), y.as_integer_ratio())
+                assert tuple(m[i][j] for m in F[1:]) == point[1:]
+
+
 @st.composite
 def offset_pairs(draw):
     """A local offset in [0, 1] as an integer (num, den) pair: 0, 1 or a
@@ -314,19 +331,19 @@ def offset_pairs(draw):
 @given(st.data(), offset_pairs(), offset_pairs())
 def test_point_kernel_is_the_grid_kernel_and_the_reference(kernel_patches, data, dx, dy):
     """point_fields at (possibly unreduced) integer pairs is the 1 x 1 grid
-    of fields at the same rationals: the same seven integers on reduced
-    pairs, the same ratios otherwise.  eval reads it at absolute integer
-    pairs and at numbers alike, and equals the reference evaluator exactly,
-    and rounded once on the hp path."""
+    of fields at the same rationals: the same six integers (the grid holds
+    no f) on reduced pairs, the same ratios otherwise.  eval reads it at
+    absolute integer pairs and at numbers alike, and equals the reference
+    evaluator exactly, and rounded once on the hp path."""
     patch = data.draw(st.sampled_from(kernel_patches))
     u, v = Fraction(*dx), Fraction(*dy)
     point = patch.point_fields(dx, dy)
-    grid = tuple(m[0, 0] for m in patch.fields([u], [v]))
+    grid = tuple(m[0][0] for m in patch.fields([u], [v])[1:])
     assert all(type(n) is int for n in point)
-    assert [Fraction(n, point.scale) for n in point[:6]] == \
-        [Fraction(n, grid[6]) for n in grid[:6]]
+    assert [Fraction(n, point.scale) for n in point[1:6]] == \
+        [Fraction(n, grid[5]) for n in grid[:5]]
     if dx == u.as_integer_ratio() and dy == v.as_integer_ratio():
-        assert point == grid
+        assert point[1:] == grid
     x, y = patch.a + u, patch.b + v
     want = reference_eval(patch, x, y)
     pairs = ((patch.a * dx[1] + dx[0], dx[1]), (patch.b * dy[1] + dy[0], dy[1]))

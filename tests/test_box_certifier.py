@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from patch_reference import patch_of, reference_eval
 from sospgrid._precision import to_fraction
 from sospgrid import box_certifier
+from sospgrid.biquintic import Fields
 from sospgrid.box_certifier import (
     ALL_TRANSFORMS,
     EPS0,
@@ -327,6 +328,7 @@ _neg_lambda_grid = np.frompyfunc(_neg_lambda_min, 4, 1)
 def _record_whole_grid(report, xs, ys, F, eps):
     """Reference for _record: the margin max(g, -lambda_min) at every
     sample, and the first sample in row-major order with the least one."""
+    F = Fields(None, *(np.array(m, dtype=object) for m in F[1:]))
     num, den = eps.numerator, eps.denominator
     eps_scaled = F.scale * num
     abs_gx, abs_gy = abs(F.gx), abs(F.gy)

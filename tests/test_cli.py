@@ -140,6 +140,21 @@ def test_classify_rejects_a_cell_outside_the_grid(runner, n1_file, cell, certify
     assert "outside [0, 17]^2" in res.output
 
 
+@pytest.mark.parametrize("resolution", ["0", "-1"])
+@pytest.mark.parametrize("cell", [(), ("-a", "10", "-b", "10"),
+                                  ("-a", "5", "-b", "5")])
+def test_classify_resolution_below_one_is_a_usage_error(runner, n1_file, cell,
+                                                        resolution):
+    """A certificate samples at least one point per side: --resolution 0
+    or -1 is refused before any cell is certified."""
+    args = ["classify", "--instance", str(n1_file), *cell, "--certify",
+            "--resolution", resolution]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "--resolution" in res.output
+
+
 _EPS_COMMANDS = {
     "verify": lambda path: ["verify", "--instance", str(path), "-x", "1",
                             "-y", "1"],
@@ -238,6 +253,17 @@ def test_solve_has_no_step_switch(runner, n1_file, flag):
     unconverged at the iteration limit on the n = 1 instance."""
     res = runner.invoke(main, ["solve", "--instance", str(n1_file), flag])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_solve_max_iter_below_one_is_a_usage_error(runner, n1_file, max_iter):
+    """The solver takes at least one step, so that the trace has a final
+    point to decode."""
+    res = runner.invoke(main, ["solve", "--instance", str(n1_file),
+                               "--max-iter", max_iter])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "--max-iter" in res.output
 
 
 def test_solve_final_point_verifies_exactly(runner, n1_file):

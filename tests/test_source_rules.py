@@ -160,3 +160,16 @@ def test_face_frame_is_the_only_face_builder():
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if NOT_FACE_FRAME.search(line)]
     assert hits == []
+
+
+NUMPY_IMPORT = re.compile(r"^\s*(import|from)\s+numpy\b")
+
+
+def test_package_imports_no_numpy():
+    """Every patch number is a Python integer and every sample grid a list
+    of rows, so no module of the package imports numpy."""
+    hits = [f"{path.name}:{lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if NUMPY_IMPORT.search(line)]
+    assert hits == []
