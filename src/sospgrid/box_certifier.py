@@ -102,11 +102,6 @@ class GroupLabel:
     kind: str  # "A".."G", "G1".."G4", "X", "Boundary"
     transforms: tuple = ()  # canonicalizing transform sequence (kinds 1-6)
 
-    def __str__(self) -> str:
-        if self.transforms:
-            return f"{self.kind}{list(self.transforms)}"
-        return self.kind
-
 
 # ---------------------------------------------------------------------------
 # Transformations on corner data.
@@ -463,7 +458,10 @@ def certify_no_sosp(patch: BoxPatch, resolution: int = 51,
     straddled by the grid.  A near miss, a cell that passes with a worst
     margin below 10*EPS0, is re-sampled at the refinement resolution; a
     cell that fails is never re-sampled, since a failing sample stands.
+    ValueError for a resolution below 1.
     """
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
     offsets = [t for t in map(to_fraction, extra_offsets) if 0 < t < 1]
     report = CriterionReport(cell=(patch.a, patch.b), resolution=resolution)
     coords = [Fraction(i + 1, resolution + 1)
@@ -546,7 +544,11 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
     g_pi is stationarity.proximal_gradient on the domain box, exact in
     rationals: where the step x - grad/L1 overshoots a wall, g_pi is at
     least the distance to the wall times L1.  The test is ||g_pi||^2 > EPS0^2.
+    The ticks i / (resolution - 1) span the closed cell, so ValueError for a
+    resolution below 2.
     """
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
     poly = h.domain_polytope()
     L1 = h.lipschitz_report().L1
     eps_sq = EPS0 ** 2

@@ -105,10 +105,9 @@ def gen(instance: str, scale: str, out: str | None) -> None:
 @click.option("-y", "y_text", required=True)
 @_eps_option("--eps-g", "1e-4", steps=False)
 @_eps_option("--eps-h", "1e-4", steps=False)
-@click.option("--exact/--float", "exact", default=False, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def verify(instance, scale, x_text, y_text, eps_g, eps_h, exact, out) -> None:
-    """Check the (eps_G, eps_H)-SOSP conditions at a point."""
+def verify(instance, scale, x_text, y_text, eps_g, eps_h, out) -> None:
+    """Check the (eps_G, eps_H)-SOSP conditions of f at a point, exactly."""
     inst = _load(instance)
     h = build(inst, scale)
     x, y = _parse_number(x_text), _parse_number(y_text)
@@ -117,8 +116,8 @@ def verify(instance, scale, x_text, y_text, eps_g, eps_h, exact, out) -> None:
         raise click.UsageError(f"point ({x}, {y}) outside [0, {hi}]^2")
     poly = h.domain_polytope()
     L1 = h.lipschitz_report().L1
-    report = verify_sosp(h.objective(exact=exact), poly, (x, y),
-                         eps_g, eps_h, L1, exact=exact)
+    report = verify_sosp(h.objective(), poly, (x, y), eps_g, eps_h, L1,
+                         exact=True)
     payload = {
         "point": [str(x), str(y)],
         "scale": scale,
@@ -136,8 +135,9 @@ def verify(instance, scale, x_text, y_text, eps_g, eps_h, exact, out) -> None:
     sys.exit(0 if report.passed else 1)
 
 
-def render_svg(inst: IterInstance, cell: int = 24) -> str:
+def render_svg(inst: IterInstance) -> str:
     """Deterministic SVG: one colored square + descent arrow per grid point."""
+    cell = 24
     field = ColorField(inst)
     N = field.N
     size = (N + 1) * cell
@@ -225,7 +225,7 @@ def solve(instance, scale, eps_g, eps_h, seed, max_iter, out) -> None:
         "final": [str(final[0]), str(final[1])],
         "iterations": trace.iterations,
         "converged": trace.converged,
-        "sosp_passed": trace.final_report.passed if trace.final_report else False,
+        "sosp_passed": trace.final_report.passed,
         "decoded_solution": decoded,
         "solution_valid": (decoded is not None
                            and iter_is_solution(inst, decoded)),
@@ -233,7 +233,7 @@ def solve(instance, scale, eps_g, eps_h, seed, max_iter, out) -> None:
         **trace.counts(),
     }
     _emit(payload, out)
-    sys.exit(0 if payload["converged"] and payload["sosp_passed"] else 1)
+    sys.exit(0 if trace.converged else 1)
 
 
 def _reduction_bowl(dim: int):

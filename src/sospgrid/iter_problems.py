@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -83,15 +83,6 @@ def iter_solve_brute(inst: IterInstance) -> int:
         if iter_is_solution(inst, v):
             return v
     raise AssertionError("unreachable: every valid instance has a solution")
-
-
-def from_mapping(values: Sequence[int]) -> IterInstance:
-    """Build a table instance from 1-indexed successor values (len = 2^n)."""
-    size = len(values)
-    n = size.bit_length() - 1
-    if size != 1 << n:
-        raise ValueError("table length must be a power of two")
-    return IterInstance(n=n, table=tuple(values))
 
 
 def load_instance(path: str | Path) -> IterInstance:

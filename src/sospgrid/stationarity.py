@@ -12,10 +12,10 @@ its exact integer ratio with the rational bounds in integers (an mpf
 compare would round a bound like 1/3), and forms one Fraction only for a
 coordinate strictly inside.
 
-A face frame (face_frame, cached) is one Gram-Schmidt over a set I of
-rows, carrying their right-hand sides, and then over the unit vectors: it
-gives x_ref, the minimum-norm point of {x : A_I x = b_I}, and an
-orthogonal rational basis B of ker(A_I).  The active set at x is the frame
+A face frame (face_frame, held by its polytope) is one Gram-Schmidt over
+a set I of rows, carrying their right-hand sides, and then over the unit
+vectors: it gives x_ref, the minimum-norm point of {x : A_I x = b_I}, and
+an orthogonal rational basis B of ker(A_I).  The active set at x is the frame
 of the rows active at x; the projection onto a polytope without box bounds
 and polytope_lattice's lattices read the same frames.  Second order reads
 one matrix, R = B^T H B, with k = dim <= 2 (every objective of the package
@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from sospgrid._precision import hp, hp_sqrt, to_fraction, to_ratio
@@ -43,9 +43,8 @@ INF = float("inf")
 
 
 class Polytope:
-    """Rational polytope {x : Ax <= b}.  Two polytopes are equal when their
-    A and b are, and the hash of (A, b) is taken once, at construction:
-    the face-frame cache looks polytopes up by it."""
+    """Rational polytope {x : Ax <= b}.  It holds the face frames built on
+    it, one per sorted row set (face_frame)."""
 
     def __init__(self, A: Sequence[Sequence], b: Sequence):
         self.A = tuple(tuple(to_fraction(v) for v in row) for row in A)
@@ -56,17 +55,10 @@ class Polytope:
             raise ValueError("empty constraint system")
         self.d = len(self.A[0])
         self.m = len(self.A)
-        self._hash = hash((self.A, self.b))
+        self._frames: dict[tuple[int, ...], FaceFrame] = {}
         # (lo, hi): by convention set only by Polytope.box, which builds the
         # rows from them; slacks, project and the reduction trust it unchecked
         self.box_bounds: Optional[tuple[tuple, tuple]] = None
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Polytope) and self._hash == other._hash
-                and (self.A, self.b) == (other.A, other.b))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def box(cls, lo: Sequence, hi: Sequence) -> "Polytope":
@@ -158,8 +150,7 @@ class FaceFrame:
                 for v, nsq in zip(self.basis, self.norms_sq)]
 
 
-@lru_cache(maxsize=4096)
-def _face_frame_cached(poly: Polytope, I: tuple) -> FaceFrame:
+def _build_face_frame(poly: Polytope, I: tuple) -> FaceFrame:
     d = poly.d
     rows = ((poly.A[j], poly.b[j]) for j in I)
     units = (([Fraction(int(i == j)) for j in range(d)], None) for i in range(d))
@@ -191,8 +182,13 @@ def _face_frame_cached(poly: Polytope, I: tuple) -> FaceFrame:
 
 def face_frame(poly: Polytope, I: Sequence[int]) -> FaceFrame:
     """The frame of the face on rows I (see the module docstring);
-    ValueError if those rows are inconsistent."""
-    return _face_frame_cached(poly, tuple(sorted(I)))
+    ValueError if those rows are inconsistent.  The polytope keeps the
+    frame, one object for the rows in any order."""
+    I = tuple(sorted(I))
+    frame = poly._frames.get(I)
+    if frame is None:
+        frame = poly._frames[I] = _build_face_frame(poly, I)
+    return frame
 
 
 def active_set(poly: Polytope, x) -> FaceFrame:

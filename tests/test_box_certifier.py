@@ -187,6 +187,25 @@ def test_boundary_prox_check(hard_n1):
         assert rep.passed
 
 
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_certify_refuses_resolution_below_one(hard_n1, resolution):
+    """A certificate needs a grid of at least one sample a side: with none,
+    certify_cell passed a cell on its targeted offsets alone."""
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        certify_cell(hard_n1, 5, 5, resolution=resolution)
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        certify_no_sosp(hard_n1.patch(5, 5), resolution=resolution)
+    assert certify_no_sosp(hard_n1.patch(5, 5), resolution=1).resolution == 1
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -1])
+def test_boundary_check_refuses_resolution_below_two(hard_n1, resolution):
+    """The ticks i / (resolution - 1) span the closed cell only from two on."""
+    with pytest.raises(ValueError, match="resolution must be >= 2"):
+        boundary_prox_check(hard_n1, [(0, 5)], resolution)
+    assert boundary_prox_check(hard_n1, [(0, 5)], 2)[0].resolution == 2
+
+
 def test_refinement_resamples_iterator_offsets():
     # the refinement pass must see the same offsets as the first pass, also
     # when they come from a one-shot iterator.  f = 2 EPS0 x passes every

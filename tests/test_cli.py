@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -14,6 +15,7 @@ from sospgrid.cli import main, render_svg
 from sospgrid.color_field import ColorField
 from sospgrid.hard_instance import build
 from sospgrid.iter_problems import load_instance
+from sospgrid.stationarity import verify_sosp
 
 
 @pytest.fixture()
@@ -53,11 +55,10 @@ def test_verify_non_sosp_exits_one(runner, n1_file):
     assert payload["passed"] is False
 
 
-@pytest.mark.parametrize("exact", ["--exact", "--float"])
-def test_verify_at_a_corner_reports_no_curvature(runner, n1_file, exact):
+def test_verify_at_a_corner_reports_no_curvature(runner, n1_file):
     """At a corner of the box both walls are active and the null space is
     {0}: lambda_min is +inf, printed as "inf"."""
-    res = runner.invoke(main, ["verify", "--instance", str(n1_file), exact,
+    res = runner.invoke(main, ["verify", "--instance", str(n1_file),
                                "-x", "0", "-y", "0"])
     payload = json.loads(res.output)
     assert payload["lambda_min"] == "inf" and payload["active"] == [0, 1]
@@ -267,16 +268,47 @@ def test_solve_max_iter_below_one_is_a_usage_error(runner, n1_file, max_iter):
 
 
 def test_solve_final_point_verifies_exactly(runner, n1_file):
-    """solve prints its final point as exact fractions, and verify --exact
-    accepts that point on the same instance and scale."""
+    """solve prints its final point as exact fractions, and verify accepts
+    that point on the same instance and scale."""
     res = runner.invoke(main, ["solve", "--instance", str(n1_file), "--seed", "1"])
     assert res.exit_code == 0
     x, y = json.loads(res.output)["final"]
     assert all(re.fullmatch(r"-?\d+(/\d+)?", c) for c in (x, y))
     res = runner.invoke(main, ["verify", "--instance", str(n1_file),
-                               "--scale", "moderate", "--exact",
+                               "--scale", "moderate",
                                "--eps-g", "1e-2", "--eps-h", "1e-2",
                                "-x", x, "-y", y])
     assert res.exit_code == 0, res.output
     payload = json.loads(res.output)
     assert payload["passed"] is True and payload["decoded_solution"] == 1
+
+
+@pytest.fixture(scope="module")
+def solve_final(n1_file):
+    """The final point of `solve --seed 1` (moderate scale)."""
+    res = CliRunner().invoke(main, ["solve", "--instance", str(n1_file),
+                                    "--seed", "1"])
+    assert res.exit_code == 0, res.output
+    return tuple(Fraction(c) for c in json.loads(res.output)["final"])
+
+
+@pytest.mark.parametrize("scale", ["unit", "moderate"])
+@pytest.mark.parametrize("where", ["corner", "wall", "interior", "solve"])
+def test_verify_decides_at_the_exact_derivatives(runner, n1_file, inst_n1,
+                                                 solve_final, scale, where):
+    """verify has one path: its verdict and exit code are those of
+    verify_sosp on the exact objective with exact=True."""
+    h = build(inst_n1, scale)
+    at = {"corner": (0, 0), "wall": (0, Fraction(5, 9)),
+          "interior": (Fraction(2, 7), Fraction(3, 11)), "solve": solve_final}
+    x, y = (h.domain_high * c for c in at[where])
+    eps = Fraction(1, 100)
+    want = verify_sosp(h.objective(exact=True), h.domain_polytope(), (x, y),
+                       eps, eps, h.lipschitz_report().L1, exact=True)
+    res = runner.invoke(main, ["verify", "--instance", str(n1_file),
+                               "--scale", scale, "--eps-g", "1/100",
+                               "--eps-h", "1/100", "-x", str(x), "-y", str(y)])
+    payload = json.loads(res.output)
+    assert (payload["passed"], payload["first_order"], payload["second_order"]) == (
+        want.passed, want.pass_first, want.pass_second)
+    assert res.exit_code == (0 if want.passed else 1)

@@ -6,7 +6,6 @@ import pytest
 
 from sospgrid.iter_problems import (
     IterInstance,
-    from_mapping,
     iter_is_solution,
     iter_solve_brute,
     load_instance,
@@ -67,9 +66,8 @@ def test_every_instance_has_a_solution():
         assert any(iter_is_solution(inst, v) for v in range(1, 5))
 
 
-def test_from_mapping_and_io_roundtrip(tmp_path):
-    inst = from_mapping((3, 4, 4, 1))
-    assert inst.n == 2
+def test_io_roundtrip(tmp_path):
+    inst = IterInstance(2, (3, 4, 4, 1))
     path = tmp_path / "inst.json"
     save_instance(inst, path)
     again = load_instance(path)

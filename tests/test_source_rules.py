@@ -93,23 +93,20 @@ def test_no_hp_of_a_float_literal():
     assert hits == []
 
 
-# An assignment or annotation of a name or attribute called _cache.
-CACHE_ATTRIBUTE = re.compile(r"\b_cache\b\s*(:|=(?!=))")
-
-
 def test_instance_data_cached_only_by_the_patch_lru():
-    """HardInstance's patch LRU is the one cache of instance data, and the
-    face-frame lru_cache of stationarity.py the one function cache: no
-    other module defines a _cache attribute or uses lru_cache, and
-    stationarity.py applies it once."""
+    """HardInstance's patch LRU is the one cache of instance data, and each
+    polytope's own _frames the one store of face frames: no module uses
+    lru_cache, only hard_instance.py names _cache, and only stationarity.py
+    names _frames."""
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert "hard_instance.py" in sources and "stationarity.py" in sources
-    cache_hits = [name for name, text in sources.items()
-                  if name != "hard_instance.py" and CACHE_ATTRIBUTE.search(text)]
-    lru_hits = [name for name, text in sources.items()
-                if name != "stationarity.py" and "lru_cache" in text]
-    assert cache_hits == [] and lru_hits == []
-    assert sources["stationarity.py"].count("@lru_cache") == 1
+
+    def naming(pattern):
+        return [name for name, text in sources.items() if re.search(pattern, text)]
+
+    assert naming(r"lru_cache") == []
+    assert naming(r"\b_cache\b") == ["hard_instance.py"]
+    assert naming(r"\b_frames\b") == ["stationarity.py"]
 
 
 # A high-precision helper, or a patch evaluated in high precision.
