@@ -49,7 +49,7 @@ from .biquintic import BoxPatch, Fields
 from .color_field import ColorField, Direction
 from .hard_instance import HardInstance, ScaleMode, build
 from .iter_problems import IterInstance
-from .stationarity import proximal_gradient
+from .stationarity import first_order_test, squared_norm
 
 __all__ = [
     "ClassificationError",
@@ -541,9 +541,10 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
                         resolution: int = BOUNDARY_RESOLUTION) -> list:
     """Check ||g_pi|| > EPS0 on samples of the given boundary cells.
 
-    g_pi is stationarity.proximal_gradient on the domain box, exact in
-    rationals: where the step x - grad/L1 overshoots a wall, g_pi is at
-    least the distance to the wall times L1.  The test is ||g_pi||^2 > EPS0^2.
+    g_pi is the proximal gradient on the domain box, exact in rationals:
+    where the step x - grad/L1 overshoots a wall, g_pi is at least the
+    distance to the wall times L1.  The test is ||g_pi||^2 > EPS0^2,
+    stationarity.first_order_test as verify_sosp makes it.
     The ticks i / (resolution - 1) span the closed cell, so ValueError for a
     resolution below 2.
     """
@@ -551,7 +552,6 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     poly = h.domain_polytope()
     L1 = h.lipschitz_report().L1
-    eps_sq = EPS0 ** 2
     reports = []
     ticks = [Fraction(i, resolution - 1) for i in range(resolution)]
     for (a, b) in cells:
@@ -560,15 +560,15 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
         for i, tx in enumerate(ticks):
             for j, ty in enumerate(ticks):
                 x, y = a + tx, b + ty
-                grad = (Fraction(g[i][j], F.scale[i][j]) for g in F[1:3])
-                norm_sq = sum(g * g for g in proximal_gradient(
-                    (x, y), grad, L1, poly))
+                grad = [Fraction(g[i][j], F.scale[i][j]) for g in F[1:3]]
+                within, gpi = first_order_test(poly, (x, y), grad, L1, EPS0)
+                norm_sq = Fraction(*squared_norm(gpi))
                 r, k = _isqrt_shifted(norm_sq.numerator * norm_sq.denominator)
                 norm = r / (norm_sq.denominator << k)
                 if norm < rep.worst_norm:
                     rep.worst_norm = norm
                     rep.worst_point = (x, y)
-                if norm_sq <= eps_sq:
+                if within:
                     rep.failing.append((x, y))
                     rep.passed = False
         reports.append(rep)

@@ -36,19 +36,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from sospgrid._precision import hp, to_fraction
+from sospgrid._precision import hp, to_fraction, to_ratio
 from sospgrid.stationarity import (
     FaceFrame,
     Polytope,
     SospReport,
     active_set,
+    checked_ratio,
     eigen_2x2,
+    first_order_test,
     max_feasible_step,
     project,
     projected_hessian_min_eig,
     projected_step,
-    proximal_gradient,
-    psd_on_tangent,
+    second_order_test,
     tangent_hessian,
     verify_sosp,
 )
@@ -191,10 +192,10 @@ def curvature_direction(grad, hess, act: FaceFrame, eps_h):
     the projected gradient's (Pg).v); lexicographic tie-break.  None when
     the Hessian has no eigenvalue below -eps_h on the null space (decided
     exactly)."""
-    R = tangent_hessian(hess, act.basis)
-    if psd_on_tangent(R, act.norms_sq, eps_h):
+    if second_order_test(hess, act, eps_h)[0]:
         return None
-    _, v = projected_hessian_min_eig(R, act.basis, act.norms_sq)
+    _, v = projected_hessian_min_eig(tangent_hessian(hess, act.basis), act.basis,
+                                     act.norms_sq)
     dot = sum(hp(g) * c for g, c in zip(grad, v))
     if dot > 0:
         return tuple(-c for c in v)
@@ -254,11 +255,16 @@ def snap_update(objective: Callable, poly: Polytope, x, grad, hess, eps_g, eps_h
 
     Returns (kind, y, max_step, new_active): the exact projected gradient
     step pi_X(x - grad/L1) = x + g_pi/L1 while ||g_pi(x)|| > eps_G, else a
-    line search along the negative-curvature direction, else y = x.
+    line search along the negative-curvature direction, else y = x.  The
+    first-order test is verify_sosp's (first_order_test).  ValueError
+    unless L1 > 0, eps_g >= 0 and eps_h >= 0.
     """
-    gpi = proximal_gradient(x, grad, L1, poly)
-    if sum(g * g for g in gpi) > to_fraction(eps_g) ** 2:
-        y = tuple(to_fraction(c) + g / to_fraction(L1) for c, g in zip(x, gpi))
+    checked_ratio(eps_h, "eps_h")
+    passed, gpi = first_order_test(poly, x, grad, L1, eps_g)
+    if not passed:
+        l, m = to_ratio(L1)
+        y = tuple(Fraction(xn * gd * l + gn * m * xd, xd * gd * l)
+                  for (xn, xd), (gn, gd) in zip(map(to_ratio, x), gpi))
         return StepKind.PGD, y, False, ()
     act = active_set(poly, x)
     direction = curvature_direction(grad, hess, act, eps_h)

@@ -4,13 +4,17 @@ Polytopes {x : Ax <= b}, Euclidean projection, the exact ratio test,
 proximal gradient, face frames, the restricted Hessian on a frame and its
 eigenvalues, and the (eps_G, eps_H)-SOSP verifier.  Polytope data is always
 rational, and every accept/reject decision is made once, in exact
-arithmetic, at the exact rational value of the point and the derivatives
-(to_fraction is exact for a high-precision value): feasibility, the active
-rows (slack exactly 0), ||g_pi||^2 <= eps_G^2 and the PSD test on the
-active null space.  On a box, project clamps each coordinate by comparing
-its exact integer ratio with the rational bounds in integers (an mpf
-compare would round a bound like 1/3), and forms one Fraction only for a
-coordinate strictly inside.
+arithmetic, at the exact rational value of the point and the derivatives:
+feasibility, the active rows (slack exactly 0), ||g_pi||^2 <= eps_G^2
+(first_order_test) and the PSD test on the active null space
+(second_order_test).  Each number is read as its exact integer ratio
+(to_ratio: an hp value's mantissa over a power of two, with no gcd), and
+ratios are compared by cross-multiplication over positive denominators
+(hence L1 > 0 and eps >= 0 are checked), so a decision builds no Fraction.
+On a box each clamp of x - g/L1 is an integer comparison with the rational
+bounds (an mpf compare would round a bound like 1/3); off the box the step
+is projected exactly in Fractions.  project clamps the same way and forms
+one Fraction only for a coordinate strictly inside.
 
 A face frame (face_frame, held by its polytope) is one Gram-Schmidt over
 a set I of rows, carrying their right-hand sides, and then over the unit
@@ -23,10 +27,10 @@ is 2-D), and decides it in closed form.  High precision only moves points:
 projected_step (snap_run's step; the exact pi_X(x - g/L) is x + g_pi/L)
 projects the exact value of x - g/L rounded in high precision, and the
 eigenpairs of R (exact for k = 1, closed form for k = 2) give the solver
-its curvature direction and the report its lambda_min.  The report's two
-high-precision figures, lambda_min and ||g_pi||, decide nothing, so they
-are computed when first read, from the exact ||g_pi||^2 and R that the
-verdict already holds.
+its curvature direction and the report its lambda_min.  The report keeps
+g_pi and R as the ratios that were compared; its Fractions ||g_pi||^2 and
+R and its high-precision figures lambda_min and ||g_pi|| decide nothing,
+so each is computed when first read.
 """
 
 from __future__ import annotations
@@ -86,28 +90,39 @@ class Polytope:
         """New polytope with one extra half-space a.x <= rhs."""
         return Polytope(list(self.A) + [list(row)], list(self.b) + [rhs])
 
-    def slacks(self, x) -> tuple[Fraction, ...]:
-        """b - Ax, exact at the rational value of x.  A box reads its
+    def slack_ratios(self, x) -> tuple[tuple[int, int], ...]:
+        """b - Ax as exact ratios (num, den), den > 0, at the ratio of each
+        coordinate (to_ratio), formed without a gcd.  A box reads its
         bounds, in the order of its rows: x - lo, then hi - x; otherwise
         zero entries of A are skipped."""
-        x = [to_fraction(c) for c in x]
+        x = [to_ratio(c) for c in x]
         if self.box_bounds is not None:
             lo, hi = self.box_bounds
-            return (tuple(c - l for c, l in zip(x, lo))
-                    + tuple(h - c for c, h in zip(x, hi)))
-        return tuple(bj - sum(a * c for a, c in zip(row, x) if a)
-                     for row, bj in zip(self.A, self.b))
+            return (tuple((n * l.denominator - l.numerator * d, d * l.denominator)
+                          for (n, d), l in zip(x, lo))
+                    + tuple((h.numerator * d - n * h.denominator, d * h.denominator)
+                            for (n, d), h in zip(x, hi)))
+        out = []
+        for row, bj in zip(self.A, self.b):
+            num, den = _combine(row, x)  # a_j . x
+            out.append((bj.numerator * den - num * bj.denominator, bj.denominator * den))
+        return tuple(out)
+
+    def slacks(self, x) -> tuple[Fraction, ...]:
+        """b - Ax, exact at the rational value of x (slack_ratios)."""
+        return tuple(Fraction(n, d) for n, d in self.slack_ratios(x))
 
     def contains(self, x) -> bool:
-        return all(s >= 0 for s in self.slacks(x))
+        return all(n >= 0 for n, _ in self.slack_ratios(x))
 
     def active_rows(self, x) -> tuple[int, ...]:
-        """Rows with slack exactly 0 at x; ValueError if x violates a row."""
+        """Rows with slack exactly 0 at x, from the sign of each slack's
+        numerator; ValueError if x violates a row."""
         rows = []
-        for j, s in enumerate(self.slacks(x)):
-            if s < 0:
+        for j, (n, _) in enumerate(self.slack_ratios(x)):
+            if n < 0:
                 raise ValueError(f"point violates constraint {j}")
-            if s == 0:
+            if n == 0:
                 rows.append(j)
         return tuple(rows)
 
@@ -211,11 +226,18 @@ def project(poly: Polytope, v) -> tuple:
 def _clamp(c, lo: Fraction, hi: Fraction) -> Fraction:
     """min(max(c, lo), hi) for lo <= hi, exactly."""
     num, den = to_ratio(c)
+    bound = _clamp_bound(num, den, lo, hi)
+    return Fraction(num, den) if bound is None else bound
+
+
+def _clamp_bound(num: int, den: int, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
+    """The bound that num/den (den > 0) clamps to in [lo, hi], or None if it
+    lies strictly inside; decided by cross-multiplication."""
     if num * lo.denominator <= lo.numerator * den:
         return lo
     if num * hi.denominator >= hi.numerator * den:
         return hi
-    return Fraction(num, den)
+    return None
 
 
 def _project_general(poly: Polytope, w: list[Fraction]) -> list[Fraction]:
@@ -253,27 +275,141 @@ def projected_step(poly: Polytope, x, g, L) -> tuple:
     return project(poly, (hp(c) - hp(gi) / hp(L) for c, gi in zip(x, g)))
 
 
+def checked_ratio(value, name: str, positive: bool = False) -> tuple[int, int]:
+    """The exact ratio (to_ratio) of a tolerance or constant; ValueError
+    naming it unless it is >= 0, or > 0 when positive.  The verdict's
+    cross-multiplications rely on these signs."""
+    num, den = to_ratio(value)
+    if num < 0 or (positive and num == 0):
+        raise ValueError(f"{name} must be {'>' if positive else '>='} 0, got {value}")
+    return num, den
+
+
+def _gpi_ratios(poly: Polytope, x, grad, L1) -> list[tuple[int, int]]:
+    """g_pi = L1 (pi_X(x - grad/L1) - x) as exact ratios (num, den > 0),
+    from the ratios of x, grad and L1 = l/m; ValueError unless L1 > 0.  On a
+    box each coordinate's clamp is one integer comparison of x - g/L1 with
+    a bound: unclamped, g_pi = -g; clamped to c, g_pi = L1 (c - x).  Off the
+    box the step is projected exactly and the projection read as ratios."""
+    l, m = checked_ratio(L1, "L1", positive=True)
+    x = [to_ratio(c) for c in x]
+    grad = [to_ratio(g) for g in grad]
+    if poly.box_bounds is None:
+        proj = _project_general(poly, [Fraction(xn, xd) - Fraction(gn * m, gd * l)
+                                       for (xn, xd), (gn, gd) in zip(x, grad)])
+    else:
+        # x - g/L1 = (xn gd l - gn m xd) / (xd gd l)
+        proj = [_clamp_bound(xn * gd * l - gn * m * xd, xd * gd * l, lo, hi)
+                for (xn, xd), (gn, gd), lo, hi in zip(x, grad, *poly.box_bounds)]
+    return [(-gn, gd) if p is None
+            else (l * (p.numerator * xd - xn * p.denominator), m * p.denominator * xd)
+            for p, (xn, xd), (gn, gd) in zip(proj, x, grad)]
+
+
+def squared_norm(ratios) -> tuple[int, int]:
+    """sum (n/d)^2 of exact ratios (n, d), as a ratio over the product of
+    the d^2."""
+    num, den = 0, 1
+    for n, d in ratios:
+        num, den = num * d * d + n * n * den, den * d * d
+    return num, den
+
+
+def first_order_test(poly: Polytope, x, grad, L1, eps_g) -> tuple[bool, list]:
+    """(||g_pi||^2 <= eps_G^2, g_pi as exact ratios): the first-order test
+    of verify_sosp, snap_update and box_certifier.boundary_prox_check,
+    decided by one cross-multiplication; ValueError unless L1 > 0 and
+    eps_g >= 0."""
+    e, f = checked_ratio(eps_g, "eps_g")
+    gpi = _gpi_ratios(poly, x, grad, L1)
+    num, den = squared_norm(gpi)
+    return num * f * f <= e * e * den, gpi
+
+
 def proximal_gradient(x, grad, L1, poly: Polytope) -> tuple:
     """g_pi(x) = L1 * (pi_X(x - grad/L1) - x), exact at the rational values
-    of x, grad and L1."""
-    L1 = to_fraction(L1)
-    x = [to_fraction(c) for c in x]
-    proj = project(poly, (c - to_fraction(g) / L1 for c, g in zip(x, grad)))
-    return tuple(L1 * (p - c) for p, c in zip(proj, x))
+    of x, grad and L1; ValueError unless L1 > 0."""
+    return tuple(Fraction(n, d) for n, d in _gpi_ratios(poly, x, grad, L1))
+
+
+def _ratio_rows(M) -> list[list[tuple[int, int]]]:
+    return [[to_ratio(v) for v in row] for row in M]
+
+
+def _fraction_rows(M) -> list[list[Fraction]]:
+    return [[Fraction(n, d) for n, d in row] for row in M]
+
+
+def _combine(coeffs, ratios) -> tuple[int, int]:
+    """sum c * r over the nonzero rational c, as an exact ratio."""
+    num, den = 0, 1
+    for c, (n, d) in zip(coeffs, ratios):
+        if c:
+            cn, cd = c.numerator, c.denominator
+            num, den = num * cd * d + cn * n * den, den * cd * d
+    return num, den
+
+
+def _symmetric(H):
+    """H, or ValueError unless its ratios are symmetric."""
+    if any(H[i][j][0] * H[j][i][1] != H[j][i][0] * H[i][j][1]
+           for i in range(len(H)) for j in range(i)):
+        raise ValueError("Hessian must be symmetric")
+    return H
+
+
+def _tangent_ratios(H, basis) -> list[list[tuple[int, int]]]:
+    """R = B^T H B as exact ratios from the ratios of H."""
+    HB = [[_combine(b, row) for row in H] for b in basis]
+    return [[_combine(bi, hbj) for hbj in HB] for bi in basis]
 
 
 def tangent_hessian(H, basis) -> list[list[Fraction]]:
     """R = B^T H B, the Hessian restricted to the frame B (rows of basis),
-    exact at the rational value of H; ValueError unless H is symmetric.  On
-    a frame of the unit vectors (every interior point) R is H itself."""
-    H = [[to_fraction(v) for v in row] for row in H]
-    if any(H[i][j] != H[j][i] for i in range(len(H)) for j in range(i)):
-        raise ValueError("Hessian must be symmetric")
-    if len(basis) == len(H) and all(
-            all(c == int(i == j) for j, c in enumerate(b)) for i, b in enumerate(basis)):
-        return H
-    HB = [[sum(h * c for h, c in zip(row, b) if c) for row in H] for b in basis]
-    return [[sum(a * c for a, c in zip(bi, hbj) if a) for hbj in HB] for bi in basis]
+    exact at the rational value of H; ValueError unless H is symmetric."""
+    return _fraction_rows(_tangent_ratios(_symmetric(_ratio_rows(H)), basis))
+
+
+def _psd_ratios(R, norms_sq, eps) -> bool:
+    """psd_on_tangent from the ratios of R and of eps = e/f, e >= 0."""
+    if len(R) > 2:
+        raise ValueError("curvature is computed on null spaces of dimension <= 2")
+    e, f = eps
+    diag = []
+    for i, nsq in enumerate(norms_sq):
+        n, d = R[i][i]
+        p, q = nsq.numerator, nsq.denominator
+        num = n * f * q + e * p * d  # R_ii + eps nsq = num / (d f q)
+        if num < 0:
+            return False
+        diag.append((num, d * f * q))
+    if len(diag) < 2:
+        return True
+    (a, b), (c, d) = diag
+    (rn, rd), (sn, sd) = R[0][1], R[1][0]
+    return a * c * rd * sd >= rn * sn * b * d
+
+
+def psd_on_tangent(R, norms_sq, eps) -> bool:
+    """Exact test that y^T H y >= -eps ||y||^2 for all y in the span of a
+    frame, from R = tangent_hessian(H, basis) and the frame's squared norms:
+    M = R + eps diag(norms_sq) is PSD.  A frame has at most two vectors, so
+    the test is closed form: M's diagonal is >= 0 and, for two vectors,
+    det M >= 0, each decided by cross-multiplication.  ValueError for a
+    frame of three or more vectors."""
+    return _psd_ratios(_ratio_rows(R), norms_sq, to_ratio(eps))
+
+
+def second_order_test(hess, frame: FaceFrame, eps_h) -> tuple[bool, list]:
+    """(psd_on_tangent on the frame, R = B^T H B as exact ratios): the
+    second-order test of verify_sosp and snap_solver's curvature direction;
+    ValueError unless eps_h >= 0 and H is symmetric, and for a frame of
+    three or more vectors.  The frame of no rows (every interior point) is
+    the unit vectors, so there R is H itself."""
+    eps = checked_ratio(eps_h, "eps_h")
+    H = _symmetric(_ratio_rows(hess))
+    R = _tangent_ratios(H, frame.basis) if frame.indices else H
+    return _psd_ratios(R, frame.norms_sq, eps), R
 
 
 def eigen_2x2(a, b, c):
@@ -320,32 +456,18 @@ def projected_hessian_min_eig(R, basis, norms_sq):
                       for a, c in zip(*basis))
 
 
-def psd_on_tangent(R, norms_sq, eps) -> bool:
-    """Exact test that y^T H y >= -eps ||y||^2 for all y in the span of a
-    frame, from R = tangent_hessian(H, basis) and the frame's squared norms:
-    M = R + eps diag(norms_sq) is PSD.  A frame has at most two vectors, so
-    the test is closed form: M's diagonal is >= 0 and, for two vectors,
-    det M >= 0.  ValueError for a frame of three or more vectors."""
-    if len(R) > 2:
-        raise ValueError("curvature is computed on null spaces of dimension <= 2")
-    eps = to_fraction(eps)
-    diag = [row[i] + eps * nsq for i, (row, nsq) in enumerate(zip(R, norms_sq))]
-    if any(m < 0 for m in diag):
-        return False
-    return len(diag) < 2 or diag[0] * diag[1] >= R[0][1] * R[1][0]
-
-
 @dataclass(frozen=True)
 class SospReport:
-    """The verdict of verify_sosp at x, with what it was decided from: the
-    exact ||g_pi||^2 and R = B^T H B on the active frame.  gpi_norm and
-    lambda_min are high-precision figures of the verdict that decide
-    nothing; each is computed when first read."""
+    """The verdict of verify_sosp at x, with what it was decided from: g_pi
+    and R = B^T H B on the active frame, as the exact ratios that the two
+    tests compared.  gpi_sq and R (Fractions) and gpi_norm and lambda_min
+    (high precision) are figures of these that decide nothing; each is
+    computed when first read."""
     x: tuple
     pass_first: bool
     pass_second: bool
-    gpi_sq: Fraction
-    R: tuple
+    gpi_ratios: tuple
+    R_ratios: tuple
     frame: FaceFrame
 
     @property
@@ -355,6 +477,14 @@ class SospReport:
     @property
     def active_indices(self) -> tuple[int, ...]:
         return self.frame.indices
+
+    @cached_property
+    def gpi_sq(self) -> Fraction:
+        return Fraction(*squared_norm(self.gpi_ratios))
+
+    @cached_property
+    def R(self) -> tuple:
+        return tuple(map(tuple, _fraction_rows(self.R_ratios)))
 
     @cached_property
     def gpi_norm(self):
@@ -372,10 +502,11 @@ def verify_sosp(objective: Callable, poly: Polytope, x, eps_g, eps_h, L1,
     """(eps_G, eps_H)-SOSP check at a feasible point.
 
     objective(x) must return (f, grad, hess).  Both orders are decided
-    exactly at the rational values of x and of the derivatives:
-    ||g_pi||^2 <= eps_G^2, and y^T H y >= -eps_H ||y||^2 on the active null
-    space.  The report's gpi_norm and lambda_min (high precision) decide
-    nothing and are computed only when read.
+    exactly at the rational values of x and of the derivatives, each read
+    as an integer ratio and compared by cross-multiplication:
+    ||g_pi||^2 <= eps_G^2 (first_order_test), and y^T H y >= -eps_H ||y||^2
+    on the active null space (second_order_test).  ValueError if x is not
+    feasible, and unless L1 > 0, eps_g >= 0 and eps_h >= 0.
     With exact=True the derivatives must be rational, so that the verdict is
     a statement about f itself; TypeError otherwise.
     """
@@ -384,9 +515,8 @@ def verify_sosp(objective: Callable, poly: Polytope, x, eps_g, eps_h, L1,
     if exact and not all(isinstance(v, (int, Fraction))
                          for v in itertools.chain(grad, *hess)):
         raise TypeError("exact=True needs rational derivatives")
-    gpi = proximal_gradient(x, grad, L1, poly)
-    R = tangent_hessian(hess, act.basis)
-    sq = sum(g * g for g in gpi)
-    return SospReport(x=tuple(x), pass_first=sq <= to_fraction(eps_g) ** 2,
-                      pass_second=psd_on_tangent(R, act.norms_sq, eps_h),
-                      gpi_sq=sq, R=tuple(map(tuple, R)), frame=act)
+    pass_first, gpi = first_order_test(poly, x, grad, L1, eps_g)
+    pass_second, R = second_order_test(hess, act, eps_h)
+    return SospReport(x=tuple(x), pass_first=pass_first, pass_second=pass_second,
+                      gpi_ratios=tuple(gpi), R_ratios=tuple(map(tuple, R)),
+                      frame=act)

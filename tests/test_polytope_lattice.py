@@ -172,14 +172,14 @@ def test_map_to_grid_returns_a_vertex_with_one_read(cut, monkeypatch):
         poly = poly.with_cut((1, 1), Fraction(3, 2))
         x = (Fraction(1), Fraction(1, 2))
     reads = 0
-    slacks = Polytope.slacks
+    slack_ratios = Polytope.slack_ratios
 
     def counted(self, p):
         nonlocal reads
         reads += 1
-        return slacks(self, p)
+        return slack_ratios(self, p)
 
-    monkeypatch.setattr(Polytope, "slacks", counted)
+    monkeypatch.setattr(Polytope, "slack_ratios", counted)
     y, cert = map_to_grid(poly, x, Fraction(1, 7))
     assert y == x and cert.bounce_count == 0 and cert.step_dist_sq == ()
     assert reads == 1

@@ -20,6 +20,7 @@ from sospgrid.snap_solver import (
     line_search,
     max_feasible_step,
     snap_run,
+    snap_update,
 )
 from sospgrid.stationarity import Polytope, active_set, projected_step, verify_sosp
 
@@ -197,6 +198,29 @@ def test_line_search_needs_positive_constants(eps_h, L2):
         line_search(saddle_objective(), poly, (Fraction(1, 2), Fraction(1, 2)),
                     (Fraction(0), Fraction(1)), eps_h, L2)
 
+
+
+@pytest.mark.parametrize("name,eps_g,eps_h,L1", [
+    ("L1", Fraction(1, 100), Fraction(1, 100), 0),
+    ("L1", Fraction(1, 100), Fraction(1, 100), -1),
+    ("eps_g", Fraction(-1, 100), Fraction(1, 100), 1),
+    ("eps_h", Fraction(1, 100), Fraction(-1, 100), 1),
+])
+def test_snap_update_refuses_nonpositive_l1_and_negative_eps(name, eps_g, eps_h, L1):
+    """snap_update makes verify_sosp's test, so it refuses the same
+    constants by name, also at a point where it would take a gradient step:
+    with L1 = -1 the wall point (1, 1/2) of f = x would pass as terminal."""
+    poly = Polytope.box((0, 0), (1, 1))
+
+    def obj(p):
+        return p[0], (1, 0), ((0, 0), (0, 0))
+
+    x = (Fraction(1), Fraction(1, 2))
+    with pytest.raises(ValueError, match=name):
+        snap_update(obj, poly, x, *obj(x)[1:], eps_g, eps_h, L1, 1)
+    kind, y, _, _ = snap_update(obj, poly, x, *obj(x)[1:], Fraction(1, 100),
+                                Fraction(1, 100), 1, 1)
+    assert kind is StepKind.PGD and y == (0, Fraction(1, 2))
 
 def test_snap_run_saddle_uses_negative_curvature():
     poly = Polytope.box((0, 0), (1, 1))

@@ -3,6 +3,8 @@ restricted Hessian and its eigenvalues, and the SOSP verifier."""
 
 from __future__ import annotations
 
+import fractions
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +27,8 @@ from sospgrid.stationarity import (
     tangent_hessian,
     verify_sosp,
 )
+
+import verify_reference
 
 
 def random_cut_polytope(rng, d):
@@ -615,3 +619,144 @@ def test_report_figures_equal_the_eager_formulas():
                 R = _restricted([[a, b], [b, c]], act.basis)
                 lam, _ = projected_hessian_min_eig(R, act.basis, act.norms_sq)
                 assert rep.lambda_min == lam
+
+
+UNIT_BOX = Polytope.box((0, 0), (1, 1))
+CUT_BOX = UNIT_BOX.with_cut((1, 1), Fraction(3, 2))
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=24)
+data_fractions = st.one_of(st.just(Fraction(0)),
+                           st.fractions(min_value=-8, max_value=8, max_denominator=30))
+
+
+def _rational_sqrt(q: Fraction):
+    """The rational square root of q >= 0, or None if it has none."""
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(n, d) if n * n == q.numerator and d * d == q.denominator else None
+
+
+@st.composite
+def verdict_cases(draw):
+    """A point of the box or of the cut box (interior, on a wall or the
+    slanted face, or at a vertex), derivatives, L1 > 0 and eps >= 0; the
+    eps are pushed onto a threshold of the verdict when one is exact."""
+    poly = draw(st.sampled_from([UNIT_BOX, CUT_BOX]))
+    kind = draw(st.sampled_from(["interior", "wall", "vertex", "slanted"]))
+    t = draw(unit_fractions)
+    if kind == "interior":
+        x = (t, draw(unit_fractions))
+    elif kind == "wall":
+        x = draw(st.sampled_from([(0, t), (1, t / 2), (t, 0), (t / 2, 1)]))
+    elif kind == "vertex":
+        x = draw(st.sampled_from([(0, 0), (0, 1), (1, 0)]
+                                 + ([(1, Fraction(1, 2)), (Fraction(1, 2), 1)]
+                                    if poly is CUT_BOX else [(1, 1)])))
+    else:
+        poly = CUT_BOX
+        x = (Fraction(1, 2) + t / 2, 1 - t / 2)
+    x = tuple(map(Fraction, x))
+    if not poly.contains(x):
+        poly = UNIT_BOX
+    grad = (draw(data_fractions), draw(data_fractions))
+    tie = draw(st.sampled_from(["none", "first", "diagonal", "det"]))
+    a, b, c = draw(data_fractions), draw(data_fractions), draw(data_fractions)
+    eps_h = abs(draw(data_fractions))
+    if tie == "det":
+        # (a + eps)(c + eps) = b^2 with both factors >= 0
+        r, k, m = abs(draw(data_fractions)), draw(data_fractions), draw(data_fractions)
+        a, b, c = r * k * k - eps_h, r * k * m, r * m * m - eps_h
+    hess = ((a, b), (b, c))
+    L1 = draw(st.fractions(min_value=Fraction(1, 8), max_value=64, max_denominator=8))
+    eps_g = abs(draw(data_fractions))
+    rounded = draw(st.booleans())
+    if rounded:
+        grad = tuple(map(hp, grad))
+        hess = tuple(tuple(map(hp, row)) for row in hess)
+    if tie == "first":
+        gpi_sq = sum(g * g for g in verify_reference.proximal_gradient(x, grad, L1, poly))
+        root = _rational_sqrt(gpi_sq)
+        eps_g = eps_g if root is None else root
+    elif tie == "diagonal":
+        frame = face_frame(poly, poly.active_rows(x))
+        if frame.dim:
+            R = verify_reference.tangent_hessian(hess, frame.basis)
+            eps_h = max(Fraction(0), -R[0][0] / frame.norms_sq[0])
+    return poly, x, grad, hess, L1, eps_g, eps_h
+
+
+@settings(deadline=None, max_examples=400)
+@given(verdict_cases())
+@example((UNIT_BOX, (Fraction(1, 2), Fraction(1, 2)), (Fraction(3), Fraction(4)),
+          ((1, 0), (0, 1)), 16, 5, 0))  # ||g_pi||^2 = eps_G^2 inside
+@example((UNIT_BOX, (Fraction(1), Fraction(1, 2)), (hp(-3), hp(0)),
+          ((1, 0), (0, 1)), 4, 0, 0))  # clamped at x = 1: g_pi = 0
+@example((CUT_BOX, (Fraction(3, 4), Fraction(3, 4)), (Fraction(1), Fraction(1)),
+          ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(-3))), 1, 0,
+          Fraction(3)))  # slanted face: b = (1/2, -1/2), b.Hb + 3 b.b = 0
+@example((UNIT_BOX, (Fraction(1, 3), Fraction(1, 3)), (0, 0),
+          ((hp(-1), hp(1)), (hp(1), hp(-1))), 1, 0, 2))  # det(H + 2I) = 0 in hp
+def test_verdict_equals_the_fraction_reference(case):
+    """verify_sosp's integer verdict equals the Fraction formulas of
+    verify_reference: pass_first, pass_second, gpi_sq, R and the active rows,
+    on the box and the cut box, at interior, wall, slanted-face and vertex
+    points, with rational and hp derivatives, and at the exact thresholds
+    ||g_pi||^2 = eps_G^2, R_ii + eps_H ||b_i||^2 = 0 and det(R + eps_H D) = 0."""
+    poly, x, grad, hess, L1, eps_g, eps_h = case
+
+    def obj(_):
+        return 0, grad, hess
+
+    want = verify_reference.verdict(obj, poly, x, eps_g, eps_h, L1)
+    rep = verify_sosp(obj, poly, x, eps_g, eps_h, L1)
+    assert {"pass_first": rep.pass_first, "pass_second": rep.pass_second,
+            "gpi_sq": rep.gpi_sq, "R": rep.R,
+            "active_indices": rep.active_indices} == want
+
+
+@pytest.mark.parametrize("name,args", [
+    ("L1", dict(L1=0)), ("L1", dict(L1=-1)), ("L1", dict(L1=hp(-1) / 3)),
+    ("eps_g", dict(eps_g=-Fraction(1, 100))), ("eps_h", dict(eps_h=hp(-1) / 100)),
+])
+def test_verify_sosp_refuses_nonpositive_l1_and_negative_eps(name, args):
+    """L1 <= 0 turns the proximal step around, and eps < 0 asks for the
+    opposite test: on f = x over the unit box, L1 = -1 passed the
+    non-stationary wall point (1, 1/2), and eps_h < 0 demanded lambda >=
+    |eps_h|.  Each is refused by name, as line_search refuses eps_h <= 0."""
+    def obj(_):
+        return 0, (1, 0), ((0, 0), (0, 0))
+
+    kwargs = dict(eps_g=Fraction(1, 100), eps_h=Fraction(1, 100), L1=1) | args
+    with pytest.raises(ValueError, match=name):
+        verify_sosp(obj, UNIT_BOX, (Fraction(1), Fraction(1, 2)), **kwargs)
+    with pytest.raises(ValueError, match="L1"):
+        proximal_gradient((Fraction(1), Fraction(1, 2)), (1, 0), -1, UNIT_BOX)
+    assert not verify_sosp(obj, UNIT_BOX, (Fraction(1), Fraction(1, 2)),
+                           Fraction(1, 100), 0, 1).pass_first
+
+
+def test_verdict_makes_no_gcd(moderate_n1, monkeypatch):
+    """At an interior hp point of a moderate instance the verdict builds no
+    Fraction: verify_sosp makes no gcd beyond those of the objective, and
+    the report normalises gpi_sq and R only when they are read."""
+    calls = 0
+    gcd = fractions.math.gcd
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return gcd(*args)
+
+    h = moderate_n1
+    poly = h.domain_polytope()
+    L1 = h.lipschitz_report().L1
+    obj = h.objective(exact=False)
+    x = (hp(h.domain_high) / 3, hp(h.domain_high) * 2 / 7)
+    eps = Fraction(1, 100)
+    verify_sosp(obj, poly, x, eps, eps, L1)  # builds the interior frame
+    monkeypatch.setattr(fractions.math, "gcd", counted)
+    obj(x)[2]
+    in_objective = calls
+    calls = 0
+    rep = verify_sosp(obj, poly, x, eps, eps, L1)
+    assert rep.active_indices == () and calls == in_objective
+    rep.gpi_sq, rep.R  # normalised when read
+    assert calls > in_objective
