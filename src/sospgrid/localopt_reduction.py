@@ -3,25 +3,32 @@ local-search problem: potential p = f + w * dim(Null(A'(x))), neighbor
 g = Rounding of the SNAP update h(x) (exact for a gradient step), whose
 terminal step is the SOSP verdict, and the improvement harness asserting
 that non-SOSP grid points strictly improve.  One active_set read per grid
-point gives dim(Null) and, off the box, the face lattice of the grid test.
+point gives dim(Null) and, off the box, the face lattice of the grid test;
+on the box it refuses a point outside, as off it.
+
+The grid is decided in integer ratios: on the box (c - lo) / gamma is one
+exact ratio of to_ratio pairs, which round_point floors by one integer
+division and the grid test checks by one divisibility test, with no gcd;
+off the box polytope_lattice decides the face lattice the same way.  Only
+a returned grid point is normalised to Fractions.  eps_g and eps_h must be
+positive, since gamma and delta are built from them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from sospgrid._precision import to_fraction
+from sospgrid._precision import to_fraction, to_ratio
 from sospgrid.polytope_lattice import (
     _ceil_sqrt_rational,
     box_grid_step,
-    lattice_steps,
     map_to_grid,
+    on_lattice,
 )
 from sospgrid.snap_solver import StepKind, snap_update
-from sospgrid.stationarity import Polytope, active_set
+from sospgrid.stationarity import FaceFrame, Polytope, active_set, checked_ratio
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,8 @@ class ReductionInstance:
                  L, L1, L2):
         self.objective = objective
         self.poly = poly
-        self.eps_g = to_fraction(eps_g)
-        self.eps_h = to_fraction(eps_h)
+        self.eps_g = Fraction(*checked_ratio(eps_g, "eps_g", positive=True))
+        self.eps_h = Fraction(*checked_ratio(eps_h, "eps_h", positive=True))
         self.L, self.L1, self.L2 = to_fraction(L), to_fraction(L1), to_fraction(L2)
         self.eps = min(self.eps_g, self.eps_h)
         self.L_max = max(self.L, self.L1, self.L2, Fraction(1))
@@ -65,27 +72,41 @@ class ReductionInstance:
     # ---- grid handling -------------------------------------------------
 
     def round_point(self, x) -> tuple:
-        """Rounding step of the neighbor map (floor-to-gamma or MapToGrid)."""
-        u = tuple(to_fraction(c) for c in x)
-        if self.gamma is not None:
-            lo, _ = self.poly.box_bounds
-            g = self.gamma
-            return tuple(a + math.floor((c - a) / g) * g for c, a in zip(u, lo))
-        y, _ = map_to_grid(self.poly, u, self.delta)
-        return y
+        """Rounding step of the neighbor map (floor-to-gamma or MapToGrid);
+        ValueError if x lies outside the polytope."""
+        if self.gamma is None:
+            return map_to_grid(self.poly, x, self.delta)[0]
+        self.poly.active_rows(x)  # ValueError outside the box
+        lo, g = self.poly.box_bounds[0], self.gamma
+        # lo + floor((c - lo) / gamma) gamma, one Fraction per coordinate
+        return tuple(Fraction(a.numerator * g.denominator
+                              + (n // d) * g.numerator * a.denominator,
+                              a.denominator * g.denominator)
+                     for (n, d), a in zip(self._gamma_quotients(x), lo))
 
     def on_grid(self, x) -> bool:
-        u = tuple(to_fraction(c) for c in x)
-        return self._on_grid(u, None if self.gamma is not None
-                             else active_set(self.poly, u))
+        """x lies on the box's gamma grid, or else on its face's lattice;
+        ValueError if x lies outside the polytope."""
+        return self._on_grid(x, active_set(self.poly, x))
 
-    def _on_grid(self, u, frame) -> bool:
-        """Off the box, the rational point u's face frame gives its lattice."""
-        if self.gamma is not None:
-            lo, _ = self.poly.box_bounds
-            return all((c - a) % self.gamma == 0 for c, a in zip(u, lo))
-        return all(coeff % step == 0 for coeff, step
-                   in zip(frame.coords(u), lattice_steps(frame, self.delta)))
+    def _gamma_quotients(self, x) -> list[tuple[int, int]]:
+        """(c - lo) / gamma for each coordinate c of x, as exact ratios
+        (num, den > 0) of the ratios of c, lo and gamma."""
+        g = self.gamma
+        out = []
+        for c, a in zip(x, self.poly.box_bounds[0]):
+            n, d = to_ratio(c)
+            out.append(((n * a.denominator - a.numerator * d) * g.denominator,
+                        d * a.denominator * g.numerator))
+        return out
+
+    def _on_grid(self, x, frame: FaceFrame) -> bool:
+        """x on the gamma grid of the box, or else on the lattice of its face
+        (frame, the active set at x): one integer divisibility test per
+        coordinate, no gcd."""
+        if self.gamma is None:
+            return on_lattice(frame, x, self.delta)
+        return all(n % d == 0 for n, d in self._gamma_quotients(x))
 
     # ---- potential / neighbor ------------------------------------------
 
@@ -94,9 +115,8 @@ class ReductionInstance:
 
     def _grid_weight(self, x) -> tuple[int, Fraction]:
         """(dim_null(x), weight * dim_null(x)); ValueError off the grid."""
-        u = tuple(to_fraction(c) for c in x)
-        frame = active_set(self.poly, u)
-        if not self._on_grid(u, frame):
+        frame = active_set(self.poly, x)
+        if not self._on_grid(x, frame):
             raise ValueError("potential is defined on grid points only")
         return frame.dim, self.weight * frame.dim
 

@@ -5,6 +5,16 @@ with its active-set / feasibility / distance guarantees.
 The lattice of face I is x_ref + sum_k (delta / nu_k) Z v_k on the face's
 stationarity.face_frame, the frame the active set reads too, with the
 rational nu_k >= ||v_k|| of lattice_steps; at a vertex it is the vertex.
+
+The lattice is decided in integer ratios, as stationarity decides the
+verdict: a point's coordinate on v_k over its step, (x.v_k) nu_k /
+(||v_k||^2 delta), is one exact ratio of the point's to_ratio pairs
+(x_ref drops out, being orthogonal to every v_k).  The
+grid test (on_lattice) is one integer divisibility test per coordinate and
+makes no gcd; MapToGrid rounds each coordinate, half-way ties down, by one
+integer floor division, and normalises only the point it returns, one
+Fraction per coordinate.  Its ray shoot (max_feasible_step) stays in
+Fractions.  lattice_steps and FaceFrame.coords are the Fraction views.
 """
 
 from __future__ import annotations
@@ -12,24 +22,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from sospgrid._precision import to_fraction
-from sospgrid.stationarity import FaceFrame, Polytope, active_set, max_feasible_step
+from sospgrid._precision import to_fraction, to_ratio
+from sospgrid.stationarity import (
+    FaceFrame,
+    Polytope,
+    _combine,
+    active_set,
+    max_feasible_step,
+    squared_norm,
+)
+
+
+def _ceil_sqrt_ratio(num: int, den: int) -> tuple[int, int]:
+    """ceil(sqrt(num den)) / den >= sqrt(num/den) (num >= 0, den > 0), as the
+    ratio (r, den)."""
+    if num < 0:
+        raise ValueError("negative radicand")
+    r = math.isqrt(num * den)
+    return r + (r * r < num * den), den
 
 
 def _ceil_sqrt_rational(q: Fraction) -> Fraction:
     """Smallest 'nice' rational upper bound on sqrt(q): ceil-to-1/den grid."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    if q == 0:
-        return Fraction(0)
-    num, den = q.numerator, q.denominator
-    # sqrt(num/den) = sqrt(num*den)/den; round the integer sqrt up
-    r = math.isqrt(num * den)
-    if r * r < num * den:
-        r += 1
-    return Fraction(r, den)
+    return Fraction(*_ceil_sqrt_ratio(q.numerator, q.denominator))
 
 
 def frac_gcd(values: Sequence[Fraction]) -> Fraction:
@@ -70,67 +88,111 @@ def lattice_steps(frame: FaceFrame, delta: Fraction) -> tuple[Fraction, ...]:
     return tuple(delta / _ceil_sqrt_rational(nsq) for nsq in frame.norms_sq)
 
 
+def _step_ratios(frame: FaceFrame, delta: tuple[int, int]) -> list[tuple[int, int]]:
+    """lattice_steps as exact ratios (num, den > 0), from delta = e/f > 0."""
+    e, f = delta
+    out = []
+    for nsq in frame.norms_sq:
+        r, s = _ceil_sqrt_ratio(nsq.numerator, nsq.denominator)  # nu_k = r/s
+        out.append((e * s, f * r))
+    return out
+
+
+def _lattice_quotients(frame: FaceFrame, x, steps) -> list[tuple[int, int]]:
+    """Each coordinate of x on the frame over its lattice step (_step_ratios),
+    (x.v_k) nu_k / (||v_k||^2 delta), as an exact ratio (num, den > 0) of
+    the ratios of x.  A point of the face lies on its lattice exactly when
+    every quotient is an integer."""
+    return [(cn * sd, cd * sn) for (cn, cd), (sn, sd) in zip(frame.coord_ratios(x), steps)]
+
+
+def on_lattice(frame: FaceFrame, x, delta) -> bool:
+    """x, a point of the frame's face, lies on the face's lattice for the
+    rational delta > 0: one integer divisibility test per coordinate, no
+    gcd."""
+    return all(n % d == 0 for n, d
+               in _lattice_quotients(frame, x, _step_ratios(frame, to_ratio(delta))))
+
+
+def _lattice_point(frame: FaceFrame, multiples, steps) -> tuple:
+    """x_ref + sum_k m_k step_k v_k, one Fraction per coordinate."""
+    steps = [(m * sn, sd) for m, (sn, sd) in zip(multiples, steps)]
+    if not frame.indices:  # x_ref = 0 and the unit vectors
+        return tuple(Fraction(n, d) for n, d in steps)
+    point = []
+    for r, column in zip(frame.x_ref, zip(*frame.basis)):
+        num, den = _combine(column, steps)
+        point.append(Fraction(r.numerator * den + num * r.denominator,
+                              r.denominator * den))
+    return tuple(point)
+
+
 @dataclass(frozen=True)
 class RoundingCertificate:
+    """What map_to_grid did: the squared displacement of each rounding step
+    is kept as an exact ratio, and step_dist_sq is its Fraction, normalised
+    when first read."""
     x_in: tuple
     y_out: tuple
     bounces: tuple  # (constraint index hit, t_min) per ray-shoot
-    step_dist_sq: tuple  # squared displacement of each rounding step
+    step_dist_ratios: tuple  # (num, den > 0) per rounding step
 
     @property
     def bounce_count(self) -> int:
         return len(self.bounces)
 
+    @cached_property
+    def step_dist_sq(self) -> tuple:
+        return tuple(Fraction(n, d) for n, d in self.step_dist_ratios)
 
-def _round_to_multiple(c: Fraction, step: Fraction) -> Fraction:
-    """Nearest multiple of step; half-way ties round down."""
-    q = c / step
-    m = (2 * q.numerator + q.denominator) // (2 * q.denominator)
-    if Fraction(2 * m - 1, 2) == q:
-        m -= 1
-    return m * step
+
+def _dist_sq(a: tuple, b: tuple) -> tuple[int, int]:
+    """||a - b||^2 of two rational points as an exact ratio."""
+    return squared_norm((p.numerator * q.denominator - q.numerator * p.denominator,
+                         p.denominator * q.denominator) for p, q in zip(a, b))
 
 
 def map_to_grid(poly: Polytope, x, delta) -> tuple[tuple, RoundingCertificate]:
     """Round x onto the lattice of its face, ray-shooting on exit (exact);
-    ValueError if x is infeasible."""
-    delta = to_fraction(delta)
-    if delta <= 0:
+    ValueError if x is infeasible.  Each coordinate on the face's frame is
+    rounded to the nearest multiple of its lattice step, half-way ties
+    down, by one integer division of its quotient by the step; the ray
+    shoot stays in Fractions."""
+    delta = to_ratio(delta)
+    if delta[0] <= 0:
         raise ValueError("delta must be positive")
     x0 = tuple(to_fraction(c) for c in x)
     d = poly.d
     cur = x0
     bounces: list[tuple[int, Fraction]] = []
-    dists: list[Fraction] = []
+    dists: list[tuple[int, int]] = []
     for _ in range(d + 1):
         frame = active_set(poly, cur)  # ValueError at an infeasible start
-        target = list(frame.x_ref)
-        for coeff, v, step in zip(frame.coords(cur), frame.basis,
-                                  lattice_steps(frame, delta)):
-            rounded = _round_to_multiple(coeff, step)
-            for i in range(d):
-                target[i] += rounded * v[i]
-        target_t = tuple(target)
-        if target_t == cur:
+        steps = _step_ratios(frame, delta)
+        quotients = _lattice_quotients(frame, cur, steps)
+        if all(n % m == 0 for n, m in quotients):
             y = cur
             break
-        if poly.contains(target_t):
-            dists.append(sum((a - b) * (a - b) for a, b in zip(target_t, cur)))
-            y = target_t
+        # the nearest integer to n/m, half-way ties down: ceil(n/m - 1/2)
+        target = _lattice_point(frame, [-((m - 2 * n) // (2 * m)) for n, m in quotients],
+                                steps)
+        if poly.contains(target):
+            dists.append(_dist_sq(target, cur))
+            y = target
             break
         # ray shoot toward the ideal target, stop at the first facet hit
-        ray = [t - c for t, c in zip(target_t, cur)]
+        ray = [t - c for t, c in zip(target, cur)]
         t_min, blockers = max_feasible_step(poly, cur, ray)
         if t_min >= 1:
             raise ValueError("ray test found no blocking facet for an infeasible target")
         nxt = tuple(c + t_min * r for c, r in zip(cur, ray))
-        dists.append(sum((a - b) * (a - b) for a, b in zip(nxt, cur)))
+        dists.append(_dist_sq(nxt, cur))
         bounces.append((blockers[0], t_min))
         cur = nxt
     else:
         raise RuntimeError("rounding did not terminate within d+1 face drops")
     cert = RoundingCertificate(x_in=x0, y_out=tuple(y),
-                               bounces=tuple(bounces), step_dist_sq=tuple(dists))
+                               bounces=tuple(bounces), step_dist_ratios=tuple(dists))
     return tuple(y), cert
 
 

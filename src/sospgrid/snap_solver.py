@@ -163,10 +163,15 @@ def split_candidate(objective: Callable, poly: Polytope, x, grad, hess,
         step = sum(a * b for a, b in zip(g, v_max)) / lam_max
         base = tuple(b - step * c for b, c in zip(base, v_max))
     gv = sum(a * b for a, b in zip(g, v))
+    last = None  # (f, y) of the previous probe
 
     def probe(t):
+        # a probe that projects to the previous probe's point reuses its f
+        nonlocal last
         y = project(poly, (b - t * gv * c for b, c in zip(base, v)))
-        return _fval(objective, y), y
+        if last is None or y != last[1]:
+            last = _fval(objective, y), y
+        return last
 
     best = probe(0)
     if gv != 0 and (lam_flat > 0 or lam_max != 0):

@@ -59,6 +59,10 @@ class Polytope:
             raise ValueError("empty constraint system")
         self.d = len(self.A[0])
         self.m = len(self.A)
+        # each row as its nonzero terms (i, num, den) and b_j as (num, den)
+        self._row_ratios = tuple(
+            (tuple((i, a.numerator, a.denominator) for i, a in enumerate(row) if a),
+             bj.numerator, bj.denominator) for row, bj in zip(self.A, self.b))
         self._frames: dict[tuple[int, ...], FaceFrame] = {}
         # (lo, hi): by convention set only by Polytope.box, which builds the
         # rows from them; slacks, project and the reduction trust it unchecked
@@ -103,9 +107,12 @@ class Polytope:
                     + tuple((h.numerator * d - n * h.denominator, d * h.denominator)
                             for (n, d), h in zip(x, hi)))
         out = []
-        for row, bj in zip(self.A, self.b):
-            num, den = _combine(row, x)  # a_j . x
-            out.append((bj.numerator * den - num * bj.denominator, bj.denominator * den))
+        for terms, bn, bd in self._row_ratios:
+            num, den = 0, 1  # a_j . x
+            for i, an, ad in terms:
+                n, d = x[i]
+                num, den = num * ad * d + an * n * den, den * ad * d
+            out.append((bn * den - num * bd, bd * den))
         return tuple(out)
 
     def slacks(self, x) -> tuple[Fraction, ...]:
@@ -158,11 +165,23 @@ class FaceFrame:
     def dim(self) -> int:
         return len(self.basis)
 
+    def coord_ratios(self, x) -> list[tuple[int, int]]:
+        """Coordinates (x - x_ref).v / ||v||^2 along the basis vectors v, as
+        exact ratios (num, den > 0) of the ratios of x.  x_ref lies in the
+        row space, orthogonal to every v, so each is x.v / ||v||^2.  The
+        frame of no rows is the unit vectors: there they are x's own."""
+        x = [to_ratio(c) for c in x]
+        if not self.indices:
+            return x
+        out = []
+        for v, nsq in zip(self.basis, self.norms_sq):
+            num, den = _combine(v, x)
+            out.append((num * nsq.denominator, den * nsq.numerator))
+        return out
+
     def coords(self, x) -> list[Fraction]:
-        """Coordinates of x - x_ref along the basis vectors (exact)."""
-        diff = [c - r for c, r in zip(x, self.x_ref)]
-        return [sum(a * c for a, c in zip(diff, v)) / nsq
-                for v, nsq in zip(self.basis, self.norms_sq)]
+        """The Fractions of coord_ratios."""
+        return [Fraction(n, d) for n, d in self.coord_ratios(x)]
 
 
 def _build_face_frame(poly: Polytope, I: tuple) -> FaceFrame:

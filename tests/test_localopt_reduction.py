@@ -3,6 +3,7 @@ improvement property at non-SOSP grid points."""
 
 from __future__ import annotations
 
+import fractions
 import random
 from fractions import Fraction
 
@@ -62,6 +63,20 @@ def test_constants(saddle_ri):
     # box path: gamma set, MapToGrid path disabled
     assert ri.gamma is not None and ri.delta is None
     assert (Fraction(1) / ri.gamma).denominator == 1  # divides the box side
+
+
+@pytest.mark.parametrize("eps", [0, Fraction(-1, 100)])
+@pytest.mark.parametrize("name", ["eps_g", "eps_h"])
+@pytest.mark.parametrize("cut", [False, True], ids=["box", "cut"])
+def test_nonpositive_eps_is_refused(cut, name, eps):
+    """eps_g <= 0 or eps_h <= 0 would make gamma or delta zero or negative:
+    the instance is refused when it is built, on a box and off it."""
+    poly = Polytope.box((0, 0), (1, 1))
+    if cut:
+        poly = poly.with_cut((1, 1), Fraction(3, 2))
+    tol = {"eps_g": Fraction(1, 100), "eps_h": Fraction(1, 100), name: eps}
+    with pytest.raises(ValueError, match=name):
+        ReductionInstance(saddle_objective(), poly, tol["eps_g"], tol["eps_h"], 2, 2, 1)
 
 
 def test_round_point_lands_on_grid(saddle_ri):
@@ -162,6 +177,41 @@ def hard_ris(moderate_n1):
                                      rec.L, rec.L1, rec.L2), end)
             for name, poly in (("box", box),
                                ("cut", box.with_cut((1, 1), Fraction(3, 2))))}
+
+
+@pytest.mark.parametrize("case", ["box", "cut"])
+def test_grid_refuses_points_outside_the_polytope(hard_ris, case):
+    """round_point and on_grid name the violated row on the box as on the
+    cut polytope."""
+    ri, _ = hard_ris[case]
+    with pytest.raises(ValueError, match="point violates constraint 2"):
+        ri.round_point((Fraction(3, 2), Fraction(1, 3)))
+    with pytest.raises(ValueError, match="point violates constraint 2"):
+        ri.on_grid((Fraction(3, 2), Fraction(0)))
+
+
+@pytest.mark.parametrize("case", ["box", "cut"])
+def test_grid_test_makes_no_gcd(hard_ris, case, monkeypatch):
+    """At the grid points of the reduction of the moderate n = 1 instance,
+    rounded raw points and the updates g(x) with their 300-bit
+    denominators, on_grid decides by integer divisibility: it makes no gcd
+    once the faces' frames are built."""
+    ri, _ = hard_ris[case]
+    points = [(Fraction(0), Fraction(0))]
+    for x in grid_points(ri, 0, 1, [], count=6, seed=7):
+        points += [x, ri.improvement_check(x).g_x]
+    assert all(ri.on_grid(x) for x in points)  # builds the frames
+    calls = 0
+    gcd = fractions.math.gcd
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return gcd(*args)
+
+    monkeypatch.setattr(fractions.math, "gcd", counted)
+    assert all(ri.on_grid(x) for x in points)
+    assert calls == 0
 
 
 @pytest.mark.parametrize("case", ["saddle", "quartic", "hard-box", "hard-cut"])

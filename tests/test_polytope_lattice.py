@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import lattice_reference
+from sospgrid.localopt_reduction import ReductionInstance
 from sospgrid.polytope_lattice import (
     box_grid_step,
     frac_gcd,
@@ -15,7 +19,7 @@ from sospgrid.polytope_lattice import (
     lattice_steps,
     map_to_grid,
 )
-from sospgrid.stationarity import Polytope, face_frame
+from sospgrid.stationarity import Polytope, active_set, face_frame, max_feasible_step
 
 
 def random_polytope(rng):
@@ -210,3 +214,119 @@ def test_lattice_cardinality_bound():
     assert lattice_cardinality_bound(4, 2, 2, Fraction(1, 100)) > val
     with pytest.raises(ValueError):
         lattice_cardinality_bound(4, 2, 2, 0)
+
+
+# Lattice steps: coarse (most targets leave the polytope and bounce), fine,
+# and with a 300-bit denominator.
+DELTAS = (Fraction(3, 5), Fraction(1, 7), Fraction(1, 64), Fraction(1, 2**300 + 1))
+# eps of the reduction: a coarse grid (gamma and delta near 1) and a fine one.
+GRID_EPS = (Fraction(10), Fraction(1, 100))
+POINT_KINDS = ("interior", "face", "vertex", "tie")
+
+
+def _rational(rng, bits):
+    """A rational in [-3, 3]: hundredths, or a denominator of bits bits."""
+    if not bits:
+        return Fraction(rng.randrange(-300, 301), 100)
+    den = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    return Fraction(rng.randrange(-3 * den, 3 * den + 1), den)
+
+
+def _push(rng, poly, x, bits):
+    """x moved along a random direction of its face until a new row holds
+    with equality (the exact ratio test), or x if the face is a vertex."""
+    frame = active_set(poly, x)
+    if not frame.dim:
+        return x
+    raw = [_rational(rng, bits) or Fraction(1) for _ in range(poly.d)]
+    d = [sum((sum(a * c for a, c in zip(raw, v)) / nsq) * v[i]
+             for v, nsq in zip(frame.basis, frame.norms_sq)) for i in range(poly.d)]
+    if all(c == 0 for c in d):
+        return x
+    t, _ = max_feasible_step(poly, x, d)
+    return tuple(c + t * r for c, r in zip(x, d))
+
+
+def grid_case(seed: int, kind: str, bits: int, delta: Fraction):
+    """(poly, x): a box or a random polytope (random_polytope) and a point of
+    it, interior, on a face, at a vertex, or a half-way tie of the lattice of
+    step delta on its face, with coordinates of bits-bit denominators."""
+    rng = random.Random(seed)
+    poly, center = random_polytope(rng)
+    offset = [_rational(rng, bits) for _ in range(poly.d)]
+    x = tuple(c + o for c, o in zip(center, offset))
+    while not poly.contains(x):
+        offset = [o / 2 for o in offset]
+        x = tuple(c + o for c, o in zip(center, offset))
+    if kind in ("face", "tie"):
+        for _ in range(rng.randrange(1 if kind == "face" else 0, poly.d + 1)):
+            x = _push(rng, poly, x, bits)
+    elif kind == "vertex":
+        for _ in range(poly.d):
+            x = _push(rng, poly, x, bits)
+    if kind == "tie":
+        # x_ref + sum_k (floor(c_k / step_k) + 1/2) step_k v_k, which lies on
+        # x's face; kept when it stays in the polytope
+        frame = active_set(poly, x)
+        tie = list(frame.x_ref)
+        for c, v, step in zip(lattice_reference.coords(frame, x), frame.basis,
+                              lattice_reference.lattice_steps(frame, delta)):
+            m = (math.floor(c / step) + Fraction(1, 2)) * step
+            tie = [t + m * a for t, a in zip(tie, v)]
+        if poly.contains(tie):
+            x = tuple(tie)
+    return poly, x
+
+
+def _check_grid_against_reference(seed, kind, bits, delta, eps):
+    """map_to_grid (y and the whole certificate), and the reduction's
+    round_point and on_grid, equal the Fraction reference; returns the
+    certificate."""
+    poly, x = grid_case(seed, kind, bits, delta)
+    y, cert = map_to_grid(poly, x, delta)
+    ref_y, ref_bounces, ref_dists = lattice_reference.map_to_grid(poly, x, delta)
+    assert y == ref_y
+    assert (cert.x_in, cert.y_out, cert.bounces, cert.step_dist_sq) \
+        == (x, ref_y, ref_bounces, ref_dists)
+    ri = ReductionInstance(None, poly, eps, eps, 1, 1, 1)
+    rounded = ri.round_point(x)
+    assert rounded == lattice_reference.round_point(ri, x)
+    for p in (x, y, rounded):
+        assert ri.on_grid(p) == lattice_reference.on_grid(ri, p)
+    return poly, x, cert
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32), st.sampled_from(POINT_KINDS), st.sampled_from([0, 300]),
+       st.sampled_from(DELTAS), st.sampled_from(GRID_EPS))
+@example(0, "tie", 300, DELTAS[-1], GRID_EPS[1])
+def test_grid_equals_the_fraction_reference(seed, kind, bits, delta, eps):
+    _check_grid_against_reference(seed, kind, bits, delta, eps)
+
+
+def test_grid_reference_cases_cover_every_path():
+    """The cases of test_grid_equals_the_fraction_reference reach boxes and
+    cut polytopes, vertices, faces whose basis vector has an irrational
+    norm, bounces, exact half-way ties and 300-bit denominators; each one
+    equals the reference here too."""
+    seen = set()
+    for seed in range(12):
+        for kind, bits, delta, eps in itertools.product(POINT_KINDS, (0, 300), DELTAS,
+                                                        GRID_EPS[:1]):
+            poly, x, cert = _check_grid_against_reference(seed, kind, bits, delta, eps)
+            frame = active_set(poly, x)
+            seen.add("box" if poly.box_bounds else "cut")
+            seen.add(f"dim {min(frame.dim, 1)}")
+            if any(math.isqrt(n.numerator * n.denominator) ** 2
+                   != n.numerator * n.denominator for n in frame.norms_sq):
+                seen.add("irrational norm")
+            if cert.bounces:
+                seen.add("bounce")
+            if any((c / s).denominator == 2 for c, s
+                   in zip(lattice_reference.coords(frame, x),
+                          lattice_reference.lattice_steps(frame, delta))):
+                seen.add("tie")
+            if max(c.denominator for c in x).bit_length() >= 300:
+                seen.add("300 bits")
+    assert seen == {"box", "cut", "dim 0", "dim 1", "irrational norm", "bounce", "tie",
+                    "300 bits"}

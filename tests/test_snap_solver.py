@@ -481,3 +481,25 @@ def test_solve_starts_converge_within_1000_iterations(table, node):
         assert trace.converged
         assert trace.iterations <= 1000
         assert h.decode_scaled(*trace.final_point) == node
+
+
+def test_split_candidate_reads_a_repeated_probe_once():
+    """f = x^2/2 - y on the unit box from (0, 1/2): the flat probes at t = 1
+    and t = 2 both project to (0, 1), and the second reuses the first's f,
+    so each distinct point is evaluated once."""
+    def obj(p):
+        x, y = p
+        return x * x / 2 - y, (x, Fraction(-1)), ((1, 0), (0, 0))
+
+    calls = []
+
+    def counted(p):
+        calls.append(tuple(p))
+        return obj(p)
+
+    x = (Fraction(0), Fraction(1, 2))
+    f, grad, hess = obj(x)
+    _, y = snap_solver.split_candidate(counted, Polytope.box((0, 0), (1, 1)), x,
+                                       grad, hess, f, Fraction(1, 1024))
+    assert y == (0, 1)
+    assert calls == [(0, Fraction(1, 2)), (0, 1)]
