@@ -26,15 +26,22 @@ from sospgrid.iter_problems import IterInstance
 INSTANCES = ((1, (2, 2)), (2, (3, 4, 4, 1)), (2, (2, 3, 4, 4)))
 
 
+def dump_text(reports: list) -> str:
+    """The JSON text this script writes, from the certification_report of
+    each of INSTANCES, in order."""
+    return json.dumps([{"table": list(table), "report": report}
+                       for (_, table), report in zip(INSTANCES, reports)],
+                      indent=1, sort_keys=True) + "\n"
+
+
 def main(argv: list[str]) -> None:
     reports = []
     for n, table in INSTANCES:
         start = time.perf_counter()
-        report = certification_report(IterInstance(n, table))
+        reports.append(certification_report(IterInstance(n, table)))
         print(f"n = {n}, C = {table}: {time.perf_counter() - start:.1f} s",
               file=sys.stderr)
-        reports.append({"table": list(table), "report": report})
-    text = json.dumps(reports, indent=1, sort_keys=True) + "\n"
+    text = dump_text(reports)
     if len(argv) > 1:
         with open(argv[1], "w", encoding="utf-8") as fh:
             fh.write(text)

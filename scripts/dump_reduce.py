@@ -156,7 +156,8 @@ def lattice_records() -> list:
     return records
 
 
-def main(argv: list[str]) -> None:
+def dump_text() -> str:
+    """The JSON text this script writes."""
     h = build(IterInstance(1, TABLE), "moderate")
     rec = h.lipschitz_report()
     box = h.domain_polytope()
@@ -173,8 +174,12 @@ def main(argv: list[str]) -> None:
                         "g_x": [str(c) for c in verdict.g_x],
                         "p_x": str(verdict.p_x),
                         "p_gx": str(verdict.p_gx)})
-    text = json.dumps({"operations": records, "lattice": lattice_records()},
+    return json.dumps({"operations": records, "lattice": lattice_records()},
                       indent=1, sort_keys=True) + "\n"
+
+
+def main(argv: list[str]) -> None:
+    text = dump_text()
     if len(argv) > 1:
         with open(argv[1], "w", encoding="utf-8") as fh:
             fh.write(text)

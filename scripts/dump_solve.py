@@ -54,12 +54,17 @@ def solve_record(h, table, seed: int) -> dict:
             "counts": trace.counts()}
 
 
-def main(argv: list[str]) -> None:
+def dump_text() -> str:
+    """The JSON text this script writes."""
     records = []
     for n, table in INSTANCES:
         h = build(IterInstance(n, table), "moderate")
         records.extend(solve_record(h, table, seed) for seed in SEEDS)
-    text = json.dumps(records, indent=1, sort_keys=True) + "\n"
+    return json.dumps(records, indent=1, sort_keys=True) + "\n"
+
+
+def main(argv: list[str]) -> None:
+    text = dump_text()
     if len(argv) > 1:
         with open(argv[1], "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -65,7 +65,8 @@ def solve_final(h) -> tuple:
     return trace.final_point
 
 
-def main(argv: list[str]) -> None:
+def dump_text() -> str:
+    """The JSON text this script writes."""
     records = []
     for scale in SCALES:
         h = build(IterInstance(1, TABLE), scale)
@@ -91,7 +92,11 @@ def main(argv: list[str]) -> None:
                         "gpi_sq": str(rep.gpi_sq),
                         "R": [[str(v) for v in row] for row in rep.R],
                         "active": list(rep.active_indices)})
-    text = json.dumps(records, indent=1, sort_keys=True) + "\n"
+    return json.dumps(records, indent=1, sort_keys=True) + "\n"
+
+
+def main(argv: list[str]) -> None:
+    text = dump_text()
     if len(argv) > 1:
         with open(argv[1], "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -24,11 +24,16 @@ diagonal entry or determinant).  The Newton polish steps on the
 2^-192 grid with the point kernel (BoxPatch.point_fields), from exact
 starts strictly inside the cell; its damped step, the first of 2^-j
 times the Newton step that stays inside the cell, is found by bisection
-on j.  The 1/sqrt(gap) offsets are integer square roots on that grid: no
-high-precision float is used.  Reports keep their points exact: floats
-appear only in to_json and in the margin figures, each rounded once from
-exact integers.  The curvature part of a sample's margin is read only
-where the gradient part leaves it a chance to be the worst.
+on j.  A polish keeps a point only where max(|f_x|, |f_y|) <= POLISH_TOL,
+so certify_no_sosp skips both polishes of a cell when an exact Bernstein
+enclosure of the gradient (bernstein.gradient_bounded, in integers on the
+closed cell) proves max(|f_x|, |f_y|) > POLISH_TOL everywhere: the report
+is the one the polishes would have left.  The 1/sqrt(gap) offsets are
+integer square roots on that grid: no high-precision float is used.
+Reports keep their points exact: floats appear only in to_json and in the
+margin figures, each rounded once from exact integers.  The curvature part
+of a sample's margin is read only where the gradient part leaves it a
+chance to be the worst.
 Boundary cells are checked the same way: the proximal step is exact in
 rationals and ||g_pi||^2 > EPS0^2 needs no square root.  X cells contain
 a genuine SOSP and must fail certification; they serve as the negative
@@ -45,6 +50,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._precision import to_fraction
+from .bernstein import gradient_bounded
 from .biquintic import BoxPatch, Fields
 from .color_field import ColorField, Direction
 from .hard_instance import HardInstance, ScaleMode, build
@@ -68,6 +74,8 @@ __all__ = [
 ]
 
 EPS0 = Fraction(1, 10**10)
+# A polished point is kept only where max(|f_x|, |f_y|) <= POLISH_TOL.
+POLISH_TOL = Fraction(1, 10**6)
 BOUNDARY_RESOLUTION = 5  # samples per side of a boundary cell in the report
 _GRID_BITS = 192  # polished points and 1/sqrt(gap) offsets are k / 2^192
 
@@ -441,9 +449,30 @@ def _newton_polish(patch: BoxPatch, x0: Fraction, y0: Fraction):
         if moved * 10**40 < one:  # moved less than 1e-40
             break
     F = patch.point_fields((X, one), (Y, one))
-    if max(abs(F.gx), abs(F.gy)) * 10**6 > F.scale:
+    if max(abs(F.gx), abs(F.gy)) * POLISH_TOL.denominator > F.scale * POLISH_TOL.numerator:
         return None  # did not converge to a FOSP
     return Fraction(X, one), Fraction(Y, one)
+
+
+def _sample(patch: BoxPatch, resolution: int, offsets: list,
+            polish: bool) -> CriterionReport:
+    """The report of the resolution x resolution grid plus the offsets,
+    and, when polish holds, of the Newton-polished points."""
+    report = CriterionReport(cell=(patch.a, patch.b), resolution=resolution)
+    coords = [Fraction(i + 1, resolution + 1)
+              for i in range(resolution)] + offsets
+    _record(report, coords, coords, patch.fields(coords, coords), EPS0)
+    if not polish:
+        return report
+    # Also polish from a mid-cell start: near-edge worst samples can drag
+    # Newton away from an interior stationary point.
+    for start in dict.fromkeys([report.worst_point, (Fraction(1, 2),) * 2]):
+        polished = _newton_polish(patch, *start)
+        if polished is None:
+            continue
+        px, py = ([t] for t in polished)
+        _record(report, px, py, patch.fields(px, py), EPS0)
+    return report
 
 
 def certify_no_sosp(patch: BoxPatch, resolution: int = 51,
@@ -455,33 +484,24 @@ def certify_no_sosp(patch: BoxPatch, resolution: int = 51,
     lambda_min < -EPS0, decided exactly at a rational sample point.  The
     worst sample is Newton-polished toward the nearest interior stationary
     point so that genuine SOSPs (X cells) are actually found rather than
-    straddled by the grid.  A near miss, a cell that passes with a worst
-    margin below 10*EPS0, is re-sampled at the refinement resolution; a
-    cell that fails is never re-sampled, since a failing sample stands.
-    ValueError for a resolution below 1.
+    straddled by the grid.  The polish is skipped when the exact Bernstein
+    enclosure of the gradient (bernstein.gradient_bounded) proves
+    max(|f_x|, |f_y|) > POLISH_TOL on the whole closed cell: every point a
+    polish can return has max(|f_x|, |f_y|) <= POLISH_TOL, so the report is
+    the one the polish would have left.  A near miss, a cell that passes
+    with a worst margin below 10*EPS0, is re-sampled at the refinement
+    resolution; a cell that fails is never re-sampled, since a failing
+    sample stands.  ValueError for a resolution below 1.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     offsets = [t for t in map(to_fraction, extra_offsets) if 0 < t < 1]
-    report = CriterionReport(cell=(patch.a, patch.b), resolution=resolution)
-    coords = [Fraction(i + 1, resolution + 1)
-              for i in range(resolution)] + offsets
-    _record(report, coords, coords, patch.fields(coords, coords), EPS0)
-
-    # Also polish from a mid-cell start: near-edge worst samples can drag
-    # Newton away from an interior stationary point.
-    for start in dict.fromkeys([report.worst_point, (Fraction(1, 2),) * 2]):
-        polished = _newton_polish(patch, *start)
-        if polished is None:
-            continue
-        px, py = ([t] for t in polished)
-        _record(report, px, py, patch.fields(px, py), EPS0)
-
+    polish = not gradient_bounded(patch, POLISH_TOL)
+    report = _sample(patch, resolution, offsets, polish)
     if (report.passed and report.worst_margin < 10 * EPS0
             and resolution < _refine):
-        fine = certify_no_sosp(patch, _refine, offsets, _refine=0)
-        fine.refined = True
-        return fine
+        report = _sample(patch, _refine, offsets, polish)
+        report.refined = True
     return report
 
 

@@ -14,7 +14,19 @@ grid test (on_lattice) is one integer divisibility test per coordinate and
 makes no gcd; MapToGrid rounds each coordinate, half-way ties down, by one
 integer floor division, and normalises only the point it returns, one
 Fraction per coordinate.  Its ray shoot (max_feasible_step) stays in
-Fractions.  lattice_steps and FaceFrame.coords are the Fraction views.
+Fractions.  lattice_steps is the Fraction view of the steps, which tests
+read.
+
+MapToGrid returns a point of its own face's lattice.  A pass rounds on the
+frame of the current point's face; when the rounded target is feasible but
+holds a row that the frame does not, the next pass starts from the target
+and rounds on its smaller face, and an infeasible target bounces to the
+first row the ray hits.  Each such pass adds an independent active row, so
+at most d + 1 passes run.  A pass moves the point by at most delta/2 along
+each of at most d orthogonal basis vectors (delta / nu_k along v_k, nu_k
+>= ||v_k||), that is by at most delta sqrt(d) / 2, and a bounce by less.
+All passes together move it by at most (d + 1) delta sqrt(d) / 2, which is
+at most eps_r for the reduction's delta <= eps_r / (d sqrt(d)) and d >= 1.
 """
 
 from __future__ import annotations
@@ -157,7 +169,8 @@ def map_to_grid(poly: Polytope, x, delta) -> tuple[tuple, RoundingCertificate]:
     ValueError if x is infeasible.  Each coordinate on the face's frame is
     rounded to the nearest multiple of its lattice step, half-way ties
     down, by one integer division of its quotient by the step; the ray
-    shoot stays in Fractions."""
+    shoot stays in Fractions.  A feasible target on a row that the frame
+    lacks is rounded again on its own face (module docstring)."""
     delta = to_ratio(delta)
     if delta[0] <= 0:
         raise ValueError("delta must be positive")
@@ -176,10 +189,14 @@ def map_to_grid(poly: Polytope, x, delta) -> tuple[tuple, RoundingCertificate]:
         # the nearest integer to n/m, half-way ties down: ceil(n/m - 1/2)
         target = _lattice_point(frame, [-((m - 2 * n) // (2 * m)) for n, m in quotients],
                                 steps)
-        if poly.contains(target):
+        slacks = poly.slack_ratios(target)
+        if all(n >= 0 for n, _ in slacks):
             dists.append(_dist_sq(target, cur))
-            y = target
-            break
+            if sum(n == 0 for n, _ in slacks) == len(frame.indices):
+                y = target
+                break
+            cur = target  # on a new row: round again on the smaller face
+            continue
         # ray shoot toward the ideal target, stop at the first facet hit
         ray = [t - c for t, c in zip(target, cur)]
         t_min, blockers = max_feasible_step(poly, cur, ray)

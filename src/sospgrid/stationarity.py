@@ -179,10 +179,6 @@ class FaceFrame:
             out.append((num * nsq.denominator, den * nsq.numerator))
         return out
 
-    def coords(self, x) -> list[Fraction]:
-        """The Fractions of coord_ratios."""
-        return [Fraction(n, d) for n, d in self.coord_ratios(x)]
-
 
 def _build_face_frame(poly: Polytope, I: tuple) -> FaceFrame:
     d = poly.d
@@ -276,8 +272,8 @@ def _project_general(poly: Polytope, w: list[Fraction]) -> list[Fraction]:
             if frame.dim != d - size:
                 continue
             cand = list(frame.x_ref)
-            for coeff, v in zip(frame.coords(w), frame.basis):
-                cand = [c + coeff * a for c, a in zip(cand, v)]
+            for (n, m), v in zip(frame.coord_ratios(w), frame.basis):
+                cand = [c + Fraction(n, m) * a for c, a in zip(cand, v)]
             if not poly.contains(cand):
                 continue
             dist = sum((a - b) * (a - b) for a, b in zip(cand, w))

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from sospgrid.box_certifier import certification_report
 from sospgrid.hard_instance import build
 from sospgrid.iter_problems import IterInstance
+from test_golden_dumps import load_script
 
 # (criterion number, short name) -> "PASS" | "FAIL"
 ACCEPTANCE_RESULTS: dict[tuple[int, str], str] = {}
@@ -36,6 +38,15 @@ def hard_n2(inst_n2):
 @pytest.fixture(scope="session")
 def moderate_n1(inst_n1):
     return build(inst_n1, "moderate")
+
+
+@pytest.fixture(scope="session")
+def certification_reports() -> list:
+    """certification_report of each instance of scripts/dump_certification.py,
+    criterion 6's three, in order: certified once per session for criterion
+    6 and the pinned dump."""
+    return [certification_report(IterInstance(n, table))
+            for n, table in load_script("dump_certification").INSTANCES]
 
 
 @pytest.fixture(scope="session")

@@ -67,7 +67,10 @@ def map_to_grid(poly, x, delta) -> tuple[tuple, tuple, tuple]:
             return cur, tuple(bounces), tuple(dists)
         if poly.contains(target):
             dists.append(sum((a - b) * (a - b) for a, b in zip(target, cur)))
-            return target, tuple(bounces), tuple(dists)
+            if len(poly.active_rows(target)) == len(frame.indices):
+                return target, tuple(bounces), tuple(dists)
+            cur = target  # a new row is active: round again on its face
+            continue
         ray = [t - c for t, c in zip(target, cur)]
         t_min, blockers = max_feasible_step(poly, cur, ray)
         nxt = tuple(c + t_min * r for c, r in zip(cur, ray))

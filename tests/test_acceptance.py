@@ -16,9 +16,9 @@ from click.testing import CliRunner
 import test_biquintic
 import test_polytope_lattice
 import test_snap_solver
+from test_golden_dumps import load_script
 from sospgrid._precision import PRECISION, hp, hp_sqrt
 from sospgrid.biquintic import solve_coefficients
-from sospgrid.box_certifier import certification_report
 from sospgrid.cli import main as cli_main
 from sospgrid.cli import render_svg
 from sospgrid.color_field import COLOR_ORDER, regime_value
@@ -186,13 +186,12 @@ def test_criterion_05_lipschitz_samples(acceptance, hard_n1):
 # --------------------------------------------------------------------------
 
 
-def test_criterion_06_cell_certification(acceptance):
+def test_criterion_06_cell_certification(acceptance, certification_reports):
     def checks():
-        cases = [IterInstance(1, (2, 2)),
-                 IterInstance(2, (3, 4, 4, 1)),
-                 IterInstance(2, (2, 3, 4, 4))]
-        for inst in cases:
-            report = certification_report(inst)
+        # the reports are shared with the pinned certification dump
+        assert load_script("dump_certification").INSTANCES == (
+            (1, (2, 2)), (2, (3, 4, 4, 1)), (2, (2, 3, 4, 4)))
+        for report in certification_reports:
             assert report["passed"]
             x_cells = [c for c in report["cells"] if c["label"] == "X"]
             assert x_cells

@@ -14,10 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 from patch_reference import patch_of, reference_eval
 from sospgrid._precision import to_fraction
 from sospgrid import box_certifier
+from sospgrid.bernstein import gradient_bounded
 from sospgrid.biquintic import Fields
 from sospgrid.box_certifier import (
     ALL_TRANSFORMS,
     EPS0,
+    POLISH_TOL,
     ClassificationError,
     CornerData,
     CriterionReport,
@@ -494,7 +496,9 @@ def test_polish_starts_at_the_exact_worst_sample(hard_n1, monkeypatch, cell):
     # In these column-1 cells the worst sample lies at the targeted offset
     # x = 1 - 1/gap, whose float rounding is the wall x = 1.0.  Every polish
     # must start from an exact point strictly inside the cell, the first
-    # from the worst sample itself.
+    # from the worst sample itself.  The gradient enclosure proves both
+    # cells, so it is switched off here for the polishes to run.
+    monkeypatch.setattr(box_certifier, "gradient_bounded", lambda patch, tol: False)
     worst, starts = [], []
     record, polish = box_certifier._record, box_certifier._newton_polish
 
@@ -514,6 +518,28 @@ def test_polish_starts_at_the_exact_worst_sample(hard_n1, monkeypatch, cell):
     assert all(type(t) is Fraction and 0 < t < 1
                for start in starts for t in start)
     assert starts[0] == grid_worst
+
+
+@pytest.mark.parametrize("cell", [(1, 2), (1, 16)])
+def test_enclosure_skips_the_polish_of_proved_cells(hard_n1, monkeypatch, cell):
+    # The gradient enclosure proves max(|f_x|, |f_y|) > POLISH_TOL on these
+    # cells, so no polish runs, and the report is the one the polishes
+    # would have left.
+    assert gradient_bounded(hard_n1.patch(*cell), POLISH_TOL)
+    starts = []
+    polish = box_certifier._newton_polish
+
+    def recording_polish(patch, x0, y0):
+        starts.append((x0, y0))
+        return polish(patch, x0, y0)
+
+    monkeypatch.setattr(box_certifier, "_newton_polish", recording_polish)
+    report = certify_cell(hard_n1, *cell)
+    assert starts == []
+    monkeypatch.setattr(box_certifier, "gradient_bounded", lambda patch, tol: False)
+    assert certify_cell(hard_n1, *cell) == report
+    assert len(starts) == 2 and all(polish(hard_n1.patch(*cell), *s) is None
+                                    for s in starts)
 
 
 def test_polish_start_below_the_grid_is_clamped_inside(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lattice_reference
+from sospgrid import polytope_lattice
 from sospgrid.localopt_reduction import ReductionInstance
 from sospgrid.polytope_lattice import (
     box_grid_step,
@@ -330,3 +331,69 @@ def test_grid_reference_cases_cover_every_path():
                 seen.add("300 bits")
     assert seen == {"box", "cut", "dim 0", "dim 1", "irrational norm", "bounce", "tie",
                     "300 bits"}
+
+
+# grid_case draws (bits 0) at which map_to_grid once returned a point off
+# its own face's lattice: the rounded target landed exactly on a row that
+# was not active at the start.  The (seed, kind, delta) cases leave the
+# lattice of step delta; the last one, grid_case(48, "interior", 0, 3/5),
+# leaves the reduction's grid at eps = 10 (its delta is 4/15).
+OFF_GRID_CASES = [
+    (65, "interior", Fraction(1, 7)), (278, "interior", Fraction(3, 5)),
+    (565, "interior", Fraction(3, 5)), (781, "interior", Fraction(1, 7)),
+    (790, "tie", Fraction(3, 5)), (974, "interior", Fraction(1, 7)),
+    (974, "tie", Fraction(1, 7)), (1080, "interior", Fraction(3, 5)),
+    (1171, "interior", Fraction(3, 5)), (1171, "tie", Fraction(3, 5)),
+    (1198, "tie", Fraction(1, 7)), (1216, "interior", Fraction(3, 5)),
+    (1233, "tie", Fraction(1, 7)), (1438, "interior", Fraction(1, 7)),
+    (1509, "interior", Fraction(3, 5)), (1509, "tie", Fraction(3, 5)),
+    (48, "interior", Fraction(3, 5)),
+]
+
+
+def _with_off_grid_examples(test):
+    for seed, kind, delta in OFF_GRID_CASES:
+        test = example(seed, kind, 0, delta, GRID_EPS[0])(test)
+    return test
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32), st.sampled_from(POINT_KINDS), st.sampled_from([0, 300]),
+       st.sampled_from(DELTAS), st.sampled_from(GRID_EPS))
+@_with_off_grid_examples
+def test_rounding_lands_on_the_grid(seed, kind, bits, delta, eps):
+    """map_to_grid's point lies on the lattice of its own face, the grid
+    test of ReductionInstance.on_grid off the box, after at most d + 1
+    passes of at most d delta^2 / 4 in squared length each; and on_grid
+    holds at the reduction's round_point, on boxes and cut polytopes."""
+    poly, x = grid_case(seed, kind, bits, delta)
+    y, cert = map_to_grid(poly, x, delta)
+    assert polytope_lattice.on_lattice(active_set(poly, y), y, delta)
+    d = poly.d
+    assert len(cert.step_dist_sq) <= d + 1
+    assert all(s <= d * delta * delta / 4 for s in cert.step_dist_sq)
+    ri = ReductionInstance(None, poly, eps, eps, 1, 1, 1)
+    assert ri.on_grid(ri.round_point(x))
+
+
+def test_grid_test_agrees_with_criterion_9_on_rounded_points():
+    """On every map_to_grid point, the grid test of on_grid (the lattice of
+    the whole active set) agrees with criterion 9's on_lattice (the lattice
+    of any subset of it): on the first 200 draws of criterion 9, at the
+    off-grid cases above, and at the reduction's rounding of those."""
+    rng = random.Random(909)
+    points = []
+    for _ in range(200):
+        poly, center = random_polytope(rng)
+        delta = Fraction(1, rng.choice([3, 7, 10, 16]))
+        points.append((poly, map_to_grid(poly, random_feasible_point(rng, poly, center),
+                                         delta)[0], delta))
+    for seed, kind, delta in OFF_GRID_CASES:
+        poly, x = grid_case(seed, kind, 0, delta)
+        points.append((poly, map_to_grid(poly, x, delta)[0], delta))
+        ri = ReductionInstance(None, poly, GRID_EPS[0], GRID_EPS[0], 1, 1, 1)
+        if ri.delta is not None:
+            points.append((poly, ri.round_point(x), ri.delta))
+    for poly, y, delta in points:
+        assert polytope_lattice.on_lattice(active_set(poly, y), y, delta) \
+            == on_lattice(poly, y, delta)
