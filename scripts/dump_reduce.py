@@ -21,6 +21,16 @@ nearest point of delta Z^d lies outside the polytope, so that
 map_to_grid bounces.  A record holds the point x, map_to_grid's y, its
 bounces and step_dist_sq, and on_grid at x and at y.
 
+Its "ties" part pins how map_to_grid rounds a half-way tie: random.Random(1)
+draws 6 more such polytopes, and on each, for eps = 5, three faces (the
+interior, and a point pushed onto a new row once and twice).  On each face
+it takes the point half-way between two lattice points along every basis
+vector of the face's frame, x_ref + sum_k (floor(c_k / s_k) + 1/2) s_k v_k,
+where c_k is the coordinate of the face's point on v_k and s_k = delta /
+nu_k its lattice step, nu_k = ceil(sqrt(||v_k||^2 den)) / den.  A vertex
+is skipped, and so is a tie that leaves the polytope or holds another row.
+A record holds the tie x, map_to_grid's y, its bounces and step_dist_sq.
+
 The records carry no timings, so two checkouts that reduce alike write
 identical files, and a change to the reduction is checked with diff (run
 this script in both checkouts; earlier versions of it wrote the
@@ -37,6 +47,7 @@ Without an output path the JSON goes to stdout.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -59,6 +70,9 @@ LATTICE_POLYTOPES = 12
 LATTICE_POINTS = 4  # of each kind, per polytope and eps
 LATTICE_TRIES = 200
 LATTICE_EPS = (Fraction(5), Fraction(10))
+TIES_SEED = 1
+TIES_POLYTOPES = 6
+TIES_EPS = Fraction(5)
 
 
 def raw_points() -> list:
@@ -156,6 +170,47 @@ def lattice_records() -> list:
     return records
 
 
+def tie_point(poly, x, delta):
+    """The half-way point of x's face lattice next to x (module docstring),
+    or None at a vertex and if it leaves the polytope or holds a row that x
+    does not."""
+    frame = active_set(poly, x)
+    if not frame.dim:
+        return None
+    tie = list(frame.x_ref)
+    for v, nsq in zip(frame.basis, frame.norms_sq):
+        r = math.isqrt(nsq.numerator * nsq.denominator)
+        nu = Fraction(r + (r * r < nsq.numerator * nsq.denominator), nsq.denominator)
+        step = delta / nu
+        c = sum(a * b for a, b in zip(x, v)) / nsq  # x_ref is orthogonal to v
+        m = (math.floor(c / step) + Fraction(1, 2)) * step
+        tie = [t + m * a for t, a in zip(tie, v)]
+    if not poly.contains(tie) or poly.active_rows(tie) != frame.indices:
+        return None
+    return tuple(tie)
+
+
+def tie_records() -> list:
+    rng = random.Random(TIES_SEED)
+    records = []
+    for k in range(TIES_POLYTOPES):
+        poly, center = cut_polytope(rng)
+        delta = ReductionInstance(None, poly, TIES_EPS, TIES_EPS, 1, 1, 1).delta
+        faces = [tuple(center)]
+        faces += [push(rng, poly, faces[-1]), push(rng, poly, push(rng, poly, faces[-1]))]
+        for x in filter(None, (tie_point(poly, f, delta) for f in faces)):
+            y, cert = map_to_grid(poly, x, delta)
+            records.append({"polytope": k,
+                            "A": [[str(a) for a in row] for row in poly.A],
+                            "b": [str(v) for v in poly.b],
+                            "delta": str(delta),
+                            "x": [str(c) for c in x],
+                            "y": [str(c) for c in y],
+                            "bounces": [[j, str(t)] for j, t in cert.bounces],
+                            "step_dist_sq": [str(v) for v in cert.step_dist_sq]})
+    return records
+
+
 def dump_text() -> str:
     """The JSON text this script writes."""
     h = build(IterInstance(1, TABLE), "moderate")
@@ -174,8 +229,8 @@ def dump_text() -> str:
                         "g_x": [str(c) for c in verdict.g_x],
                         "p_x": str(verdict.p_x),
                         "p_gx": str(verdict.p_gx)})
-    return json.dumps({"operations": records, "lattice": lattice_records()},
-                      indent=1, sort_keys=True) + "\n"
+    return json.dumps({"operations": records, "lattice": lattice_records(),
+                       "ties": tie_records()}, indent=1, sort_keys=True) + "\n"
 
 
 def main(argv: list[str]) -> None:

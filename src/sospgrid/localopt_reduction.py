@@ -22,7 +22,7 @@ from typing import Callable
 
 from sospgrid._precision import to_fraction, to_ratio
 from sospgrid.polytope_lattice import (
-    _ceil_sqrt_rational,
+    _ceil_sqrt_ratio,
     box_grid_step,
     map_to_grid,
     on_lattice,
@@ -66,8 +66,9 @@ class ReductionInstance:
         else:
             self.gamma = None
             self.eps_r = self.eps**5 / (1000 * d**2 * self.L_max**3)
-            # delta <= eps_r / (d sqrt(d)) via a rational sqrt upper bound
-            self.delta = self.eps_r / (d * _ceil_sqrt_rational(Fraction(d)))
+            # delta <= eps_r / (d sqrt(d)) via an integer sqrt upper bound
+            root_d, _ = _ceil_sqrt_ratio(d, 1)
+            self.delta = self.eps_r / (d * root_d)
 
     # ---- grid handling -------------------------------------------------
 

@@ -4,7 +4,7 @@ with its active-set / feasibility / distance guarantees.
 
 The lattice of face I is x_ref + sum_k (delta / nu_k) Z v_k on the face's
 stationarity.face_frame, the frame the active set reads too, with the
-rational nu_k >= ||v_k|| of lattice_steps; at a vertex it is the vertex.
+rational nu_k >= ||v_k|| of _step_ratios; at a vertex it is the vertex.
 
 The lattice is decided in integer ratios, as stationarity decides the
 verdict: a point's coordinate on v_k over its step, (x.v_k) nu_k /
@@ -13,9 +13,8 @@ verdict: a point's coordinate on v_k over its step, (x.v_k) nu_k /
 grid test (on_lattice) is one integer divisibility test per coordinate and
 makes no gcd; MapToGrid rounds each coordinate, half-way ties down, by one
 integer floor division, and normalises only the point it returns, one
-Fraction per coordinate.  Its ray shoot (max_feasible_step) stays in
-Fractions.  lattice_steps is the Fraction view of the steps, which tests
-read.
+Fraction per coordinate.  Its ray shoot moves the point in Fractions, by
+the t that max_feasible_step decides by cross-multiplication.
 
 MapToGrid returns a point of its own face's lattice.  A pass rounds on the
 frame of the current point's face; when the rounded target is feasible but
@@ -57,11 +56,6 @@ def _ceil_sqrt_ratio(num: int, den: int) -> tuple[int, int]:
     return r + (r * r < num * den), den
 
 
-def _ceil_sqrt_rational(q: Fraction) -> Fraction:
-    """Smallest 'nice' rational upper bound on sqrt(q): ceil-to-1/den grid."""
-    return Fraction(*_ceil_sqrt_ratio(q.numerator, q.denominator))
-
-
 def frac_gcd(values: Sequence[Fraction]) -> Fraction:
     g = Fraction(0)
     for v in values:
@@ -88,20 +82,17 @@ def box_grid_step(intervals: Sequence[tuple], eps, L_max) -> Fraction:
     q = 1000 * d * L**3 * gcd / eps**5  # still missing the sqrt(d) factor
     # k = max(1, ceil(q * sqrt(d))): rounding sqrt(q^2 d) up to a multiple of
     # 1/den first leaves its ceiling unchanged
-    k = max(1, math.ceil(_ceil_sqrt_rational(q * q * d)))
+    q2d = q * q * d
+    r, den = _ceil_sqrt_ratio(q2d.numerator, q2d.denominator)
+    k = max(1, -(-r // den))
     return gcd / k
 
 
-def lattice_steps(frame: FaceFrame, delta: Fraction) -> tuple[Fraction, ...]:
-    """The step delta / nu_k of the face's lattice along each basis vector
-    v_k, with nu_k = _ceil_sqrt_rational(||v_k||^2) >= ||v_k||, so that
-    rounding a coordinate to a multiple of its step moves the point by at
-    most delta/2 along v_k."""
-    return tuple(delta / _ceil_sqrt_rational(nsq) for nsq in frame.norms_sq)
-
-
 def _step_ratios(frame: FaceFrame, delta: tuple[int, int]) -> list[tuple[int, int]]:
-    """lattice_steps as exact ratios (num, den > 0), from delta = e/f > 0."""
+    """The step delta / nu_k of the face's lattice along each basis vector
+    v_k, with nu_k = _ceil_sqrt_ratio(||v_k||^2) >= ||v_k||, so that rounding
+    a coordinate to a multiple of its step moves the point by at most
+    delta/2 along v_k; as exact ratios (num, den > 0), from delta = e/f > 0."""
     e, f = delta
     out = []
     for nsq in frame.norms_sq:
@@ -218,7 +209,7 @@ def lattice_cardinality_bound(m: int, d: int, diameter, eps_r) -> Fraction:
     D, er = to_fraction(diameter), to_fraction(eps_r)
     if er <= 0:
         raise ValueError("eps_r must be positive")
-    root_d = _ceil_sqrt_rational(Fraction(d))
+    root_d, _ = _ceil_sqrt_ratio(d, 1)
     per_axis = D * d * root_d / er + 1
     total = Fraction(0)
     for dprime in range(d + 1):

@@ -50,7 +50,6 @@ from sospgrid.stationarity import (
     projected_hessian_min_eig,
     projected_step,
     second_order_test,
-    tangent_hessian,
     verify_sosp,
 )
 
@@ -197,10 +196,10 @@ def curvature_direction(grad, hess, act: FaceFrame, eps_h):
     the projected gradient's (Pg).v); lexicographic tie-break.  None when
     the Hessian has no eigenvalue below -eps_h on the null space (decided
     exactly)."""
-    if second_order_test(hess, act, eps_h)[0]:
+    passed, R = second_order_test(hess, act, eps_h)
+    if passed:
         return None
-    _, v = projected_hessian_min_eig(tangent_hessian(hess, act.basis), act.basis,
-                                     act.norms_sq)
+    _, v = projected_hessian_min_eig(R, act.basis, act.norms_sq)
     dot = sum(hp(g) * c for g, c in zip(grad, v))
     if dot > 0:
         return tuple(-c for c in v)

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from sospgrid._precision import hp, hp_sqrt, to_fraction, to_ratio
+from sospgrid._precision import hp, hp_quotient, hp_sqrt, to_fraction, to_ratio
 
 INF = float("inf")
 
@@ -65,7 +65,7 @@ class Polytope:
              bj.numerator, bj.denominator) for row, bj in zip(self.A, self.b))
         self._frames: dict[tuple[int, ...], FaceFrame] = {}
         # (lo, hi): by convention set only by Polytope.box, which builds the
-        # rows from them; slacks, project and the reduction trust it unchecked
+        # rows from them; slack_ratios, project and the reduction trust it unchecked
         self.box_bounds: Optional[tuple[tuple, tuple]] = None
 
     @classmethod
@@ -115,10 +115,6 @@ class Polytope:
             out.append((bn * den - num * bd, bd * den))
         return tuple(out)
 
-    def slacks(self, x) -> tuple[Fraction, ...]:
-        """b - Ax, exact at the rational value of x (slack_ratios)."""
-        return tuple(Fraction(n, d) for n, d in self.slack_ratios(x))
-
     def contains(self, x) -> bool:
         return all(n >= 0 for n, _ in self.slack_ratios(x))
 
@@ -136,22 +132,23 @@ class Polytope:
 
 def max_feasible_step(poly: Polytope, x, d):
     """Exact ratio test at the rational values of a feasible x and of d:
-    largest t with x + t d feasible, and the blocking rows in index order."""
-    d = [to_fraction(c) for c in d]
-    t_max = None
+    largest t with x + t d feasible, as a Fraction, and the blocking rows in
+    index order; each row's t = slack / (a.d) is compared as an exact ratio."""
+    d = [to_ratio(c) for c in d]
+    t_max = None  # (num, den > 0)
     blockers: list[int] = []
-    for j, (row, s) in enumerate(zip(poly.A, poly.slacks(x))):
-        adot = sum(a * c for a, c in zip(row, d))
-        if adot <= 0:
+    for j, (row, (sn, sd)) in enumerate(zip(poly.A, poly.slack_ratios(x))):
+        an, ad = _combine(row, d)
+        if an <= 0:
             continue
-        t = s / adot
-        if t_max is None or t < t_max:
-            t_max, blockers = t, [j]
-        elif t == t_max:
+        tn, td = sn * ad, sd * an
+        if t_max is None or tn * t_max[1] < t_max[0] * td:
+            t_max, blockers = (tn, td), [j]
+        elif tn * t_max[1] == t_max[0] * td:
             blockers.append(j)
     if t_max is None:
         raise ValueError("direction is unbounded within the polytope")
-    return t_max, tuple(blockers)
+    return Fraction(*t_max), tuple(blockers)
 
 
 @dataclass(frozen=True)
@@ -351,10 +348,6 @@ def _ratio_rows(M) -> list[list[tuple[int, int]]]:
     return [[to_ratio(v) for v in row] for row in M]
 
 
-def _fraction_rows(M) -> list[list[Fraction]]:
-    return [[Fraction(n, d) for n, d in row] for row in M]
-
-
 def _combine(coeffs, ratios) -> tuple[int, int]:
     """sum c * r over the nonzero rational c, as an exact ratio."""
     num, den = 0, 1
@@ -379,12 +372,6 @@ def _tangent_ratios(H, basis) -> list[list[tuple[int, int]]]:
     return [[_combine(bi, hbj) for hbj in HB] for bi in basis]
 
 
-def tangent_hessian(H, basis) -> list[list[Fraction]]:
-    """R = B^T H B, the Hessian restricted to the frame B (rows of basis),
-    exact at the rational value of H; ValueError unless H is symmetric."""
-    return _fraction_rows(_tangent_ratios(_symmetric(_ratio_rows(H)), basis))
-
-
 def _psd_ratios(R, norms_sq, eps) -> bool:
     """psd_on_tangent from the ratios of R and of eps = e/f, e >= 0."""
     if len(R) > 2:
@@ -407,7 +394,7 @@ def _psd_ratios(R, norms_sq, eps) -> bool:
 
 def psd_on_tangent(R, norms_sq, eps) -> bool:
     """Exact test that y^T H y >= -eps ||y||^2 for all y in the span of a
-    frame, from R = tangent_hessian(H, basis) and the frame's squared norms:
+    frame, from R = B^T H B on the frame B and the frame's squared norms:
     M = R + eps diag(norms_sq) is PSD.  A frame has at most two vectors, so
     the test is closed form: M's diagonal is >= 0 and, for two vectors,
     det M >= 0, each decided by cross-multiplication.  ValueError for a
@@ -448,25 +435,26 @@ def eigen_2x2(a, b, c):
 
 def projected_hessian_min_eig(R, basis, norms_sq):
     """(lambda, v): the least eigenvalue of H on span(basis), from the
-    restricted Hessian R = tangent_hessian(H, basis), and a unit eigenvector
-    in that span, in high precision.
+    restricted Hessian R = B^T H B as exact ratios (second_order_test), and
+    a unit eigenvector in that span, in high precision.
 
     (+inf, None) for an empty frame.  For one vector b, lambda = R/||b||^2,
     computed exactly and rounded once, and v = b/||b||.  For two, the
-    eigenpair of D^-1/2 R D^-1/2 with D = diag(norms_sq).  ValueError for a
-    frame of three or more vectors.
+    eigenpair of D^-1/2 R D^-1/2 with D = diag(norms_sq), each diagonal
+    entry R_ii/||b_i||^2 and R_01 rounded once (hp_quotient).  ValueError
+    for a frame of three or more vectors.
     """
     if not basis:
         return INF, None
     if len(basis) > 2:
         raise ValueError("curvature is computed on null spaces of dimension <= 2")
     roots = [hp_sqrt(hp(nsq)) for nsq in norms_sq]
+    diag = [hp_quotient(R[i][i][0] * nsq.denominator, R[i][i][1] * nsq.numerator)
+            for i, nsq in enumerate(norms_sq)]  # R_ii / ||b_i||^2
     if len(basis) == 1:
-        return (hp(R[0][0] / norms_sq[0]),
-                tuple(hp(c) / roots[0] for c in basis[0]))
-    n0, n1 = norms_sq
-    _, (lam, u) = eigen_2x2(R[0][0] / n0, hp(R[0][1]) / (roots[0] * roots[1]),
-                            R[1][1] / n1)
+        return diag[0], tuple(hp(c) / roots[0] for c in basis[0])
+    _, (lam, u) = eigen_2x2(diag[0], hp_quotient(*R[0][1]) / (roots[0] * roots[1]),
+                            diag[1])
     return lam, tuple(u[0] * hp(a) / roots[0] + u[1] * hp(c) / roots[1]
                       for a, c in zip(*basis))
 
@@ -499,7 +487,7 @@ class SospReport:
 
     @cached_property
     def R(self) -> tuple:
-        return tuple(map(tuple, _fraction_rows(self.R_ratios)))
+        return tuple(tuple(Fraction(n, d) for n, d in row) for row in self.R_ratios)
 
     @cached_property
     def gpi_norm(self):
@@ -507,7 +495,7 @@ class SospReport:
 
     @cached_property
     def lambda_min(self):
-        lam, _ = projected_hessian_min_eig(self.R, self.frame.basis,
+        lam, _ = projected_hessian_min_eig(self.R_ratios, self.frame.basis,
                                            self.frame.norms_sq)
         return lam
 

@@ -4,11 +4,11 @@ Every number is normalised to a Fraction, as polytope_lattice and
 localopt_reduction computed the grid before they decided it in integer
 ratios: a point's coordinates on a face frame are those of x - x_ref, each is
 rounded to the nearest multiple of its lattice step by Fraction division,
-the grid tests are Fraction remainders, and the box floor is math.floor of a
-Fraction.  It shares the polytope's face frames, the active set and the ray
-test (max_feasible_step) with the package, and none of the rounding or grid
-arithmetic, so that a test comparing the two checks the integer kernel
-against something else.
+the grid tests are Fraction remainders, the box floor is math.floor of a
+Fraction, and the ray test compares Fraction slacks over a.d.  It shares the
+polytope's face frames and the active set with the package, and none of the
+rounding, grid or ray-test arithmetic, so that a test comparing the two
+checks the integer kernel against something else.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from sospgrid._precision import to_fraction
-from sospgrid.stationarity import active_set, max_feasible_step
+from sospgrid.stationarity import active_set
 
 
 def ceil_sqrt(q: Fraction) -> Fraction:
@@ -34,6 +34,27 @@ def coords(frame, x) -> list[Fraction]:
     diff = [to_fraction(c) - r for c, r in zip(x, frame.x_ref)]
     return [sum(a * c for a, c in zip(diff, v)) / nsq
             for v, nsq in zip(frame.basis, frame.norms_sq)]
+
+
+def max_feasible_step(poly, x, d):
+    """(largest t with x + t d feasible, the blocking rows in index order);
+    ValueError if no row bounds the ray."""
+    x = [to_fraction(c) for c in x]
+    d = [to_fraction(c) for c in d]
+    t_max = None
+    blockers: list[int] = []
+    for j, (row, bj) in enumerate(zip(poly.A, poly.b)):
+        adot = sum(a * c for a, c in zip(row, d))
+        if adot <= 0:
+            continue
+        t = (bj - sum(a * c for a, c in zip(row, x))) / adot
+        if t_max is None or t < t_max:
+            t_max, blockers = t, [j]
+        elif t == t_max:
+            blockers.append(j)
+    if t_max is None:
+        raise ValueError("direction is unbounded within the polytope")
+    return t_max, tuple(blockers)
 
 
 def lattice_steps(frame, delta) -> list[Fraction]:

@@ -12,12 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import lattice_reference
 from sospgrid import polytope_lattice
-from sospgrid.localopt_reduction import ReductionInstance
+from sospgrid._precision import hp
+from sospgrid.localopt_reduction import ReductionInstance, Verdict
 from sospgrid.polytope_lattice import (
     box_grid_step,
     frac_gcd,
     lattice_cardinality_bound,
-    lattice_steps,
     map_to_grid,
 )
 from sospgrid.stationarity import Polytope, active_set, face_frame, max_feasible_step
@@ -52,7 +52,7 @@ def on_lattice(poly, y, delta):
     """Exact check that y lies on the rounding lattice of one of its faces:
     y = x_ref(I) + sum_k c_k v_k with every c_k a multiple of its lattice
     step delta/nu_k."""
-    active = tuple(j for j, s in enumerate(poly.slacks(y)) if s == 0)
+    active = poly.active_rows(y)
     for r in range(len(active) + 1):
         for I in itertools.combinations(active, r):
             frame = face_frame(poly, I)
@@ -60,7 +60,7 @@ def on_lattice(poly, y, delta):
             recon = list(frame.x_ref)
             ok = True
             for v, nsq, step in zip(frame.basis, frame.norms_sq,
-                                    lattice_steps(frame, Fraction(delta))):
+                                    lattice_reference.lattice_steps(frame, delta)):
                 coeff = sum(a * c for a, c in zip(diff, v)) / nsq
                 if (coeff / step).denominator != 1:
                     ok = False
@@ -70,6 +70,49 @@ def on_lattice(poly, y, delta):
             if ok and tuple(recon) == tuple(y):
                 return True
     return False
+
+
+def _outcome(fn, *args):
+    """fn(*args), or ("ValueError", message) if it raises one."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return "ValueError", str(err)
+
+
+def test_max_feasible_step_equals_the_fraction_reference():
+    """The ratio test, decided by cross-multiplying exact ratios, returns the
+    Fraction reference's t and blocking rows: from interior and face points
+    of random polytopes, along rational and hp directions, with a facet
+    repeated so that its rows tie; and it raises the reference's ValueError
+    along a ray that no row bounds."""
+    rng = random.Random(71)
+    seen = set()
+    half_plane = Polytope(((Fraction(1), Fraction(-2)),), (Fraction(1),))
+    cases = [(half_plane, (Fraction(0), Fraction(0)), (Fraction(-1), Fraction(3)))]
+    for _ in range(300):
+        poly, center = random_polytope(rng)
+        if rng.random() < 0.3:  # row j again, scaled by k: the two rows tie
+            j, k = rng.randrange(poly.m), rng.randrange(1, 4)
+            poly = poly.with_cut([k * a for a in poly.A[j]], k * poly.b[j])
+        x = random_feasible_point(rng, poly, center)
+        if rng.random() < 0.5:
+            x = _push(rng, poly, x, 0)
+        ray = [_rational(rng, rng.choice([0, 40])) for _ in range(poly.d)]
+        if rng.random() < 0.3:
+            ray = [hp(c) / 3 for c in ray]
+        elif rng.random() < 0.1:
+            ray = [0] * poly.d
+        cases.append((poly, x, ray))
+    for poly, x, ray in cases:
+        got = _outcome(max_feasible_step, poly, x, ray)
+        assert got == _outcome(lattice_reference.max_feasible_step, poly, x, ray)
+        if got[0] == "ValueError":
+            seen.add("unbounded")
+        else:
+            assert isinstance(got[0], Fraction)
+            seen.add("tie" if len(got[1]) > 1 else "t = 0" if got[0] == 0 else "t > 0")
+    assert seen == {"unbounded", "tie", "t = 0", "t > 0"}
 
 
 def test_frac_gcd():
@@ -116,8 +159,7 @@ def test_face_frame_basis_is_orthogonal_in_kernel():
     for _ in range(30):
         poly, center = random_polytope(rng)
         x = random_feasible_point(rng, poly, center)
-        active = tuple(j for j, s in enumerate(poly.slacks(x)) if s == 0)
-        frame = face_frame(poly, active)
+        frame = face_frame(poly, poly.active_rows(x))
         for j in frame.indices:
             for v in frame.basis:
                 assert sum(a * c for a, c in zip(poly.A[j], v)) == 0
@@ -125,7 +167,8 @@ def test_face_frame_basis_is_orthogonal_in_kernel():
             for vj in frame.basis[i + 1:]:
                 assert sum(a * c for a, c in zip(vi, vj)) == 0
         # the lattice step is delta / nu with nu >= ||v||
-        for v, nsq, step in zip(frame.basis, frame.norms_sq, lattice_steps(frame, 1)):
+        for v, nsq, step in zip(frame.basis, frame.norms_sq,
+                                lattice_reference.lattice_steps(frame, 1)):
             assert sum(c * c for c in v) == nsq
             assert step ** -2 >= nsq
 
@@ -374,6 +417,35 @@ def test_rounding_lands_on_the_grid(seed, kind, bits, delta, eps):
     assert all(s <= d * delta * delta / 4 for s in cert.step_dist_sq)
     ri = ReductionInstance(None, poly, eps, eps, 1, 1, 1)
     assert ri.on_grid(ri.round_point(x))
+
+
+def _bowl(center, scale):
+    """f = scale ||x - center||^2 / 2, exactly."""
+    def obj(x):
+        diff = [c - m for c, m in zip(x, center)]
+        hess = tuple(tuple(scale * (i == j) for j in range(len(x))) for i in range(len(x)))
+        return scale * sum(v * v for v in diff) / 2, tuple(scale * v for v in diff), hess
+
+    return obj
+
+
+def test_improvement_check_at_the_off_grid_cases_returns_a_verdict():
+    """At the reduction's rounding of each off-grid case, improvement_check
+    returns a verdict and does not refuse the point as off the grid.  The
+    objective is a steep bowl (L = L1 = L2 = 100) centred at the centre of
+    the polytope's box, which every cut keeps inside (random_polytope,
+    whose first 2d rows are the box's): the first-order test fails at each
+    rounded point, and g(x), the rounded gradient step to the centre, is a
+    grid point too."""
+    for seed, kind, delta in OFF_GRID_CASES:
+        poly, x = grid_case(seed, kind, 0, delta)
+        d = poly.d
+        center = [(poly.b[d + i] - poly.b[i]) / 2 for i in range(d)]
+        ri = ReductionInstance(_bowl(center, 100), poly, GRID_EPS[0], GRID_EPS[0],
+                               100, 100, 100)
+        verdict = ri.improvement_check(ri.round_point(x))
+        assert isinstance(verdict, Verdict) and verdict.improved
+        assert ri.on_grid(verdict.g_x)
 
 
 def test_grid_test_agrees_with_criterion_9_on_rounded_points():

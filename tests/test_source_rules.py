@@ -187,3 +187,24 @@ def test_bernstein_computes_in_integers_only():
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if NOT_INTEGERS.search(line)]
     assert hits == []
+
+
+SCRIPTS = SRC.parents[1] / "scripts"
+# The Fraction twins of steps that are decided, and read, as integer ratios.
+RETIRED_TWINS = ("tangent_hessian", "slacks", "lattice_steps", "_ceil_sqrt_rational",
+                 "_fraction_rows")
+TWIN_DEF_OR_CALL = re.compile(r"\b(%s)\s*\(" % "|".join(RETIRED_TWINS))
+
+
+def test_each_step_has_one_form():
+    """R = B^T H B, the slacks, the lattice steps and the square-root bound
+    each exist once, as the integer ratios that decide them: no module of
+    the package defines a Fraction twin of them, and neither the package
+    nor the scripts call one."""
+    paths = sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+    assert len(paths) > len(list(SRC.glob("*.py")))
+    hits = [f"{path.name}:{lineno}"
+            for path in paths
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if TWIN_DEF_OR_CALL.search(line)]
+    assert hits == []

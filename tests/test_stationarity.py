@@ -20,13 +20,15 @@ from sospgrid.stationarity import (
     active_set,
     eigen_2x2,
     face_frame,
+    max_feasible_step,
     project,
     projected_hessian_min_eig,
     proximal_gradient,
     psd_on_tangent,
-    tangent_hessian,
+    second_order_test,
     verify_sosp,
 )
+from sospgrid.snap_solver import curvature_direction
 
 import verify_reference
 
@@ -50,7 +52,8 @@ def test_box_membership_and_slack():
     assert poly.contains((1, 1))
     assert poly.contains((0, 3))
     assert not poly.contains((-Fraction(1, 10**9), 0))
-    assert poly.slacks((Fraction(1, 2), 0)) == (Fraction(1, 2), 0, Fraction(3, 2), 3)
+    assert [Fraction(n, d) for n, d in poly.slack_ratios((Fraction(1, 2), 0))] \
+        == [Fraction(1, 2), 0, Fraction(3, 2), 3]
 
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -74,7 +77,8 @@ def test_box_slacks_read_from_bounds_match_the_rows(case):
     box = Polytope.box(lo, hi)
     rows = Polytope(box.A, box.b)
     assert box.box_bounds is not None and rows.box_bounds is None
-    assert box.slacks(x) == rows.slacks(x)
+    assert [Fraction(n, d) for n, d in box.slack_ratios(x)] \
+        == [Fraction(n, d) for n, d in rows.slack_ratios(x)]
     try:
         active = rows.active_rows(x)
     except ValueError as err:
@@ -287,11 +291,17 @@ def null_frame(rows, d):
     return face_frame(poly, range(len(rows)))
 
 
+def ratio_rows(R):
+    """A matrix of rationals as the (num, den) pairs that
+    projected_hessian_min_eig reads."""
+    return [[to_ratio(v) for v in row] for row in R]
+
+
 def frame_min_eig(H, rows, d):
     """projected_hessian_min_eig of H on the null space of rows."""
     frame = null_frame(rows, d)
-    return projected_hessian_min_eig(tangent_hessian(H, frame.basis), frame.basis,
-                                     frame.norms_sq)
+    R = verify_reference.tangent_hessian(H, frame.basis)
+    return projected_hessian_min_eig(ratio_rows(R), frame.basis, frame.norms_sq)
 
 
 def test_projected_hessian_min_eig_matches_numpy():
@@ -378,16 +388,15 @@ def _restricted(H, basis):
              for bj in basis] for bi in basis]
 
 
-def test_tangent_hessian_on_unit_vectors_is_h():
-    """On a frame of the unit vectors R is the rational H itself; an
-    asymmetric H is still refused."""
-    units = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+def test_second_order_test_on_unit_vectors_reads_h():
+    """On the frame of no rows, the unit vectors, the R of second_order_test
+    is the rational H itself; an asymmetric H is still refused."""
+    units = face_frame(Polytope.box((0, 0), (1, 1)), ())
     H = [[hp(1) / 3, Fraction(2, 7)], [Fraction(2, 7), 5]]
-    R = tangent_hessian(H, units)
-    assert R == [[to_fraction(v) for v in row] for row in H] == _restricted(R, units)
-    assert all(isinstance(v, Fraction) for row in R for v in row)
+    R = [[Fraction(n, d) for n, d in row] for row in second_order_test(H, units, 0)[1]]
+    assert R == [[to_fraction(v) for v in row] for row in H] == _restricted(R, units.basis)
     with pytest.raises(ValueError):
-        tangent_hessian([[1, 2], [3, 4]], units)
+        second_order_test([[1, 2], [3, 4]], units, 0)
 
 
 def test_psd_on_tangent_exact():
@@ -395,8 +404,9 @@ def test_psd_on_tangent_exact():
     basis, norms_sq = frame.basis, frame.norms_sq
     H = [[Fraction(-5), Fraction(0)], [Fraction(0), Fraction(2)]]
     # -5 lives in the annihilated direction
-    assert psd_on_tangent(tangent_hessian(H, basis), norms_sq, 0)
-    R2 = tangent_hessian([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(-5)]], basis)
+    assert psd_on_tangent(verify_reference.tangent_hessian(H, basis), norms_sq, 0)
+    R2 = verify_reference.tangent_hessian([[Fraction(2), Fraction(0)],
+                                           [Fraction(0), Fraction(-5)]], basis)
     assert not psd_on_tangent(R2, norms_sq, 0)
     assert psd_on_tangent(R2, norms_sq, 5)
 
@@ -444,8 +454,8 @@ def test_psd_on_tangent_agrees_with_lambda_min():
         eps = Fraction(rng.randrange(0, 10**4), rng.randrange(1, 100))
         frame = null_frame(rows, 2)
         basis, norms_sq = frame.basis, frame.norms_sq
-        R = tangent_hessian([[a, b], [b, c]], basis)
-        lam, _ = projected_hessian_min_eig(R, basis, norms_sq)
+        R = verify_reference.tangent_hessian([[a, b], [b, c]], basis)
+        lam, _ = projected_hessian_min_eig(ratio_rows(R), basis, norms_sq)
         if basis and abs(lam + hp(eps)) <= hp(Fraction(1, 10**30)) * (1 + abs(lam)):
             continue
         assert psd_on_tangent(R, norms_sq, eps) == (lam >= -hp(eps))
@@ -617,7 +627,8 @@ def test_report_figures_equal_the_eager_formulas():
                 assert rep.lambda_min == float("inf")
             else:
                 R = _restricted([[a, b], [b, c]], act.basis)
-                lam, _ = projected_hessian_min_eig(R, act.basis, act.norms_sq)
+                lam, _ = projected_hessian_min_eig(ratio_rows(R), act.basis,
+                                                   act.norms_sq)
                 assert rep.lambda_min == lam
 
 
@@ -710,6 +721,71 @@ def test_verdict_equals_the_fraction_reference(case):
     assert {"pass_first": rep.pass_first, "pass_second": rep.pass_second,
             "gpi_sq": rep.gpi_sq, "R": rep.R,
             "active_indices": rep.active_indices} == want
+
+
+def _check_curvature_figures(poly, x, grad, hess, eps_h):
+    """lambda_min of verify_sosp's report and snap_solver's curvature
+    direction at x equal the reference's, bit for bit."""
+    def obj(_):
+        return 0, grad, hess
+
+    frame = active_set(poly, x)
+    R = verify_reference.tangent_hessian(hess, frame.basis)
+    assert verify_sosp(obj, poly, x, 1, eps_h, 1).lambda_min \
+        == verify_reference.min_eig(R, frame.basis, frame.norms_sq)[0]
+    direction = curvature_direction(grad, hess, frame, eps_h)
+    assert direction == verify_reference.curvature_direction(grad, hess, frame, eps_h)
+    return frame, direction
+
+
+@settings(deadline=None, max_examples=200)
+@given(verdict_cases())
+@example((UNIT_BOX, (Fraction(1, 3), Fraction(1, 3)), (0, 0),
+          ((hp(-1), hp(1) / 3), (hp(1) / 3, hp(-1))), 1, 0, 0))  # interior, hp
+@example((CUT_BOX, (Fraction(3, 4), Fraction(3, 4)), (Fraction(1), Fraction(-1)),
+          ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(-3))), 1, 0,
+          Fraction(1)))  # slanted face, b.Hb = -4 < -||b||^2
+def test_curvature_figures_equal_the_fraction_reference(case):
+    """The report's lambda_min and snap_solver.curvature_direction, rounded
+    from the ratios of R, equal the reference's figures rounded from the
+    Fraction R, bit for bit: on the box and the cut box, at interior, wall,
+    slanted-face and vertex points, with rational and hp Hessians."""
+    poly, x, grad, hess, _, _, eps_h = case
+    _check_curvature_figures(poly, x, grad, hess, eps_h)
+
+
+def test_curvature_figures_on_3d_faces_equal_the_fraction_reference():
+    """The same on the faces of random 3-D polytopes that a ray from the
+    centre reaches, and a second ray within that face: faces of dimension 2
+    and 1 whose basis vectors need not be unit vectors, and vertices, with
+    rational and hp Hessians."""
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(120):
+        poly, x = random_cut_polytope(rng, 3)
+        for _ in range(rng.randrange(1, 3)):
+            frame = active_set(poly, x)
+            raw = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(3)]
+            ray = [sum(sum(a * c for a, c in zip(raw, v)) / nsq * v[i]
+                       for v, nsq in zip(frame.basis, frame.norms_sq)) for i in range(3)]
+            if any(ray):
+                t, _ = max_feasible_step(poly, x, ray)
+                x = tuple(c + t * r for c, r in zip(x, ray))
+        M = [[Fraction(rng.randrange(-10**4, 10**4), rng.randrange(1, 100))
+              for _ in range(3)] for _ in range(3)]
+        hess = [[M[i][j] + M[j][i] for j in range(3)] for i in range(3)]
+        if rng.random() < 0.5:
+            hess = [[hp(v) for v in row] for row in hess]
+        grad = [Fraction(rng.randrange(-100, 101), 7) for _ in range(3)]
+        eps_h = Fraction(rng.randrange(0, 100), 7)
+        frame, direction = _check_curvature_figures(poly, x, grad, hess, eps_h)
+        seen.add(f"dim {frame.dim}")
+        if any(nsq != 1 for nsq in frame.norms_sq):
+            seen.add(f"dim {frame.dim}, non-unit basis")
+        if direction is not None:
+            seen.add("negative curvature")
+    assert {"dim 2, non-unit basis", "dim 1, non-unit basis", "dim 0",
+            "negative curvature"} <= seen
 
 
 @pytest.mark.parametrize("name,args", [

@@ -4,15 +4,18 @@ Every number is normalised to a Fraction and both orders are decided in
 Fraction arithmetic, as verify_sosp decided them before it compared integer
 ratios.  It shares the polytope's face frames and the exact projection off
 the box with stationarity, and no arithmetic of the verdict, so that a test
-comparing the two checks the integer kernel against something else.
+comparing the two checks the integer kernel against something else.  The
+curvature figures (lambda_min and the solver's curvature direction) are
+rounded from the Fraction R, as they were before they read R's ratios; they
+share only the closed-form eigen_2x2 with the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from sospgrid._precision import to_fraction
-from sospgrid.stationarity import face_frame, project
+from sospgrid._precision import hp, hp_sqrt, to_fraction
+from sospgrid.stationarity import eigen_2x2, face_frame, project
 
 
 def active_rows(poly, x) -> tuple[int, ...]:
@@ -50,6 +53,39 @@ def psd_on_tangent(R, norms_sq, eps) -> bool:
     if any(m < 0 for m in diag):
         return False
     return len(diag) < 2 or diag[0] * diag[1] >= R[0][1] * R[1][0]
+
+
+def min_eig(R, basis, norms_sq):
+    """(lambda, v) on span(basis) from the Fraction R: (+inf, None) for no
+    vector, R/||b||^2 rounded once for one, and for two the eigenpair of
+    D^-1/2 R D^-1/2, D = diag(norms_sq)."""
+    if not basis:
+        return float("inf"), None
+    roots = [hp_sqrt(hp(nsq)) for nsq in norms_sq]
+    if len(basis) == 1:
+        return (hp(R[0][0] / norms_sq[0]),
+                tuple(hp(c) / roots[0] for c in basis[0]))
+    n0, n1 = norms_sq
+    _, (lam, u) = eigen_2x2(R[0][0] / n0, hp(R[0][1]) / (roots[0] * roots[1]),
+                            R[1][1] / n1)
+    return lam, tuple(u[0] * hp(a) / roots[0] + u[1] * hp(c) / roots[1]
+                      for a, c in zip(*basis))
+
+
+def curvature_direction(grad, hess, frame, eps_h):
+    """None where psd_on_tangent passes, else min_eig's unit eigenvector,
+    signed against the gradient, with the lexicographic tie-break."""
+    R = tangent_hessian(hess, frame.basis)
+    if psd_on_tangent(R, frame.norms_sq, eps_h):
+        return None
+    _, v = min_eig(R, frame.basis, frame.norms_sq)
+    dot = sum(hp(g) * c for g, c in zip(grad, v))
+    if dot > 0:
+        return tuple(-c for c in v)
+    if dot < 0:
+        return tuple(v)
+    neg = tuple(-c for c in v)
+    return tuple(v) if tuple(v) >= neg else neg
 
 
 def verdict(objective, poly, x, eps_g, eps_h, L1) -> dict:
