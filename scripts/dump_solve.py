@@ -4,7 +4,9 @@ The starts are those of `sospgrid solve --scale moderate --seed s` for
 s = 1..5 on the three instances of acceptance criterion 6, with the
 command's defaults (adaptive, eps_G = eps_H = 1e-2, max_iter 20000).  Each
 record holds the table, the seed, the iteration count, the final point as
-exact fractions, the decoded node and SnapTrace.counts().  The records
+exact fractions, the decoded node, SnapTrace.counts() and a SHA-256 of
+the whole trajectory (see steps_sha256), so that a change to any
+intermediate step shows even where the end point does not.  The records
 carry no timings, so two checkouts that solve alike write identical files,
 and a change to the solver or the objective is checked with diff:
 
@@ -18,11 +20,13 @@ Without an output path the JSON goes to stdout.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
 from fractions import Fraction
 
+from sospgrid._precision import to_fraction
 from sospgrid.hard_instance import build
 from sospgrid.iter_problems import IterInstance
 from sospgrid.snap_solver import snap_run
@@ -41,6 +45,19 @@ def start(seed: int, hi) -> tuple:
             Fraction(rng.randrange(1, 1000), 1000) * hi)
 
 
+def steps_sha256(steps) -> str:
+    """SHA-256 over every SnapStep, one JSON line each: the kind, src and
+    dst as exact fractions, f_decrease as an exact fraction, max_step,
+    new_active and decrease_shortfall."""
+    digest = hashlib.sha256()
+    for step in steps:
+        line = [step.kind.value, [str(to_fraction(c)) for c in step.src],
+                [str(to_fraction(c)) for c in step.dst], str(to_fraction(step.f_decrease)),
+                step.max_step, list(step.new_active), step.decrease_shortfall]
+        digest.update(json.dumps(line).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def solve_record(h, table, seed: int) -> dict:
     rec = h.lipschitz_report()
     trace = snap_run(h.objective(exact=False), h.domain_polytope(),
@@ -51,7 +68,8 @@ def solve_record(h, table, seed: int) -> dict:
             "iterations": trace.iterations,
             "final": [str(c) for c in final],
             "decoded": h.decode_scaled(*final),
-            "counts": trace.counts()}
+            "counts": trace.counts(),
+            "steps_sha256": steps_sha256(trace.steps)}
 
 
 def dump_text() -> str:

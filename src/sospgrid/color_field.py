@@ -13,10 +13,11 @@ wins), with node-index formulas like k = floor((a + 4) / 6).
 from __future__ import annotations
 
 import enum
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sospgrid.iter_problems import IterInstance, iter_is_solution
+from sospgrid.iter_problems import IterInstance
 
 HALF = Fraction(1, 2)
 
@@ -91,23 +92,65 @@ def regime_value(color: Color, a, b, N: int) -> Fraction:
     raise ValueError(f"unknown color {color!r}")
 
 
-def node_sets(inst: IterInstance) -> tuple[frozenset[int], frozenset[int]]:
+class _NodeView(Set):
+    """Read-only set of the nodes k in [1, 2^n] that a rule on the table of
+    C picks; iteration is in increasing k."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: tuple[int, ...]):
+        self.table = table
+
+    def __iter__(self):
+        return (k for k in range(1, len(self.table) + 1) if k in self)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({sorted(self)})"
+
+
+class _Columns(_NodeView):
+    """Columns = {k : C(k) != k}."""
+
+    __slots__ = ()
+
+    def __contains__(self, k) -> bool:
+        return 1 <= k <= len(self.table) and self.table[k - 1] != k
+
+
+class _Solutions(_NodeView):
+    """Solutions = {k : C(k) < k or (C(k) > k and C(C(k)) = C(k))}, the
+    rule of iter_is_solution."""
+
+    __slots__ = ()
+
+    def __contains__(self, k) -> bool:
+        if not 1 <= k <= len(self.table):
+            return False
+        ck = self.table[k - 1]
+        return ck < k or (ck > k and self.table[ck - 1] == ck)
+
+
+def node_sets(inst: IterInstance) -> tuple[Set, Set]:
     """(Columns, Solutions): moving nodes, and nodes that solve the instance.
 
-    Columns = {k : C(k) != k};
-    Solutions = {k : C(k) < k or (C(k) > k and C(C(k)) = C(k))}.
-    Each C(k) is read once: a procedure-backed instance is copied into a
-    table first, and both sets are read off the table.
+    Both are views of one table of C, in which each C(k) is read once: a
+    table-backed instance lends its own table, and a procedure-backed one
+    is read through inst.C.  Membership costs O(1); iteration, len and ==
+    scan the table.
     """
-    if inst.table is None:
-        inst = IterInstance(inst.n, table=tuple(map(inst.C, range(1, inst.size + 1))))
-    columns = frozenset(k for k, ck in enumerate(inst.table, start=1) if ck != k)
-    solutions = frozenset(k for k in range(1, inst.size + 1) if iter_is_solution(inst, k))
-    return columns, solutions
+    table = inst.table
+    if table is None:
+        table = tuple(map(inst.C, range(1, inst.size + 1)))
+        if table[0] <= 1:
+            raise ValueError("instance requires C(1) > 1")
+    return _Columns(table), _Solutions(table)
 
 
-def _grid_color(inst: IterInstance, columns: frozenset[int], a: int, b: int) -> Color:
-    size = inst.size
+def _grid_color(table: tuple[int, ...], columns: Set, a: int, b: int) -> Color:
+    size = len(table)
     N = 6 * size + 6
     k4 = (a + 4) // 6
     in_k4 = 1 <= k4 <= size
@@ -118,13 +161,13 @@ def _grid_color(inst: IterInstance, columns: frozenset[int], a: int, b: int) -> 
     if b == 2 and in_k4 and k4 in columns and a == 6 * k4 - 2:
         return Color.BLUE
     k0 = a // 6
-    if 1 <= k0 <= size and (c0 := inst.C(k0)) > k0 and c0 in columns:
+    if 1 <= k0 <= size and (c0 := table[k0 - 1]) > k0 and c0 in columns:
         if 6 * k0 <= a <= 6 * k0 + 2 and 6 * k0 + 1 <= b <= 6 * k0 + 2:
             return Color.BLUE
     if b % 6 in (1, 2):
         l = b // 6
         k3 = (a + 3) // 6
-        if l in columns and 1 <= k3 <= size and inst.C(l) > k3 > l:
+        if l in columns and 1 <= k3 <= size and table[l - 1] > k3 > l:
             if k3 in columns and 6 * k3 <= a <= 6 * k3 + 2:
                 return Color.BLUE
             if k3 not in columns and 6 * k3 - 3 <= a <= 6 * k3 + 2:
@@ -155,9 +198,9 @@ def _grid_color(inst: IterInstance, columns: frozenset[int], a: int, b: int) -> 
 
 
 def _grid_direction(
-    inst: IterInstance, columns: frozenset[int], solutions: frozenset[int], a: int, b: int
+    table: tuple[int, ...], columns: Set, solutions: Set, a: int, b: int
 ) -> Direction:
-    size = inst.size
+    size = len(table)
     N = 6 * size + 6
     k4 = (a + 4) // 6
     in_k4 = 1 <= k4 <= size
@@ -170,12 +213,12 @@ def _grid_direction(
     if in_k4 and k4 in solutions and 6 * k4 - 2 <= a <= 6 * k4 - 1 and b == 6 * k4 + 2:
         return Direction.UP
     k0 = a // 6
-    if 1 <= k0 <= size and (c0 := inst.C(k0)) > k0 and c0 in columns:
+    if 1 <= k0 <= size and (c0 := table[k0 - 1]) > k0 and c0 in columns:
         if 6 * k0 <= a <= 6 * k0 + 2 and b == 6 * k0 + 1:
             return Direction.UP
     l = b // 6
     if b % 6 == 1 and 1 <= l <= size:
-        cl = inst.C(l)
+        cl = table[l - 1]
         k3 = (a + 3) // 6
         if l in columns and 1 <= k3 <= size and cl > k3 > l:
             if k3 in columns and 6 * k3 + 1 <= a <= 6 * k3 + 2:
@@ -218,6 +261,7 @@ class ColorField:
         self.inst = inst
         self.geometry = GridGeometry(inst.n)
         self.columns, self.solutions = node_sets(inst)
+        self.table = self.columns.table
 
     @property
     def N(self) -> int:
@@ -226,8 +270,8 @@ class ColorField:
     def assignment(self, a: int, b: int) -> CornerAssignment:
         if not self.geometry.in_lattice(a, b):
             raise ValueError(f"({a}, {b}) outside the corner lattice [0, {self.N}]^2")
-        color = _grid_color(self.inst, self.columns, a, b)
-        direction = _grid_direction(self.inst, self.columns, self.solutions, a, b)
+        color = _grid_color(self.table, self.columns, a, b)
+        direction = _grid_direction(self.table, self.columns, self.solutions, a, b)
         return CornerAssignment(
             value=regime_value(color, a, b, self.N), direction=direction, color=color
         )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -44,7 +45,7 @@ class IterInstance:
             if self.table[0] <= 1:
                 raise ValueError("instance requires C(1) > 1")
 
-    @property
+    @cached_property
     def size(self) -> int:
         return 1 << self.n
 

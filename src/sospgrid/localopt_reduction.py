@@ -45,7 +45,12 @@ class Verdict:
 
 
 class ReductionInstance:
-    """Local-search instance (potential, neighbor) over a discrete grid."""
+    """Local-search instance (potential, neighbor) over a discrete grid.
+
+    Any dimension d is accepted, but the update's curvature test reads null
+    spaces of dimension at most 2: where the first-order test passes on a
+    face of dimension 3 or more, improvement_check raises ValueError.
+    """
 
     def __init__(self, objective: Callable, poly: Polytope, eps_g, eps_h,
                  L, L1, L2):
@@ -142,7 +147,12 @@ class ReductionInstance:
         return self._update(x, *self.objective(x)[1:])[1]
 
     def improvement_check(self, x) -> Verdict:
-        """Non-SOSP grid points must strictly decrease the potential."""
+        """Non-SOSP grid points must strictly decrease the potential.
+
+        ValueError off the grid or the polytope, and where the first-order
+        test passes at x on a face of dimension 3 or more (no verdict is
+        computed there; see the class docstring).
+        """
         dim_x, w_x = self._grid_weight(x)  # ValueError off the grid or the polytope
         f, grad, hess = self.objective(x)  # for p(x) and the update
         p_x = to_fraction(f) + w_x

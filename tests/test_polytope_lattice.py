@@ -448,6 +448,27 @@ def test_improvement_check_at_the_off_grid_cases_returns_a_verdict():
         assert ri.on_grid(verdict.g_x)
 
 
+def test_improvement_check_refuses_faces_of_dimension_three_or_more():
+    """The curvature test reads null spaces of dimension at most 2.  With
+    the bowl ||x||^2 / 2, eps = 10 and L = L1 = L2 = 1, the first-order test
+    passes at the rounding of each off-grid case, and improvement_check
+    raises ValueError exactly where its face has dimension 3 or more: at 10
+    of the 17 cases.  At the other 7 it returns a verdict."""
+    refused = 0
+    for seed, kind, delta in OFF_GRID_CASES:
+        poly, x = grid_case(seed, kind, 0, delta)
+        ri = ReductionInstance(_bowl([0] * poly.d, 1), poly, GRID_EPS[0], GRID_EPS[0],
+                               1, 1, 1)
+        y = ri.round_point(x)
+        if active_set(poly, y).dim >= 3:
+            refused += 1
+            with pytest.raises(ValueError, match="null spaces of dimension <= 2"):
+                ri.improvement_check(y)
+        else:
+            assert isinstance(ri.improvement_check(y), Verdict)
+    assert refused == 10
+
+
 def test_grid_test_agrees_with_criterion_9_on_rounded_points():
     """On every map_to_grid point, the grid test of on_grid (the lattice of
     the whole active set) agrees with criterion 9's on_lattice (the lattice

@@ -208,3 +208,18 @@ def test_each_step_has_one_form():
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if TWIN_DEF_OR_CALL.search(line)]
     assert hits == []
+
+
+# A frozenset or set built by a call or a set comprehension.
+BUILT_SET = re.compile(r"\b(frozenset|set)\(|\{[^{}:]*\bfor\b[^{}:]*\}")
+
+
+def test_color_field_builds_no_node_set():
+    """The node sets are views of one table of C, so that a build keeps one
+    entry per node: color_field.py builds no frozenset or set, each of
+    which would hold O(2^n) nodes."""
+    path = SRC / "color_field.py"
+    hits = [f"{path.name}:{lineno}"
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if BUILT_SET.search(line)]
+    assert hits == []
