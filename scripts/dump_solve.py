@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 import sys
-from fractions import Fraction
 
 from sospgrid._precision import to_fraction
+from sospgrid.cli import solve_start
 from sospgrid.hard_instance import build
 from sospgrid.iter_problems import IterInstance
 from sospgrid.snap_solver import snap_run
@@ -36,13 +35,6 @@ INSTANCES = ((1, (2, 2)), (2, (3, 4, 4, 1)), (2, (2, 3, 4, 4)))
 SEEDS = (1, 2, 3, 4, 5)
 EPS = 1e-2
 MAX_ITER = 20000
-
-
-def start(seed: int, hi) -> tuple:
-    """The start point of `sospgrid solve --seed seed` on [0, hi]^2."""
-    rng = random.Random(seed)
-    return (Fraction(rng.randrange(1, 1000), 1000) * hi,
-            Fraction(rng.randrange(1, 1000), 1000) * hi)
 
 
 def steps_sha256(steps) -> str:
@@ -61,7 +53,7 @@ def steps_sha256(steps) -> str:
 def solve_record(h, table, seed: int) -> dict:
     rec = h.lipschitz_report()
     trace = snap_run(h.objective(exact=False), h.domain_polytope(),
-                     start(seed, h.domain_high), EPS, EPS, rec.L1, rec.L2,
+                     solve_start(seed, h.domain_high), EPS, EPS, rec.L1, rec.L2,
                      max_iter=MAX_ITER, adaptive=True)
     final = trace.final_point
     return {"table": list(table), "seed": seed,

@@ -22,10 +22,10 @@ Without an output path the JSON goes to stdout.
 from __future__ import annotations
 
 import json
-import random
 import sys
 from fractions import Fraction
 
+from sospgrid.cli import solve_start
 from sospgrid.hard_instance import build
 from sospgrid.iter_problems import IterInstance
 from sospgrid.snap_solver import snap_run
@@ -57,8 +57,7 @@ POINTS = (
 
 def solve_final(h) -> tuple:
     """The final point of `sospgrid solve --seed 1` (adaptive, eps 1e-2)."""
-    rng = random.Random(1)
-    x0 = tuple(Fraction(rng.randrange(1, 1000), 1000) * h.domain_high for _ in range(2))
+    x0 = solve_start(1, h.domain_high)
     rec = h.lipschitz_report()
     trace = snap_run(h.objective(exact=False), h.domain_polytope(), x0, 1e-2, 1e-2,
                      rec.L1, rec.L2, max_iter=20000, adaptive=True)

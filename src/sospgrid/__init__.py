@@ -11,7 +11,7 @@ from sospgrid.iter_problems import (IterInstance, iter_is_solution,
                                     iter_solve_brute, load_instance,
                                     save_instance)
 from sospgrid.hard_instance import HardInstance, ScaleMode, build
-from sospgrid.color_field import ColorField, Color, Direction, GridGeometry
+from sospgrid.color_field import ColorField, Color, Direction
 from sospgrid.biquintic import BoxPatch, patch_from_corners, solve_coefficients
 from sospgrid.stationarity import Polytope, SospReport, verify_sosp
 from sospgrid.snap_solver import SnapTrace, snap_run
@@ -33,7 +33,6 @@ __all__ = [
     "ColorField",
     "Color",
     "Direction",
-    "GridGeometry",
     "BoxPatch",
     "patch_from_corners",
     "solve_coefficients",

@@ -11,6 +11,13 @@ exact integer ratio becomes hp through hp_quotient(), which rounds it once;
 an hp value becomes rational only through to_ratio() (an integer pair) or
 to_fraction() (built on it), which are exact.  None of them goes through
 float(), which keeps 53 bits.
+
+Integer ratios.  The package decides in integers: a number is read once,
+by to_ratio, as its exact pair (num, den) with den > 0 and no gcd; two
+ratios are compared by cross-multiplication, which needs den > 0 and
+builds no Fraction; and a gcd is taken only on a value that is returned,
+where Fraction normalises it.  The modules that decide this way cite
+this paragraph.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ Every product of the module is one integer primitive, _matvec: the dot
 products of six-entry rows with one vector.  A rational offset t = p/q
 becomes the integer power rows q^5 t^i and their first and second
 derivatives, all over the scale q^5 (_rows), and an offset may be given as
-an unreduced integer pair (p, q).  The point kernel (BoxPatch.point_fields)
-gives the value, gradient and Hessian at one point as seven integers, from
-the point's integer pairs with no Fraction arithmetic: K times the three
-rows of y, then six dot products with the rows of x.  BoxPatch.eval reads
+an unreduced integer pair (p, q) (integer ratios: see _precision).  The
+point kernel (BoxPatch.point_fields) gives the value, gradient and Hessian
+at one point as seven integers, from the point's integer pairs: K times
+the three rows of y, then six dot products with the rows of x.  BoxPatch.eval reads
 it and returns the six numbers exactly, as Fractions, or each rounded once
 to a high-precision float (see _precision).  A single value is the order-0
 slice: f alone is the order-0 row of x times K times the order-0 row of y

@@ -108,7 +108,7 @@ class CornerData:
 @dataclass(frozen=True)
 class GroupLabel:
     kind: str  # "A".."G", "G1".."G4", "X", "Boundary"
-    transforms: tuple = ()  # canonicalizing transform sequence (kinds 1-6)
+    transforms: tuple = ()  # canonicalizing transform sequence (kinds 1, 2, 3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +118,13 @@ class GroupLabel:
 #         flips the y-component of every arrow).
 # Kind 2: reflection about the vertical midline.
 # Kind 3: reflection about the main diagonal (transposition).
-# Kind 4: reflection about the anti-diagonal.
 # Kind 5: negation (values and gradients flip sign).
-# Kind 6: quarter-turn rotation (composition of kinds 3 and 1).
+# Sequences of these span the 16 symmetries (ALL_TRANSFORMS).
 # ---------------------------------------------------------------------------
 
 _ARROW_FLIP_Y = {_U: _D, _D: _U, _L: _L, _R: _R}
 _ARROW_FLIP_X = {_U: _U, _D: _D, _L: _R, _R: _L}
 _ARROW_TRANSPOSE = {_U: _R, _R: _U, _D: _L, _L: _D}
-_ARROW_ANTITRANSPOSE = {_U: _L, _L: _U, _D: _R, _R: _D}
 _ARROW_NEGATE = {_U: _D, _D: _U, _L: _R, _R: _L}
 
 # new_data[i] = old_data[perm[i]] under the corner permutation of each kind.
@@ -134,26 +132,19 @@ _TRANSFORM_TABLE = {
     1: ((2, 3, 0, 1), _ARROW_FLIP_Y, False),
     2: ((1, 0, 3, 2), _ARROW_FLIP_X, False),
     3: ((0, 2, 1, 3), _ARROW_TRANSPOSE, False),
-    4: ((3, 1, 2, 0), _ARROW_ANTITRANSPOSE, False),
     5: ((0, 1, 2, 3), _ARROW_NEGATE, True),
 }
 
 
-def _apply_transform(data: CornerData, kind: int) -> CornerData:
-    if kind == 6:  # quarter turn = transpose then vertical flip
-        return _apply_transform(_apply_transform(data, 3), 1)
-    perm, arrow_map, negate = _TRANSFORM_TABLE[kind]
-    values = tuple(-data.values[p] if negate else data.values[p] for p in perm)
-    arrows = tuple(arrow_map[data.arrows[p]] for p in perm)
-    return CornerData(values, arrows)
-
-
 def canonicalize(data: CornerData, transforms: Sequence[int]) -> CornerData:
-    """Apply a sequence of transform kinds (1-6) to corner data."""
+    """Apply a sequence of transform kinds (1, 2, 3, 5) to corner data."""
     for kind in transforms:
-        if kind not in (1, 2, 3, 4, 5, 6):
+        if kind not in _TRANSFORM_TABLE:
             raise ValueError(f"unknown transform kind {kind}")
-        data = _apply_transform(data, kind)
+        perm, arrow_map, negate = _TRANSFORM_TABLE[kind]
+        data = CornerData(
+            tuple(-data.values[p] if negate else data.values[p] for p in perm),
+            tuple(arrow_map[data.arrows[p]] for p in perm))
     return data
 
 
@@ -566,10 +557,15 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
     distance to the wall times L1.  The test is ||g_pi||^2 > EPS0^2,
     stationarity.first_order_test as verify_sosp makes it.
     The ticks i / (resolution - 1) span the closed cell, so ValueError for a
-    resolution below 2.
+    resolution below 2.  The cell's patch is in unscaled coordinates and
+    the box and L1 in the instance's, so ValueError for an instance that
+    is not at unit scale.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if h.mode is not ScaleMode.UNIT:
+        raise ValueError(f"boundary_prox_check needs a unit-scale instance, "
+                         f"got {h.mode.value}")
     poly = h.domain_polytope()
     L1 = h.lipschitz_report().L1
     reports = []

@@ -19,7 +19,7 @@ import click
 from .box_certifier import (ClassificationError, certification_report,
                             certify_labelled_cell, classify_all,
                             classify_cell)
-from .color_field import ColorField, GridGeometry
+from .color_field import ColorField
 from .hard_instance import ScaleMode, build
 from .iter_problems import IterInstance, iter_is_solution, load_instance
 from .localopt_reduction import ReductionInstance
@@ -193,6 +193,13 @@ def render(instance: str, out: str) -> None:
     click.echo(f"wrote {out} ({len(svg)} bytes)")
 
 
+def solve_start(seed: int, hi) -> tuple[Fraction, Fraction]:
+    """The start point of `sospgrid solve --seed seed` on [0, hi]^2."""
+    rng = random.Random(seed)
+    return (Fraction(rng.randrange(1, 1000), 1000) * hi,
+            Fraction(rng.randrange(1, 1000), 1000) * hi)
+
+
 @main.command()
 @click.option("--instance", required=True, type=click.Path(exists=True))
 @click.option("--scale", type=click.Choice(["unit", "moderate", "aggressive"]),
@@ -208,10 +215,7 @@ def solve(instance, scale, eps_g, eps_h, seed, max_iter, out) -> None:
     result."""
     inst = _load(instance)
     h = build(inst, scale)
-    hi = h.domain_high
-    rng = random.Random(seed)
-    x0 = (Fraction(rng.randrange(1, 1000), 1000) * hi,
-          Fraction(rng.randrange(1, 1000), 1000) * hi)
+    x0 = solve_start(seed, h.domain_high)
     rec = h.lipschitz_report()
     poly = h.domain_polytope()
     t0 = time.perf_counter()
@@ -257,7 +261,8 @@ def _reduction_bowl(dim: int):
                    "spaces of dimension <= 2.")
 @_eps_option("--eps-g", "1e-2", steps=True)
 @_eps_option("--eps-h", "1e-2", steps=True)
-@click.option("--samples", type=int, default=200, show_default=True)
+@click.option("--samples", type=click.IntRange(1, None), default=200,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def reduce(dim, eps_g, eps_h, samples, seed, out) -> None:
@@ -301,13 +306,13 @@ def classify(instance, cell_a, cell_b, certify, resolution, out) -> None:
     inst = _load(instance)
     if (cell_a is None) != (cell_b is None):
         raise click.UsageError("-a and -b must be given together")
-    N = GridGeometry(inst.n).N
+    h = build(inst, ScaleMode.UNIT)
+    N = h.N
     if cell_a is not None and not (0 <= cell_a < N and 0 <= cell_b < N):
         raise click.UsageError(
             f"cell ({cell_a}, {cell_b}) outside [0, {N - 1}]^2")
     try:
         if cell_a is not None:
-            h = build(inst, ScaleMode.UNIT)
             label = classify_cell(h.field, cell_a, cell_b)
             if certify:
                 payload, cert_ok = certify_labelled_cell(

@@ -17,7 +17,7 @@ from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sospgrid.iter_problems import IterInstance
+from sospgrid.iter_problems import IterInstance, solves
 
 HALF = Fraction(1, 2)
 
@@ -45,18 +45,6 @@ class Direction(enum.Enum):
 
 # Color ordering: BLUE < BLACK < RED < GREEN < ORANGE at every grid point.
 COLOR_ORDER = (Color.BLUE, Color.BLACK, Color.RED, Color.GREEN, Color.ORANGE)
-
-
-@dataclass(frozen=True)
-class GridGeometry:
-    n: int
-
-    @property
-    def N(self) -> int:
-        return 6 * (1 << self.n) + 6
-
-    def in_lattice(self, a: int, b: int) -> bool:
-        return 0 <= a <= self.N and 0 <= b <= self.N
 
 
 @dataclass(frozen=True)
@@ -121,16 +109,15 @@ class _Columns(_NodeView):
 
 
 class _Solutions(_NodeView):
-    """Solutions = {k : C(k) < k or (C(k) > k and C(C(k)) = C(k))}, the
-    rule of iter_is_solution."""
+    """Solutions = {k : solves(C, k)}, with C read from the table."""
 
     __slots__ = ()
 
+    def _C(self, v: int) -> int:
+        return self.table[v - 1]
+
     def __contains__(self, k) -> bool:
-        if not 1 <= k <= len(self.table):
-            return False
-        ck = self.table[k - 1]
-        return ck < k or (ck > k and self.table[ck - 1] == ck)
+        return 1 <= k <= len(self.table) and solves(self._C, k)
 
 
 def node_sets(inst: IterInstance) -> tuple[Set, Set]:
@@ -149,9 +136,8 @@ def node_sets(inst: IterInstance) -> tuple[Set, Set]:
     return _Columns(table), _Solutions(table)
 
 
-def _grid_color(table: tuple[int, ...], columns: Set, a: int, b: int) -> Color:
+def _grid_color(table: tuple[int, ...], columns: Set, N: int, a: int, b: int) -> Color:
     size = len(table)
-    N = 6 * size + 6
     k4 = (a + 4) // 6
     in_k4 = 1 <= k4 <= size
 
@@ -198,10 +184,9 @@ def _grid_color(table: tuple[int, ...], columns: Set, a: int, b: int) -> Color:
 
 
 def _grid_direction(
-    table: tuple[int, ...], columns: Set, solutions: Set, a: int, b: int
+    table: tuple[int, ...], columns: Set, solutions: Set, N: int, a: int, b: int
 ) -> Direction:
     size = len(table)
-    N = 6 * size + 6
     k4 = (a + 4) // 6
     in_k4 = 1 <= k4 <= size
 
@@ -259,21 +244,18 @@ class ColorField:
 
     def __init__(self, inst: IterInstance):
         self.inst = inst
-        self.geometry = GridGeometry(inst.n)
         self.columns, self.solutions = node_sets(inst)
         self.table = self.columns.table
-
-    @property
-    def N(self) -> int:
-        return self.geometry.N
+        self.N = 6 * len(self.table) + 6
 
     def assignment(self, a: int, b: int) -> CornerAssignment:
-        if not self.geometry.in_lattice(a, b):
-            raise ValueError(f"({a}, {b}) outside the corner lattice [0, {self.N}]^2")
-        color = _grid_color(self.table, self.columns, a, b)
-        direction = _grid_direction(self.table, self.columns, self.solutions, a, b)
+        N = self.N
+        if not (0 <= a <= N and 0 <= b <= N):
+            raise ValueError(f"({a}, {b}) outside the corner lattice [0, {N}]^2")
+        color = _grid_color(self.table, self.columns, N, a, b)
+        direction = _grid_direction(self.table, self.columns, self.solutions, N, a, b)
         return CornerAssignment(
-            value=regime_value(color, a, b, self.N), direction=direction, color=color
+            value=regime_value(color, a, b, N), direction=direction, color=color
         )
 
     def x_cell_node(self, a: int, b: int) -> int | None:

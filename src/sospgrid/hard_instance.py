@@ -2,17 +2,17 @@
 
 Lazily builds interpolation patches over [0, N]^2, tracks the analytic
 Lipschitz record, supports rescaling onto [0, 1]^2, and decodes points back
-to ITER solutions.  A point is read as integers: each coordinate's exact
-ratio p/q (to_ratio) times the scale s is tested against the domain and
-floor-divided into its cell in integers, and the patch gets the unscaled
-point as (p s, q) pairs, so no Fraction is formed on the way to the
-patch's integer kernel.
+to ITER solutions.  A point is read in integer ratios (see _precision):
+each coordinate p/q times the scale s is tested against the domain and
+floor-divided into its cell (_cell_point), and the patch gets the unscaled
+point as (p s, q) pairs.  evaluate, value and decode_scaled all find the
+cell this way; outside the domain the first two raise and decode_scaled
+gives None.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +31,10 @@ class ScaleMode(enum.Enum):
     UNIT = "unit"  # objective on [0, N]^2, no rescale
     MODERATE = "moderate"  # f(Nx, Ny) / N on [0, 1]^2
     AGGRESSIVE = "aggressive"  # f(Nx, Ny) / (c0 N^4) on [0, 1]^2
+
+
+class _OutsideDomain(ValueError):
+    """A point outside the instance's domain."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,7 @@ class HardInstance:
 
     def __init__(self, inst: IterInstance, mode: ScaleMode = ScaleMode.UNIT):
         self.instance = inst
+        self.mode = mode
         self.field = ColorField(inst)
         self.N = self.field.N
         self._cache: OrderedDict[tuple[int, int], BoxPatch] = OrderedDict()
@@ -122,15 +127,6 @@ class HardInstance:
             self._cache.popitem(last=False)
         return built
 
-    def locate(self, x, y) -> tuple[int, int]:
-        """Cell containing the *unscaled* point, clamping at the far edge."""
-        if not (0 <= x <= self.N and 0 <= y <= self.N):
-            raise ValueError(f"({x}, {y}) outside [0, {self.N}]^2")
-        # math.floor, not int(): high-precision floats round under int().
-        a = min(math.floor(x), self.N - 1)
-        b = min(math.floor(y), self.N - 1)
-        return a, b
-
     def _cell_point(self, x, y):
         """(a, b, u, v): the cell Box(a, b) of a domain point and the point
         (u, v) = s (x, y) in unscaled coordinates, as integer (num, den)
@@ -142,8 +138,8 @@ class HardInstance:
             p, q = to_ratio(t)
             p *= s
             if not 0 <= p <= N * q:
-                raise ValueError(f"({to_fraction(x)}, {to_fraction(y)}) outside "
-                                 f"[0, {self.domain_high}]^2")
+                raise _OutsideDomain(f"({to_fraction(x)}, {to_fraction(y)}) "
+                                     f"outside [0, {self.domain_high}]^2")
             out.append((min(p // q, N - 1), (p, q)))
         (a, u), (b, v) = out
         return a, b, u, v
@@ -178,16 +174,13 @@ class HardInstance:
         hi = self.domain_high
         return Polytope.box((0, 0), (hi, hi))
 
-    def decode_solution(self, x, y):
-        """ITER solution k if the (unscaled) point lies in an X cell, else None."""
-        if not (0 <= x <= self.N and 0 <= y <= self.N):
-            return None
-        return self.field.x_cell_node(*self.locate(x, y))
-
     def decode_scaled(self, x, y):
-        """decode_solution for a point in the instance's own coordinates."""
-        return self.decode_solution(to_fraction(x) * self._scale,
-                                    to_fraction(y) * self._scale)
+        """ITER solution k if the point lies in an X cell of k, else None."""
+        try:
+            a, b, _, _ = self._cell_point(x, y)
+        except _OutsideDomain:
+            return None
+        return self.field.x_cell_node(a, b)
 
     def lipschitz_report(self) -> LipschitzRecord:
         """Analytic bounds: coefficient norm < 2^10 (2^55 N + 2), and from it

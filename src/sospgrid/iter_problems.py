@@ -1,8 +1,10 @@
 """ITER instances, their solution check, and a brute-force oracle.
 
 An ITER instance is a total mapping C on {1, ..., 2^n} with C(1) > 1.  A
-node v solves it iff C(v) < v, or C(v) > v and C(C(v)) = C(v).  The
-reduction's local-search instance is localopt_reduction.ReductionInstance.
+node v solves it iff C(v) < v, or C(v) > v and C(C(v)) = C(v): the rule
+solves(C, v), which iter_is_solution and color_field's solution view both
+read.  The reduction's local-search instance is
+localopt_reduction.ReductionInstance.
 """
 
 from __future__ import annotations
@@ -60,14 +62,15 @@ class IterInstance:
         return cv
 
 
+def solves(C: Callable[[int], int], v: int) -> bool:
+    """True iff node v solves ITER under the lookup C (module docstring)."""
+    cv = C(v)
+    return cv < v or (cv > v and C(cv) == cv)
+
+
 def iter_is_solution(inst: IterInstance, v: int) -> bool:
-    """True iff C(v) < v, or C(v) > v and C(C(v)) = C(v)."""
-    cv = inst.C(v)
-    if cv < v:
-        return True
-    if cv > v and inst.C(cv) == cv:
-        return True
-    return False
+    """True iff node v solves the instance (solves over inst.C)."""
+    return solves(inst.C, v)
 
 
 def iter_solve_brute(inst: IterInstance) -> int:

@@ -6,12 +6,11 @@ that non-SOSP grid points strictly improve.  One active_set read per grid
 point gives dim(Null) and, off the box, the face lattice of the grid test;
 on the box it refuses a point outside, as off it.
 
-The grid is decided in integer ratios: on the box (c - lo) / gamma is one
-exact ratio of to_ratio pairs, which round_point floors by one integer
-division and the grid test checks by one divisibility test, with no gcd;
-off the box polytope_lattice decides the face lattice the same way.  Only
-a returned grid point is normalised to Fractions.  eps_g and eps_h must be
-positive, since gamma and delta are built from them.
+The grid is decided in integer ratios (see _precision): on the box
+(c - lo) / gamma is one exact ratio, which round_point floors by one
+integer division and the grid test checks by one divisibility test; off
+the box polytope_lattice decides the face lattice the same way.  eps_g and
+eps_h must be positive, since gamma and delta are built from them.
 """
 
 from __future__ import annotations

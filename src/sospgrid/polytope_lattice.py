@@ -6,14 +6,12 @@ The lattice of face I is x_ref + sum_k (delta / nu_k) Z v_k on the face's
 stationarity.face_frame, the frame the active set reads too, with the
 rational nu_k >= ||v_k|| of _step_ratios; at a vertex it is the vertex.
 
-The lattice is decided in integer ratios, as stationarity decides the
-verdict: a point's coordinate on v_k over its step, (x.v_k) nu_k /
-(||v_k||^2 delta), is one exact ratio of the point's to_ratio pairs
-(x_ref drops out, being orthogonal to every v_k).  The
-grid test (on_lattice) is one integer divisibility test per coordinate and
-makes no gcd; MapToGrid rounds each coordinate, half-way ties down, by one
-integer floor division, and normalises only the point it returns, one
-Fraction per coordinate.  Its ray shoot moves the point in Fractions, by
+The lattice is decided in integer ratios (see _precision): a point's
+coordinate on v_k over its step, (x.v_k) nu_k / (||v_k||^2 delta), is one
+exact ratio (x_ref drops out, being orthogonal to every v_k).  The grid
+test (on_lattice) is one divisibility test per coordinate; MapToGrid
+rounds each coordinate, half-way ties down, by one floor division, and
+normalises only the point it returns.  Its ray shoot moves the point in Fractions, by
 the t that max_feasible_step decides by cross-multiplication.
 
 MapToGrid returns a point of its own face's lattice.  A pass rounds on the

@@ -7,11 +7,9 @@ rational, and every accept/reject decision is made once, in exact
 arithmetic, at the exact rational value of the point and the derivatives:
 feasibility, the active rows (slack exactly 0), ||g_pi||^2 <= eps_G^2
 (first_order_test) and the PSD test on the active null space
-(second_order_test).  Each number is read as its exact integer ratio
-(to_ratio: an hp value's mantissa over a power of two, with no gcd), and
-ratios are compared by cross-multiplication over positive denominators
-(hence L1 > 0 and eps >= 0 are checked), so a decision builds no Fraction.
-On a box each clamp of x - g/L1 is an integer comparison with the rational
+(second_order_test).  Each number is read in integer ratios (see
+_precision); a comparison needs positive denominators, hence L1 > 0 and
+eps >= 0 are checked.  On a box each clamp of x - g/L1 is an integer comparison with the rational
 bounds (an mpf compare would round a bound like 1/3); off the box the step
 is projected exactly in Fractions.  project clamps the same way and forms
 one Fraction only for a coordinate strictly inside.

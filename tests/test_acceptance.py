@@ -20,7 +20,7 @@ from test_golden_dumps import load_script
 from sospgrid._precision import PRECISION, hp, hp_sqrt
 from sospgrid.biquintic import solve_coefficients
 from sospgrid.cli import main as cli_main
-from sospgrid.cli import render_svg
+from sospgrid.cli import render_svg, solve_start
 from sospgrid.color_field import COLOR_ORDER, regime_value
 from sospgrid.hard_instance import build
 from sospgrid.iter_problems import IterInstance, iter_solve_brute
@@ -220,11 +220,8 @@ def test_criterion_07_solver_finds_solution(acceptance, inst_n1):
         obj = h.objective(exact=False)
         expected = iter_solve_brute(inst_n1)
         for seed in range(1, 6):
-            rng = random.Random(seed)
-            x0 = (Fraction(rng.randrange(1, 1000), 1000),
-                  Fraction(rng.randrange(1, 1000), 1000))
-            trace = snap_run(obj, poly, x0, 1e-2, 1e-2, rec.L1, rec.L2,
-                             max_iter=5000, adaptive=True)
+            trace = snap_run(obj, poly, solve_start(seed, 1), 1e-2, 1e-2,
+                             rec.L1, rec.L2, max_iter=5000, adaptive=True)
             assert trace.converged
             final = trace.final_point
             rep = verify_sosp(obj, poly, final, 1e-2, 1e-2, rec.L1)

@@ -64,13 +64,11 @@ def test_transform_group_structure():
     data = CornerData((Fraction(1), Fraction(7), Fraction(-2), Fraction(30)),
                       (Direction.UP, Direction.LEFT,
                        Direction.RIGHT, Direction.DOWN))
-    for kind in (1, 2, 3, 4, 5):
+    for kind in (1, 2, 3, 5):
         assert canonicalize(data, (kind, kind)) == data
-    # quarter turn has order 4
-    assert canonicalize(data, (6,)) != data
-    assert canonicalize(data, (6, 6, 6, 6)) == data
-    with pytest.raises(ValueError):
-        canonicalize(data, (7,))
+    for kind in (4, 6, 7):
+        with pytest.raises(ValueError):
+            canonicalize(data, (kind,))
 
 
 def test_corner_data_matches_field(inst_n1):
@@ -178,7 +176,7 @@ def test_polished_x_cell_point_is_an_exact_sosp(hard_n1, cell):
                       hard_n1.domain_polytope(), (x, y), EPS0, EPS0,
                       hard_n1.lipschitz_report().L1, exact=True)
     assert rep.passed
-    assert hard_n1.decode_solution(x, y) == 1
+    assert hard_n1.decode_scaled(x, y) == 1
 
 
 def test_boundary_prox_check(hard_n1):
@@ -187,6 +185,19 @@ def test_boundary_prox_check(hard_n1):
     assert len(reports) == len(cells)
     for rep in reports:
         assert rep.passed
+
+
+def test_boundary_check_needs_unit_scale(inst_n1):
+    """The cell's patch is unscaled while the box and L1 are the instance's:
+    on a moderate instance the check would sample [0, 18]^2 against the
+    unit box and pass with worst_norm 1.2e25.  Other scales are refused,
+    and the unit report stands."""
+    for mode in ("moderate", "aggressive"):
+        with pytest.raises(ValueError, match="unit-scale"):
+            boundary_prox_check(build(inst_n1, mode), [(0, 5)])
+    rep = boundary_prox_check(build(inst_n1, "unit"), [(0, 5)])[0]
+    assert rep.passed and rep.failing == []
+    assert (rep.worst_norm, rep.worst_point) == (0.5, (0, 5))
 
 
 @pytest.mark.parametrize("resolution", [0, -1])

@@ -235,6 +235,15 @@ def test_reduce_refuses_dim_3(runner):
     assert "--dim" in res.output
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_reduce_samples_below_one_is_a_usage_error(runner, samples):
+    """A run with no samples checks nothing, so it may not pass with empty
+    verdicts and exit 0."""
+    res = runner.invoke(main, ["reduce", "--samples", samples])
+    assert res.exit_code == 2, res.output
+    assert "--samples" in res.output
+
+
 def test_solve_finds_encoded_solution(runner, n1_file):
     res = runner.invoke(main, ["solve", "--instance", str(n1_file),
                                "--seed", "1"])

@@ -15,7 +15,6 @@ from sospgrid.color_field import (
     Color,
     ColorField,
     Direction,
-    GridGeometry,
     node_sets,
     regime_value,
 )
@@ -24,14 +23,14 @@ from sospgrid.iter_problems import IterInstance, iter_is_solution
 
 
 def test_grid_size():
-    assert GridGeometry(1).N == 18
-    assert GridGeometry(2).N == 30
-    assert GridGeometry(3).N == 54
+    assert ColorField(IterInstance(1, (2, 2))).N == 18
+    assert ColorField(IterInstance(2, (3, 4, 4, 1))).N == 30
+    assert ColorField(IterInstance(3, proc=lambda v: 8)).N == 54
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_color_order_holds_everywhere(n):
-    N = GridGeometry(n).N
+    N = 6 * 2**n + 6
     for a in range(N + 1):
         for b in range(N + 1):
             values = [regime_value(c, a, b, N) for c in COLOR_ORDER]

@@ -1,13 +1,16 @@
-"""Evaluable hard instances: locate/decode, derivative consistency against
-finite differences, Lipschitz bounds, and the scale modes."""
+"""Evaluable hard instances: the cell lookup and decoding, derivative
+consistency against finite differences, Lipschitz bounds, and the scale
+modes."""
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from patch_reference import reference_eval
 from sospgrid._precision import hp, to_fraction
@@ -32,21 +35,82 @@ def unit_n1():
     return build(IterInstance(1, (2, 2)))
 
 
-def test_locate_basic(unit_n1):
-    assert unit_n1.locate(Fraction(1, 2), Fraction(15, 2)) == (0, 7)
-    assert unit_n1.locate(4, 8) == (4, 8)
+def test_cell_lookup_basic(unit_n1):
+    assert unit_n1.evaluate(Fraction(1, 2), Fraction(15, 2)).cell == (0, 7)
+    assert unit_n1.evaluate(4, 8).cell == (4, 8)
     # far edge clamps into the last cell
-    assert unit_n1.locate(unit_n1.N, unit_n1.N) == (unit_n1.N - 1, unit_n1.N - 1)
+    assert unit_n1.evaluate(unit_n1.N, unit_n1.N).cell == (unit_n1.N - 1, unit_n1.N - 1)
     with pytest.raises(ValueError):
-        unit_n1.locate(-1, 0)
+        unit_n1.evaluate(-1, 0)
 
 
-def test_decode_solution(unit_n1):
+def test_decode_scaled_unit(unit_n1):
     # X cells for solution k = 1 sit at a in {3, 4, 5}, b = 8.
-    assert unit_n1.decode_solution(Fraction(7, 2), Fraction(17, 2)) == 1
-    assert unit_n1.decode_solution(Fraction(11, 2), Fraction(17, 2)) == 1
-    assert unit_n1.decode_solution(Fraction(7, 2), Fraction(15, 2)) is None
-    assert unit_n1.decode_solution(Fraction(1, 2), Fraction(1, 2)) is None
+    assert unit_n1.decode_scaled(Fraction(7, 2), Fraction(17, 2)) == 1
+    assert unit_n1.decode_scaled(Fraction(11, 2), Fraction(17, 2)) == 1
+    assert unit_n1.decode_scaled(Fraction(7, 2), Fraction(15, 2)) is None
+    assert unit_n1.decode_scaled(Fraction(1, 2), Fraction(1, 2)) is None
+    assert unit_n1.decode_scaled(-1, Fraction(17, 2)) is None
+
+
+def reference_decode(h, mode, x, y):
+    """decode_scaled by the Fraction rule: the unscaled point s (x, y), None
+    outside [0, N]^2, else the cell min(floor(u), N - 1) of each coordinate
+    and its X-cell node."""
+    N = h.N
+    s = {ScaleMode.UNIT: 1, ScaleMode.MODERATE: N, ScaleMode.AGGRESSIVE: N}[mode]
+    u, v = to_fraction(x) * s, to_fraction(y) * s
+    if not (0 <= u <= N and 0 <= v <= N):
+        return None
+    return h.field.x_cell_node(min(math.floor(u), N - 1), min(math.floor(v), N - 1))
+
+
+DECODE_INSTANCES = {mode: build(IterInstance(2, (3, 4, 4, 1)), mode) for mode in ScaleMode}
+
+
+@st.composite
+def decode_points(draw):
+    """A scale mode and a point of its domain [0, hi]^2 or just outside it:
+    cell walls, the far edge, 192-bit values, points one 2^-192 or one
+    cell past an edge, and points of the X cells (21..23, 26) of node 4;
+    each as Fractions or as hp values."""
+    mode = draw(st.sampled_from(list(ScaleMode)))
+    h = DECODE_INSTANCES[mode]
+    hi, cell = h.domain_high, Fraction(h.domain_high, h.N)
+
+    def fine():
+        return Fraction(draw(st.integers(0, 2**192)), 2**192)
+
+    def coord():
+        kind = draw(st.sampled_from(["wall", "inside", "out"]))
+        if kind == "wall":
+            return draw(st.integers(0, h.N)) * cell
+        if kind == "out":
+            past = draw(st.sampled_from([Fraction(1, 2**192), cell, hi]))
+            return draw(st.sampled_from([-past, hi + past]))
+        return hi * fine()
+
+    if draw(st.booleans()):
+        x, y = (draw(st.integers(21, 23)) + fine()) * cell, (26 + fine()) * cell
+    else:
+        x, y = coord(), coord()
+    if draw(st.booleans()):
+        x, y = hp(x), hp(y)
+    return mode, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(decode_points())
+@example((ScaleMode.MODERATE, Fraction(43, 60), Fraction(53, 60)))  # X cell (21, 26)
+@example((ScaleMode.UNIT, 30, 30))
+@example((ScaleMode.AGGRESSIVE, Fraction(1), Fraction(-1, 2**192)))
+def test_decode_scaled_is_the_fraction_rule(case):
+    """decode_scaled, which finds the cell by the integer lookup of
+    evaluate, gives the node of the Fraction rule in every scale mode, and
+    None outside the domain."""
+    mode, x, y = case
+    h = DECODE_INSTANCES[mode]
+    assert h.decode_scaled(x, y) == reference_decode(h, mode, x, y)
 
 
 def test_decode_scaled_moderate():
@@ -167,7 +231,7 @@ def test_objective_callable(unit_n1):
 
 def value_read_points(h, rng):
     """Random 192-bit dyadic points of the domain [0, 1]^2, then cell edges,
-    cell corners and the far edge x = 1, where locate clamps."""
+    cell corners and the far edge x = 1, which lies in cell N - 1."""
     N = h.N
     pts = [(Fraction(rng.getrandbits(192), 2**192),
             Fraction(rng.getrandbits(192), 2**192)) for _ in range(40)]
@@ -221,13 +285,15 @@ def test_value_read_skips_the_full_evaluation(moderate_n1, monkeypatch):
 
 def located_evaluation(h, mode, x, y, exact):
     """evaluate(x, y, exact) the long way: the unscaled point s (x, y) as
-    Fractions, its cell from locate, the reference evaluator there and the
-    chain rule's factors 1/v, s/v, s^2/v applied to the exact values."""
+    Fractions, its cell min(floor(u), N - 1), the reference evaluator there
+    and the chain rule's factors 1/v, s/v, s^2/v applied to the exact
+    values."""
     N = h.N
     s, div = {ScaleMode.UNIT: (1, 1), ScaleMode.MODERATE: (N, N),
               ScaleMode.AGGRESSIVE: (N, C0_AGGRESSIVE * N**4)}[mode]
     u, v = to_fraction(x) * s, to_fraction(y) * s
-    a, b = h.locate(u, v)
+    assert 0 <= u <= N and 0 <= v <= N
+    a, b = min(math.floor(u), N - 1), min(math.floor(v), N - 1)
     f, (fx, fy), ((fxx, fxy), (_, fyy)) = reference_eval(h.patch(a, b), u, v)
     f, fx, fy, fxx, fxy, fyy = (w * Fraction(s**k, div) for w, k in (
         (f, 0), (fx, 1), (fy, 1), (fxx, 2), (fxy, 2), (fyy, 2)))
@@ -238,8 +304,8 @@ def located_evaluation(h, mode, x, y, exact):
 
 @pytest.mark.parametrize("mode", list(ScaleMode))
 def test_integer_cell_lookup_is_locate_then_eval(mode):
-    """value and evaluate, which find the cell in integers, equal locate
-    and the reference evaluation at the exact point in every scale mode:
+    """value and evaluate, which find the cell in integers, equal the
+    Fraction floor and the reference evaluation at the exact point in every scale mode:
     at Fractions and hp values, at x = 0, on cell walls and at x =
     domain_high, which lies in cell N - 1.  A point outside the domain
     raises the same ValueError as before."""

@@ -11,6 +11,7 @@ import pytest
 
 from sospgrid import localopt_reduction, snap_solver
 from sospgrid._precision import to_fraction
+from sospgrid.cli import solve_start
 from sospgrid.localopt_reduction import ReductionInstance, Verdict
 from sospgrid.snap_solver import StepKind, snap_run, snap_update
 from sospgrid.stationarity import Polytope, proximal_gradient, verify_sosp
@@ -169,9 +170,7 @@ def hard_ris(moderate_n1):
     rec = h.lipschitz_report()
     eps = Fraction(1, 100)
     box = h.domain_polytope()
-    rng = random.Random(1)
-    start = tuple(Fraction(rng.randrange(1, 1000), 1000) for _ in range(2))
-    end = snap_run(h.objective(exact=False), box, start, eps, eps,
+    end = snap_run(h.objective(exact=False), box, solve_start(1, 1), eps, eps,
                    rec.L1, rec.L2, max_iter=1000, adaptive=True).final_point
     return {name: (ReductionInstance(h.objective(exact=False), poly, eps, eps,
                                      rec.L, rec.L1, rec.L2), end)

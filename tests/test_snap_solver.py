@@ -11,6 +11,7 @@ import pytest
 
 from sospgrid import snap_solver
 from sospgrid._precision import to_fraction
+from sospgrid.cli import solve_start
 from sospgrid.hard_instance import build
 from sospgrid.iter_problems import IterInstance
 from sospgrid.snap_solver import (
@@ -331,10 +332,7 @@ def test_snap_run_reports_on_its_final_point(moderate_n1):
     """final_report certifies the iterate the solver ends on, not a copy."""
     h = moderate_n1
     rec = h.lipschitz_report()
-    rng = random.Random(4)  # the start of `sospgrid solve --seed 4`
-    x0 = (Fraction(rng.randrange(1, 1000), 1000),
-          Fraction(rng.randrange(1, 1000), 1000))
-    trace = snap_run(h.objective(exact=False), h.domain_polytope(), x0,
+    trace = snap_run(h.objective(exact=False), h.domain_polytope(), solve_start(4, 1),
                      1e-2, 1e-2, rec.L1, rec.L2, max_iter=20000, adaptive=True)
     assert trace.converged
     assert trace.final_report.x == trace.final_point
@@ -448,9 +446,7 @@ def test_value_only_reads_change_no_trajectory():
     rec = h.lipschitz_report()
     poly = h.domain_polytope()
     obj = h.objective(exact=False)
-    rng = random.Random(4)
-    x0 = (Fraction(rng.randrange(1, 1000), 1000),
-          Fraction(rng.randrange(1, 1000), 1000))
+    x0 = solve_start(4, 1)
     lazy, full = (snap_run(o, poly, x0, 1e-2, 1e-2, rec.L1, rec.L2,
                            max_iter=1000, adaptive=True)
                   for o in (obj, lambda p: tuple(obj(p))))
@@ -471,10 +467,7 @@ def test_solve_starts_converge_within_1000_iterations(table, node):
     poly = h.domain_polytope()
     obj = h.objective(exact=False)
     for seed in range(1, 6):
-        rng = random.Random(seed)
-        x0 = (Fraction(rng.randrange(1, 1000), 1000),
-              Fraction(rng.randrange(1, 1000), 1000))
-        trace = snap_run(obj, poly, x0, 1e-2, 1e-2, rec.L1, rec.L2,
+        trace = snap_run(obj, poly, solve_start(seed, 1), 1e-2, 1e-2, rec.L1, rec.L2,
                          max_iter=20000, adaptive=True)
         assert trace.converged
         assert trace.iterations <= 1000

@@ -223,3 +223,45 @@ def test_color_field_builds_no_node_set():
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if BUILT_SET.search(line)]
     assert hits == []
+
+
+# A coordinate k/1000 with k drawn from 1..999: the solve start's draw.
+SOLVE_START = re.compile(r"randrange\(1,\s*1000\),\s*1000\)")
+
+
+def test_solve_start_is_written_once():
+    """The start point of `sospgrid solve --seed s` is cli.solve_start: no
+    other file of the package, the scripts or the tests draws it again."""
+    paths = (sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+             + sorted(pathlib.Path(__file__).parent.glob("*.py")))
+    hits = [path.name for path in paths if SOLVE_START.search(path.read_text())]
+    assert hits == ["cli.py"]
+
+
+# The ITER rule "C(v) < v, or C(v) > v and ...", with any names for v, C(v).
+ITER_RULE = re.compile(r"\b(\w+) < (\w+) or \(\1 > \2\b")
+
+
+def test_iter_rule_is_written_once():
+    """iter_problems.solves is the one statement of the ITER rule: the
+    solution view of color_field and iter_is_solution both read it."""
+    hits = [path.name for path in sorted(SRC.glob("*.py"))
+            if ITER_RULE.search(path.read_text())]
+    assert hits == ["iter_problems.py"]
+
+
+# The second cell lookup and grid geometry that the integer lookup replaced.
+SECOND_LOOKUP = re.compile(r"\bGridGeometry\b|\bdecode_solution\b|\bdef locate\b")
+
+
+def test_one_cell_lookup():
+    """A point's cell is found once, in integers (HardInstance._cell_point),
+    for evaluate, value and decode_scaled alike: hard_instance.py takes no
+    floor, and no file of the package or the scripts defines or calls a
+    second lookup or a second statement of N."""
+    assert "floor(" not in (SRC / "hard_instance.py").read_text()
+    hits = [f"{path.name}:{lineno}"
+            for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if SECOND_LOOKUP.search(line)]
+    assert hits == []
