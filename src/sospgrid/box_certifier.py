@@ -22,10 +22,10 @@ every sample: the gradient tests are integer comparisons; the curvature
 test is sqrt-free (lambda_min < -EPS0 iff H + EPS0 I has a negative
 diagonal entry or determinant).  The Newton polish steps on the
 2^-192 grid with the point kernel (BoxPatch.point_fields), from exact
-starts strictly inside the cell; its damped step, the first of 2^-j
-times the Newton step that stays inside the cell, is found by bisection
-on j.  A polish keeps a point only where max(|f_x|, |f_y|) <= POLISH_TOL,
-so certify_no_sosp skips both polishes of a cell when an exact Bernstein
+starts strictly inside the cell; its damped step is the first of 2^-j
+times the Newton step, j = 0, 1, ..., 39, that stays inside the cell.
+A polish keeps a point only where max(|f_x|, |f_y|) <= POLISH_TOL, so
+certify_no_sosp skips both polishes of a cell when an exact Bernstein
 enclosure of the gradient (bernstein.gradient_bounded, in integers on the
 closed cell) proves max(|f_x|, |f_y|) > POLISH_TOL everywhere: the report
 is the one the polishes would have left.  The 1/sqrt(gap) offsets are
@@ -37,9 +37,10 @@ chance to be the worst.
 Boundary cells are checked the same way: the proximal step is exact in
 rationals and ||g_pi||^2 > EPS0^2 needs no square root.  X cells contain
 a genuine SOSP and must fail certification; they serve as the negative
-control.  certification_report certifies once per key (the patch up to
-an additive constant, the targeted offsets and the resolution) and copies
-the certificate to every other interior or X cell with that key.
+control.  Every report entry comes from one function: certification_report
+certifies once per key (the patch up to an additive constant and the
+targeted offsets) and copies the certificate to every other interior or
+X cell with that key; certify_labelled_cell is the same with no copies.
 """
 
 from __future__ import annotations
@@ -224,6 +225,16 @@ def _match_number(data: CornerData, pattern) -> bool:
     return all(v[i] >= v[j] + k for i, j, k in constraints)
 
 
+# (kind, matcher, pattern) in order of precedence: the junction variants
+# are tried under every transform only after the groups fail under all.
+_PATTERN_TIERS = (
+    [(kind, _match_letter, p) for kind, p in _LETTER_PATTERNS.items()]
+    + [(kind, _match_number, p) for kind, p in _NUMBER_PATTERNS.items()],
+    [(kind, _match_letter, (spec, arrows))
+     for kind, spec, arrows in _VARIANT_PATTERNS],
+)
+
+
 def cell_corner_data(field: ColorField, a: int, b: int) -> CornerData:
     """Exact corner values and arrows for cell Box(a, b)."""
     assigns = [field.assignment(a + dx, b + dy) for dx, dy in CORNER_ORDER]
@@ -247,19 +258,12 @@ def classify_cell(field: ColorField, a: int, b: int) -> GroupLabel:
     if a in (0, N - 1) or b in (0, N - 1):
         return GroupLabel("Boundary")
     data = cell_corner_data(field, a, b)
-    for seq in ALL_TRANSFORMS:
-        variant = canonicalize(data, seq)
-        for kind, pattern in _LETTER_PATTERNS.items():
-            if _match_letter(variant, pattern):
-                return GroupLabel(kind, seq)
-        for kind, pattern in _NUMBER_PATTERNS.items():
-            if _match_number(variant, pattern):
-                return GroupLabel(kind, seq)
-    for seq in ALL_TRANSFORMS:
-        variant = canonicalize(data, seq)
-        for kind, spec, arrows in _VARIANT_PATTERNS:
-            if _match_letter(variant, (spec, arrows)):
-                return GroupLabel(kind, seq)
+    for tier in _PATTERN_TIERS:
+        for seq in ALL_TRANSFORMS:
+            variant = canonicalize(data, seq)
+            for kind, match, pattern in tier:
+                if match(variant, pattern):
+                    return GroupLabel(kind, seq)
     raise ClassificationError(
         f"cell Box({a}, {b}) matches no pattern: corners {data.pattern_string()}")
 
@@ -393,28 +397,20 @@ def _polish_step(X: int, Y: int, sx: int, sy: int, det: int):
     """The grid point (X, Y) + 2^-j (sx, sy) / det for the least j <
     _POLISH_STEPS that lies strictly inside the cell, or None.
 
-    (X, Y) must lie strictly inside the cell: 0 < X, Y < 2^_GRID_BITS.
-    Each coordinate's step is rounded half up to the grid.  From such a
-    start a shorter step moves no farther, so the feasible j are all those
-    from the first on, which bisection finds.
+    Each coordinate's step is rounded half up to the grid: with w =
+    s 2^(193 - j) / det for s = sx or sy it is floor((w + 1) / 2), which
+    is ((W >> j) + 1) >> 1 for W = floor(s 2^193 / det), as
+    floor(floor(t) / n) = floor(t / n) for real t and whole n > 0.  So one
+    division per coordinate serves every j.
     """
     one = 1 << _GRID_BITS
-
-    def point(j):
-        nX = X + ((sx << _GRID_BITS - j + 1) + det) // (2 * det)
-        nY = Y + ((sy << _GRID_BITS - j + 1) + det) // (2 * det)
-        return (nX, nY) if 0 < nX < one and 0 < nY < one else None
-
-    lo, hi = 0, _POLISH_STEPS - 1
-    found = point(hi)
-    while found is not None and lo < hi:
-        mid = (lo + hi) // 2
-        trial = point(mid)
-        if trial is None:
-            lo = mid + 1
-        else:
-            hi, found = mid, trial
-    return found
+    wx, wy = (sx << _GRID_BITS + 1) // det, (sy << _GRID_BITS + 1) // det
+    for j in range(_POLISH_STEPS):
+        nX = X + ((wx >> j) + 1 >> 1)
+        nY = Y + ((wy >> j) + 1 >> 1)
+        if 0 < nX < one and 0 < nY < one:
+            return nX, nY
+    return None
 
 
 def _newton_polish(patch: BoxPatch, x0: Fraction, y0: Fraction):
@@ -515,9 +511,18 @@ def _targeted_offsets(data: CornerData):
     return offsets
 
 
+def _require_unit_scale(h: HardInstance, caller: str) -> None:
+    """ValueError unless h is at unit scale: a cell's patch is in unscaled
+    coordinates, so at any other scale its figures are not the instance's."""
+    if h.mode is not ScaleMode.UNIT:
+        raise ValueError(f"{caller} needs a unit-scale instance, "
+                         f"got {h.mode.value}")
+
+
 def certify_cell(h: HardInstance, a: int, b: int,
                  resolution: int = 51) -> CriterionReport:
-    """Certify one cell of a (unit-gain) hard instance."""
+    """Certify one cell of a unit-scale hard instance (_require_unit_scale)."""
+    _require_unit_scale(h, "certify_cell")
     data = cell_corner_data(h.field, a, b)
     return certify_no_sosp(h.patch(a, b), resolution,
                            extra_offsets=_targeted_offsets(data))
@@ -557,15 +562,12 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
     distance to the wall times L1.  The test is ||g_pi||^2 > EPS0^2,
     stationarity.first_order_test as verify_sosp makes it.
     The ticks i / (resolution - 1) span the closed cell, so ValueError for a
-    resolution below 2.  The cell's patch is in unscaled coordinates and
-    the box and L1 in the instance's, so ValueError for an instance that
-    is not at unit scale.
+    resolution below 2, and for an instance not at unit scale
+    (_require_unit_scale).
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    if h.mode is not ScaleMode.UNIT:
-        raise ValueError(f"boundary_prox_check needs a unit-scale instance, "
-                         f"got {h.mode.value}")
+    _require_unit_scale(h, "boundary_prox_check")
     poly = h.domain_polytope()
     L1 = h.lipschitz_report().L1
     reports = []
@@ -596,14 +598,30 @@ def boundary_prox_check(h: HardInstance, cells: Iterable,
 # ---------------------------------------------------------------------------
 
 
-def _labelled_entry(label: GroupLabel, rep) -> tuple[dict, bool]:
-    """The report entry of a classified cell from its BoundaryReport or
-    CriterionReport, and whether it passes."""
-    entry = {"cell": list(rep.cell), "label": label.kind,
+def _cell_entry(h: HardInstance, a: int, b: int, label: GroupLabel,
+                certificates: dict) -> tuple[dict, bool]:
+    """The report entry of a classified cell, and whether it passes.
+
+    A boundary cell runs boundary_prox_check at BOUNDARY_RESOLUTION.  Any
+    other cell is keyed by all that certify_no_sosp reads: the patch's K
+    but for K[0][0] (which only f, not its derivatives, reads; adding a
+    constant to the four corner values changes it alone), D and the
+    targeted offsets.  On a miss in certificates it runs certify_cell; the
+    certificate is copied with the cell rewritten.  X cells, the negative
+    control, contain an SOSP: one passes only if its certificate fails.
+    """
+    entry = {"cell": [a, b], "label": label.kind,
              "transforms": list(label.transforms)}
     if label.kind == "Boundary":
+        rep = boundary_prox_check(h, [(a, b)])[0]
         entry["boundary"] = rep.to_json()
         return entry, rep.passed
+    patch = h.patch(a, b)
+    key = (patch.K[0][1:], patch.K[1:], patch.D,
+           tuple(_targeted_offsets(cell_corner_data(h.field, a, b))))
+    if key not in certificates:
+        certificates[key] = certify_cell(h, a, b)
+    rep = replace(certificates[key], cell=(a, b))
     entry["certificate"] = rep.to_json()
     if label.kind == "X":
         entry["expected_fail"] = True
@@ -611,29 +629,16 @@ def _labelled_entry(label: GroupLabel, rep) -> tuple[dict, bool]:
     return entry, rep.passed
 
 
-def certify_labelled_cell(h: HardInstance, a: int, b: int, label: GroupLabel,
-                          resolution: int = 51) -> tuple[dict, bool]:
-    """The report entry of one classified cell, and whether it passes.
-
-    Boundary cells run boundary_prox_check at BOUNDARY_RESOLUTION; other
-    cells run certify_cell at the given resolution.  X cells, the negative
-    control, contain an SOSP: one passes here only if its certificate fails.
-    """
-    if label.kind == "Boundary":
-        return _labelled_entry(label, boundary_prox_check(h, [(a, b)])[0])
-    return _labelled_entry(label, certify_cell(h, a, b, resolution))
+def certify_labelled_cell(h: HardInstance, a: int, b: int,
+                          label: GroupLabel) -> tuple[dict, bool]:
+    """The report entry of one classified cell, and whether it passes: the
+    entry certification_report gives it (_cell_entry)."""
+    return _cell_entry(h, a, b, label, {})
 
 
-def certification_report(inst: IterInstance, resolution: int = 51) -> dict:
-    """Classify and certify every cell (certify_labelled_cell);
-    JSON-serializable summary.
-
-    Cells that agree in all certify_no_sosp reads share one certificate:
-    the patch's K but for K[0][0] (which only f, not its derivatives,
-    reads; adding a constant to the four corner values changes it alone),
-    D, the targeted offsets and the resolution.  A shared certificate is
-    copied with the cell rewritten.
-    """
+def certification_report(inst: IterInstance) -> dict:
+    """Classify and certify every cell of the unit-scale instance
+    (_cell_entry, one certificate per key); JSON-serializable summary."""
     h = build(inst, ScaleMode.UNIT)
     field = h.field
     N = field.N
@@ -645,16 +650,7 @@ def certification_report(inst: IterInstance, resolution: int = 51) -> dict:
         for b in range(N):
             label = classify_cell(field, a, b)
             counts[label.kind] = counts.get(label.kind, 0) + 1
-            if label.kind == "Boundary":
-                entry, passed = certify_labelled_cell(h, a, b, label, resolution)
-            else:
-                patch = h.patch(a, b)
-                key = (patch.K[0][1:], patch.K[1:], patch.D, resolution,
-                       tuple(_targeted_offsets(cell_corner_data(field, a, b))))
-                if key not in certificates:
-                    certificates[key] = certify_cell(h, a, b, resolution)
-                entry, passed = _labelled_entry(
-                    label, replace(certificates[key], cell=(a, b)))
+            entry, passed = _cell_entry(h, a, b, label, certificates)
             cells.append(entry)
             ok = ok and passed
     return {"n": inst.n, "N": N, "counts": counts, "passed": ok,

@@ -61,6 +61,12 @@ def _eps_option(name: str, default: str, steps: bool):
                         show_default=True)
 
 
+def _scale_option(default: str):
+    """--scale, one of the ScaleMode values."""
+    return click.option("--scale", type=click.Choice([m.value for m in ScaleMode]),
+                        default=default, show_default=True)
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
     if out:
@@ -77,8 +83,7 @@ def main() -> None:
 
 @main.command()
 @click.option("--instance", required=True, type=click.Path(exists=True))
-@click.option("--scale", type=click.Choice(["unit", "moderate", "aggressive"]),
-              default="unit", show_default=True)
+@_scale_option("unit")
 @click.option("--out", type=click.Path(), default=None)
 def gen(instance: str, scale: str, out: str | None) -> None:
     """Summarize an instance: N, node sets, Lipschitz constants."""
@@ -99,8 +104,7 @@ def gen(instance: str, scale: str, out: str | None) -> None:
 
 @main.command()
 @click.option("--instance", required=True, type=click.Path(exists=True))
-@click.option("--scale", type=click.Choice(["unit", "moderate", "aggressive"]),
-              default="unit", show_default=True)
+@_scale_option("unit")
 @click.option("-x", "x_text", required=True)
 @click.option("-y", "y_text", required=True)
 @_eps_option("--eps-g", "1e-4", steps=False)
@@ -202,8 +206,7 @@ def solve_start(seed: int, hi) -> tuple[Fraction, Fraction]:
 
 @main.command()
 @click.option("--instance", required=True, type=click.Path(exists=True))
-@click.option("--scale", type=click.Choice(["unit", "moderate", "aggressive"]),
-              default="moderate", show_default=True)
+@_scale_option("moderate")
 @_eps_option("--eps-g", "1e-2", steps=True)
 @_eps_option("--eps-h", "1e-2", steps=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -296,10 +299,8 @@ def reduce(dim, eps_g, eps_h, samples, seed, out) -> None:
 @click.option("-a", "cell_a", type=int, default=None)
 @click.option("-b", "cell_b", type=int, default=None)
 @click.option("--certify", is_flag=True, default=False)
-@click.option("--resolution", type=click.IntRange(1, None), default=51,
-              show_default=True, help="Samples per side of a non-boundary cell.")
 @click.option("--out", type=click.Path(), default=None)
-def classify(instance, cell_a, cell_b, certify, resolution, out) -> None:
+def classify(instance, cell_a, cell_b, certify, out) -> None:
     """Classify cells; optionally run the numerical no-SOSP certificates.
 
     With -a and -b, --certify prints that cell's entry of the full report."""
@@ -315,8 +316,7 @@ def classify(instance, cell_a, cell_b, certify, resolution, out) -> None:
         if cell_a is not None:
             label = classify_cell(h.field, cell_a, cell_b)
             if certify:
-                payload, cert_ok = certify_labelled_cell(
-                    h, cell_a, cell_b, label, resolution)
+                payload, cert_ok = certify_labelled_cell(h, cell_a, cell_b, label)
             else:
                 payload = {"cell": [cell_a, cell_b], "label": label.kind,
                            "transforms": list(label.transforms)}
@@ -324,7 +324,7 @@ def classify(instance, cell_a, cell_b, certify, resolution, out) -> None:
             _emit(payload, out)
             sys.exit(0 if cert_ok else 1)
         if certify:
-            report = certification_report(inst, resolution=resolution)
+            report = certification_report(inst)
             _emit(report, out)
             sys.exit(0 if report["passed"] else 1)
         labels = classify_all(inst)

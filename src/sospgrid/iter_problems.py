@@ -97,9 +97,10 @@ def load_instance(path: str | Path) -> IterInstance:
         raise ValueError('instance file must be {"n": int, "C": [ints]}')
     n = data["n"]
     table = data["C"]
-    if not isinstance(n, int) or not isinstance(table, list):
+    # type(v) is int: JSON's true and false load as bool, an int subclass.
+    if type(n) is not int or not isinstance(table, list):
         raise ValueError('instance file must be {"n": int, "C": [ints]}')
-    if not all(isinstance(v, int) for v in table):
+    if not all(type(v) is int for v in table):
         raise ValueError("C entries must be integers")
     return IterInstance(n=n, table=tuple(table))
 

@@ -3,6 +3,7 @@ sampling certificates that rule out SOSPs cell by cell."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -156,11 +157,11 @@ def test_x_cell_passes_only_when_its_certificate_fails(hard_n1, monkeypatch):
     # fails the report
     label = classify_cell(hard_n1.field, 4, 8)
     assert label.kind == "X"
-    entry, passed = certify_labelled_cell(hard_n1, 4, 8, label, resolution=15)
+    entry, passed = certify_labelled_cell(hard_n1, 4, 8, label)
     assert passed and not entry["certificate"]["passed"]
     monkeypatch.setattr(box_certifier, "certify_cell",
-                        lambda h, a, b, resolution=51:
-                        CriterionReport(cell=(a, b), resolution=resolution))
+                        lambda h, a, b: CriterionReport(cell=(a, b),
+                                                        resolution=51))
     entry, passed = certify_labelled_cell(hard_n1, 4, 8, GroupLabel("X"))
     assert entry["certificate"]["passed"] and not passed
 
@@ -198,6 +199,23 @@ def test_boundary_check_needs_unit_scale(inst_n1):
     rep = boundary_prox_check(build(inst_n1, "unit"), [(0, 5)])[0]
     assert rep.passed and rep.failing == []
     assert (rep.worst_norm, rep.worst_point) == (0.5, (0, 5))
+
+
+def test_certify_cell_needs_unit_scale(inst_n1, hard_n1):
+    """As for the boundary check: on a moderate or aggressive instance
+    certify_cell returned the unit instance's certificates below, although
+    the scaled objective's derivatives differ.  Other scales are refused,
+    also through certify_labelled_cell, and the unit figures stand."""
+    for mode in ("moderate", "aggressive"):
+        h = build(inst_n1, mode)
+        for a, b in ((5, 5), (4, 8)):
+            with pytest.raises(ValueError, match="unit-scale"):
+                certify_cell(h, a, b)
+            with pytest.raises(ValueError, match="unit-scale"):
+                certify_labelled_cell(h, a, b, classify_cell(h.field, a, b))
+    interior, x_cell = certify_cell(hard_n1, 5, 5), certify_cell(hard_n1, 4, 8)
+    assert interior.passed and f"{interior.worst_margin:.3g}" == "0.496"
+    assert not x_cell.passed and f"{x_cell.worst_margin:.3g}" == "2.26e-53"
 
 
 @pytest.mark.parametrize("resolution", [0, -1])
@@ -256,19 +274,22 @@ def test_report_certifies_each_key_once(inst_n1, hard_n1, monkeypatch):
     certify = box_certifier.certify_cell
     certified = []
 
-    def counting_certify_cell(h, a, b, resolution=51):
+    def counting_certify_cell(h, a, b):
         certified.append((a, b))
-        return certify(h, a, b, resolution)
+        return certify(h, a, b)
 
     monkeypatch.setattr(box_certifier, "certify_cell", counting_certify_cell)
-    report = box_certifier.certification_report(inst_n1, resolution=9)
+    report = box_certifier.certification_report(inst_n1)
     monkeypatch.undo()
     entries = [e for e in report["cells"] if e["label"] != "Boundary"]
     assert report["passed"] and len(certified) < len(entries) / 2
+    # The certified cells hold their own certificates; every other entry
+    # is a copy.
     for entry in entries:
-        label = GroupLabel(entry["label"], tuple(entry["transforms"]))
-        assert entry == certify_labelled_cell(hard_n1, *entry["cell"], label,
-                                              resolution=9)[0]
+        if tuple(entry["cell"]) not in certified:
+            label = GroupLabel(entry["label"], tuple(entry["transforms"]))
+            assert entry == certify_labelled_cell(hard_n1, *entry["cell"],
+                                                  label)[0]
 
 
 def _reference_sample(patch, x, y, eps):
@@ -464,18 +485,19 @@ def test_worst_sample_matches_the_whole_grid_on_synthetic_patches(terms, ox, oy)
 _ONE = 1 << _GRID_BITS  # the polish grid: local offsets are k / _ONE
 
 
-def _linear_polish_step(X, Y, sx, sy, det):
-    """Reference for _polish_step: try j = 0, 1, ..., 39 in turn."""
-    for j in range(40):
-        nX = X + ((sx << _GRID_BITS - j + 1) + det) // (2 * det)
-        nY = Y + ((sy << _GRID_BITS - j + 1) + det) // (2 * det)
-        if 0 < nX < _ONE and 0 < nY < _ONE:
-            return nX, nY
-    return None
+def _step_point(X, Y, sx, sy, det, j):
+    """(X, Y) + 2^-j (sx, sy) / det on the grid, each coordinate rounded
+    half up, in exact rationals."""
+    return tuple(Z + math.floor(Fraction(s << _GRID_BITS - j, det) + Fraction(1, 2))
+                 for Z, s in ((X, sx), (Y, sy)))
 
 
-# Starts strictly inside the cell, as _polish_step requires; 1 and _ONE - 1
-# are the grid points next to the walls.
+def _inside(point):
+    return all(0 < Z < _ONE for Z in point)
+
+
+# Starts strictly inside the cell, where _newton_polish keeps its point; 1
+# and _ONE - 1 are the grid points next to the walls.
 _start = st.one_of(st.integers(1, _ONE - 1), st.integers(1, 2**48),
                    st.integers(_ONE - 2**48, _ONE - 1),
                    st.sampled_from([1, _ONE - 1]))
@@ -494,12 +516,20 @@ _scaled_step = st.tuples(st.sampled_from([-1, 1]), st.integers(2**63, 2**64),
 # Next to the wall x = 0, a step of -2^-183 cells reaches the wall for
 # j <= 9 and rounds to 0 from j = 10 on, while y needs j >= 5: j = 10.
 @example(1, _ONE // 2, (-1, 2**64, -183, 0), (1, 2**64, 3, 0), 1, 300, 1)
-def test_polish_step_is_the_linear_scans(X, Y, step_x, step_y, det_mantissa,
-                                         det_shift, det_sign):
+def test_polish_step_is_the_least_feasible_j(X, Y, step_x, step_y, det_mantissa,
+                                             det_shift, det_sign):
+    """The step taken is the point of some j < 40 strictly inside the cell,
+    and no smaller j's point is; None only when no j < 40 fits."""
     det = det_sign * det_mantissa << det_shift
     sx, sy = ((sign * m * det >> 64 - e) + jitter
               for sign, m, e, jitter in (step_x, step_y))
-    assert _polish_step(X, Y, sx, sy, det) == _linear_polish_step(X, Y, sx, sy, det)
+    points = [_step_point(X, Y, sx, sy, det, j) for j in range(40)]
+    found = _polish_step(X, Y, sx, sy, det)
+    if found is None:
+        assert not any(map(_inside, points))
+    else:
+        j = points.index(found)
+        assert _inside(found) and not any(map(_inside, points[:j]))
 
 
 @pytest.mark.parametrize("cell", [(1, 2), (1, 16)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import re
 from collections import Counter
@@ -10,7 +11,8 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from sospgrid.box_certifier import BOUNDARY_RESOLUTION, boundary_prox_check
+from sospgrid.box_certifier import (BOUNDARY_RESOLUTION, boundary_prox_check,
+                                    certification_report, certify_labelled_cell)
 from sospgrid.cli import main, render_svg
 from sospgrid.color_field import ColorField
 from sospgrid.hard_instance import build
@@ -38,6 +40,15 @@ def test_gen_rejects_bad_file(runner, tmp_path):
     bad.write_text('{"n": 1, "table": [1, 1]}')  # C(1) = 1 is invalid
     res = runner.invoke(main, ["gen", "--instance", str(bad)])
     assert res.exit_code == 2
+
+
+def test_gen_rejects_a_boolean_node(runner, tmp_path):
+    """JSON true is not the node 1: gen used to read C(2) as 1."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": true, "C": [2, true]}')
+    res = runner.invoke(main, ["gen", "--instance", str(bad)])
+    assert res.exit_code == 2
+    assert "invalid instance file" in res.output
 
 
 def test_verify_rejects_point_outside_domain(runner, n1_file):
@@ -103,8 +114,7 @@ def test_classify_counts(runner, n1_file):
 
 def test_classify_single_cell_with_certificate(runner, n1_file):
     res = runner.invoke(main, ["classify", "--instance", str(n1_file),
-                               "-a", "9", "-b", "9", "--certify",
-                               "--resolution", "11"])
+                               "-a", "9", "-b", "9", "--certify"])
     assert res.exit_code == 0
     payload = json.loads(res.output)
     assert payload["cell"] == [9, 9]
@@ -112,11 +122,9 @@ def test_classify_single_cell_with_certificate(runner, n1_file):
 
 
 def test_classify_single_boundary_cell_prints_the_report_entry(runner, n1_file):
-    """A boundary cell is certified at the report's BOUNDARY_RESOLUTION,
-    whatever --resolution says."""
+    """A boundary cell is certified at the report's BOUNDARY_RESOLUTION."""
     res = runner.invoke(main, ["classify", "--instance", str(n1_file),
-                               "-a", "0", "-b", "9", "--certify",
-                               "--resolution", "11"])
+                               "-a", "0", "-b", "9", "--certify"])
     assert res.exit_code == 0
     payload = json.loads(res.output)
     assert payload["label"] == "Boundary"
@@ -141,19 +149,14 @@ def test_classify_rejects_a_cell_outside_the_grid(runner, n1_file, cell, certify
     assert "outside [0, 17]^2" in res.output
 
 
-@pytest.mark.parametrize("resolution", ["0", "-1"])
-@pytest.mark.parametrize("cell", [(), ("-a", "10", "-b", "10"),
-                                  ("-a", "5", "-b", "5")])
-def test_classify_resolution_below_one_is_a_usage_error(runner, n1_file, cell,
-                                                        resolution):
-    """A certificate samples at least one point per side: --resolution 0
-    or -1 is refused before any cell is certified."""
-    args = ["classify", "--instance", str(n1_file), *cell, "--certify",
-            "--resolution", resolution]
-    res = runner.invoke(main, args)
-    assert res.exit_code == 2, res.output
-    assert isinstance(res.exception, SystemExit)
-    assert "--resolution" in res.output
+def test_report_path_has_no_resolution(runner):
+    """The report and its entries certify at one resolution: classify has
+    no --resolution, and the report functions no resolution parameter."""
+    res = runner.invoke(main, ["classify", "--help"])
+    assert res.exit_code == 0
+    assert "--resolution" not in res.output
+    for fn in (certification_report, certify_labelled_cell):
+        assert "resolution" not in inspect.signature(fn).parameters
 
 
 _EPS_COMMANDS = {

@@ -75,8 +75,14 @@ def test_io_roundtrip(tmp_path):
     assert again.table == (3, 4, 4, 1)
 
 
-def test_load_rejects_bad_payload(tmp_path):
+# JSON true loads as a bool, which is an int, but it is not n = 1 or the
+# node 1.
+@pytest.mark.parametrize("payload", ['{"n": 1, "C": [1, 2]}',
+                                     '{"n": true, "C": [2, 2]}',
+                                     '{"n": 1, "C": [2, true]}'],
+                         ids=["c1_is_1", "bool_n", "bool_node"])
+def test_load_rejects_bad_payload(tmp_path, payload):
     path = tmp_path / "bad.json"
-    path.write_text('{"n": 1, "C": [1, 2]}')
+    path.write_text(payload)
     with pytest.raises(ValueError):
         load_instance(path)
