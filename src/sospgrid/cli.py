@@ -259,9 +259,8 @@ def _reduction_bowl(dim: int):
 
 
 @main.command()
-@click.option("--dim", type=click.IntRange(1, 2), default=2, show_default=True,
-              help="Dimension of the bowl; curvature is computed on null "
-                   "spaces of dimension <= 2.")
+@click.option("--dim", type=click.IntRange(1, 5), default=2, show_default=True,
+              help="Dimension of the bowl.")
 @_eps_option("--eps-g", "1e-2", steps=True)
 @_eps_option("--eps-h", "1e-2", steps=True)
 @click.option("--samples", type=click.IntRange(1, None), default=200,

@@ -40,7 +40,8 @@ class IterInstance:
         if self.table is not None:
             size = 1 << self.n
             if len(self.table) != size:
-                raise ValueError(f"table must have 2^n = {size} entries")
+                raise ValueError(f"table must have 2^n entries for n = {self.n}, "
+                                 f"got {len(self.table)}")
             for v, cv in enumerate(self.table, start=1):
                 if not 1 <= cv <= size:
                     raise ValueError(f"C({v}) = {cv} out of range [1, {size}]")

@@ -46,9 +46,11 @@ class Verdict:
 class ReductionInstance:
     """Local-search instance (potential, neighbor) over a discrete grid.
 
-    Any dimension d is accepted, but the update's curvature test reads null
-    spaces of dimension at most 2: where the first-order test passes on a
-    face of dimension 3 or more, improvement_check raises ValueError.
+    Any dimension d is accepted, and the update's SOSP verdict is decided
+    on a face of any dimension.  Only a negative-curvature step is limited:
+    its direction is read on null spaces of dimension at most 2, so where
+    the curvature test fails on a face of dimension 3 or more,
+    improvement_check raises ValueError.
     """
 
     def __init__(self, objective: Callable, poly: Polytope, eps_g, eps_h,
@@ -148,9 +150,9 @@ class ReductionInstance:
     def improvement_check(self, x) -> Verdict:
         """Non-SOSP grid points must strictly decrease the potential.
 
-        ValueError off the grid or the polytope, and where the first-order
-        test passes at x on a face of dimension 3 or more (no verdict is
-        computed there; see the class docstring).
+        ValueError off the grid or the polytope, and where x needs a
+        negative-curvature step on a face of dimension 3 or more (no
+        verdict is computed there; see the class docstring).
         """
         dim_x, w_x = self._grid_weight(x)  # ValueError off the grid or the polytope
         f, grad, hess = self.objective(x)  # for p(x) and the update

@@ -167,7 +167,7 @@ def split_candidate(objective: Callable, poly: Polytope, x, grad, hess,
     def probe(t):
         # a probe that projects to the previous probe's point reuses its f
         nonlocal last
-        y = project(poly, (b - t * gv * c for b, c in zip(base, v)))
+        y = project(poly, (b - t * gv * c for b, c in zip(base, v)), x)
         if last is None or y != last[1]:
             last = _fval(objective, y), y
         return last

@@ -11,8 +11,9 @@ feasibility, the active rows (slack exactly 0), ||g_pi||^2 <= eps_G^2
 _precision); a comparison needs positive denominators, hence L1 > 0 and
 eps >= 0 are checked.  On a box each clamp of x - g/L1 is an integer comparison with the rational
 bounds (an mpf compare would round a bound like 1/3); off the box the step
-is projected exactly in Fractions.  project clamps the same way and forms
-one Fraction only for a coordinate strictly inside.
+is projected exactly in Fractions, by an active-set walk from x.  project
+clamps the same way and forms one Fraction only for a coordinate strictly
+inside.
 
 A face frame (face_frame, held by its polytope) is one Gram-Schmidt over
 a set I of rows, carrying their right-hand sides, and then over the unit
@@ -20,12 +21,13 @@ vectors: it gives x_ref, the minimum-norm point of {x : A_I x = b_I}, and
 an orthogonal rational basis B of ker(A_I).  The active set at x is the frame
 of the rows active at x; the projection onto a polytope without box bounds
 and polytope_lattice's lattices read the same frames.  Second order reads
-one matrix, R = B^T H B, with k = dim <= 2 (every objective of the package
-is 2-D), and decides it in closed form.  High precision only moves points:
-projected_step (snap_run's step; the exact pi_X(x - g/L) is x + g_pi/L)
-projects the exact value of x - g/L rounded in high precision, and the
-eigenpairs of R (exact for k = 1, closed form for k = 2) give the solver
-its curvature direction and the report its lambda_min.  The report keeps
+one matrix, R = B^T H B, of any order k = dim, and decides it by symmetric
+elimination.  High precision only moves points: projected_step (snap_run's
+step; the exact pi_X(x - g/L) is x + g_pi/L) projects the exact value of
+x - g/L rounded in high precision, and the eigenpairs of R (exact for
+k = 1, closed form for k = 2; k <= 2 only, as every objective of the
+package is 2-D) give the solver its curvature direction and the report its
+lambda_min.  The report keeps
 g_pi and R as the ratios that were compared; its Fractions ||g_pi||^2 and
 R and its high-precision figures lambda_min and ||g_pi|| decide nothing,
 so each is computed when first read.
@@ -222,15 +224,17 @@ def active_set(poly: Polytope, x) -> FaceFrame:
     return face_frame(poly, poly.active_rows(x))
 
 
-def project(poly: Polytope, v) -> tuple:
+def project(poly: Polytope, v, start) -> tuple:
     """Euclidean projection of v onto the polytope (exact rational QP).
     On a box each coordinate is clamped: its exact integer ratio (to_ratio)
     is compared with the rational bounds in integers, and only a coordinate
-    strictly inside them becomes a Fraction."""
+    strictly inside them becomes a Fraction.  Off the box a v outside is
+    projected by an active-set walk from start (_project_general), which
+    must then be feasible; ValueError otherwise."""
     if poly.box_bounds is not None:
         lo, hi = poly.box_bounds
         return tuple(map(_clamp, v, lo, hi))
-    return tuple(_project_general(poly, [to_fraction(c) for c in v]))
+    return tuple(_project_general(poly, [to_fraction(c) for c in v], start))
 
 
 def _clamp(c, lo: Fraction, hi: Fraction) -> Fraction:
@@ -250,39 +254,54 @@ def _clamp_bound(num: int, den: int, lo: Fraction, hi: Fraction) -> Optional[Fra
     return None
 
 
-def _project_general(poly: Polytope, w: list[Fraction]) -> list[Fraction]:
+def _face_point(poly: Polytope, W: tuple, w: list[Fraction]) -> list[Fraction]:
+    """The projection of w onto {x : A_W x = b_W}: x_ref plus w's
+    coordinates along the frame's basis."""
+    frame = face_frame(poly, W)
+    p = list(frame.x_ref)
+    for (n, m), v in zip(frame.coord_ratios(w), frame.basis):
+        p = [c + Fraction(n, m) * a for c, a in zip(p, v)]
+    return p
+
+
+def _project_general(poly: Polytope, w: list[Fraction], start) -> list[Fraction]:
+    """pi_X(w) by a primal active-set walk (Nocedal & Wright, Alg. 16.3)
+    from the feasible start, with working rows W, rows added and dropped by
+    the smallest index.  While the projection p of w onto W's affine face
+    differs from x, x moves towards it by the exact ratio test and takes
+    the first blocking row into W; a blocking row has a.(p - x) > 0 with
+    p - x in ker A_W, so W stays independent.  At x = p it drops the first
+    row j whose projection without j lies strictly inside row j, which is
+    exactly a negative multiplier of j; with none, x is the projection."""
     if poly.contains(w):
         return w
-    d = poly.d
-    best = None
-    best_dist = None
-    for size in range(1, d + 1):
-        for subset in itertools.combinations(range(poly.m), size):
-            # projection onto the affine set A_S x = b_S of consistent,
-            # independent rows
-            try:
-                frame = face_frame(poly, subset)
-            except ValueError:
-                continue
-            if frame.dim != d - size:
-                continue
-            cand = list(frame.x_ref)
-            for (n, m), v in zip(frame.coord_ratios(w), frame.basis):
-                cand = [c + Fraction(n, m) * a for c, a in zip(cand, v)]
-            if not poly.contains(cand):
-                continue
-            dist = sum((a - b) * (a - b) for a, b in zip(cand, w))
-            if best_dist is None or dist < best_dist:
-                best, best_dist = cand, dist
-    if best is None:
-        raise ValueError("projection failed: polytope appears infeasible")
-    return best
+    x = [to_fraction(c) for c in start]
+    if not poly.contains(x):
+        raise ValueError("the projection needs a feasible start")
+    W: tuple[int, ...] = ()
+    while True:
+        p = _face_point(poly, W, w)
+        if p == x:
+            for j in W:
+                rest = tuple(i for i in W if i != j)
+                if sum(a * c for a, c in zip(poly.A[j], _face_point(poly, rest, w))) < poly.b[j]:
+                    W = rest
+                    break
+            else:
+                return x
+        elif poly.contains(p):
+            x = p
+        else:
+            t, blockers = max_feasible_step(poly, x, [a - c for a, c in zip(p, x)])
+            x = [c + t * (a - c) for c, a in zip(x, p)]
+            W = tuple(sorted(W + blockers[:1]))
 
 
 def projected_step(poly: Polytope, x, g, L) -> tuple:
     """pi_X(x - g/L), with x - g/L rounded in high precision and then
-    projected exactly: in the polytope exactly, with short denominators."""
-    return project(poly, (hp(c) - hp(gi) / hp(L) for c, gi in zip(x, g)))
+    projected exactly from the feasible x: in the polytope exactly, with
+    short denominators."""
+    return project(poly, (hp(c) - hp(gi) / hp(L) for c, gi in zip(x, g)), x)
 
 
 def checked_ratio(value, name: str, positive: bool = False) -> tuple[int, int]:
@@ -305,8 +324,9 @@ def _gpi_ratios(poly: Polytope, x, grad, L1) -> list[tuple[int, int]]:
     x = [to_ratio(c) for c in x]
     grad = [to_ratio(g) for g in grad]
     if poly.box_bounds is None:
-        proj = _project_general(poly, [Fraction(xn, xd) - Fraction(gn * m, gd * l)
-                                       for (xn, xd), (gn, gd) in zip(x, grad)])
+        start = [Fraction(xn, xd) for xn, xd in x]
+        proj = _project_general(poly, [c - Fraction(gn * m, gd * l)
+                                       for c, (gn, gd) in zip(start, grad)], start)
     else:
         # x - g/L1 = (xn gd l - gn m xd) / (xd gd l)
         proj = [_clamp_bound(xn * gd * l - gn * m * xd, xd * gd * l, lo, hi)
@@ -371,41 +391,39 @@ def _tangent_ratios(H, basis) -> list[list[tuple[int, int]]]:
 
 
 def _psd_ratios(R, norms_sq, eps) -> bool:
-    """psd_on_tangent from the ratios of R and of eps = e/f, e >= 0."""
-    if len(R) > 2:
-        raise ValueError("curvature is computed on null spaces of dimension <= 2")
+    """psd_on_tangent from the ratios of R and of eps = e/f, e >= 0: the
+    symmetric elimination of M = R + eps diag(norms_sq) with diagonal
+    pivots, in integer ratios and without a gcd.  A negative pivot, or a
+    zero pivot whose row is not zero, refuses; a zero pivot with a zero row
+    is skipped; a positive pivot m_ii turns each m_rc below and right of it
+    into m_rc - m_ri m_ic / m_ii, over a positive denominator."""
     e, f = eps
-    diag = []
-    for i, nsq in enumerate(norms_sq):
-        n, d = R[i][i]
-        p, q = nsq.numerator, nsq.denominator
-        num = n * f * q + e * p * d  # R_ii + eps nsq = num / (d f q)
-        if num < 0:
+    M = R
+    for nsq in norms_sq:
+        (n, d), *row = M[0]
+        # the pivot m_ii + eps nsq: an update m_rc - m_ri m_ic / m_ii reads
+        # no diagonal entry but the pivot, so each shift waits for its pivot
+        pn, pd = n * f * nsq.denominator + e * nsq.numerator * d, d * f * nsq.denominator
+        if pn < 0 or pn == 0 and any(n for n, _ in row):
             return False
-        diag.append((num, d * f * q))
-    if len(diag) < 2:
-        return True
-    (a, b), (c, d) = diag
-    (rn, rd), (sn, sd) = R[0][1], R[1][0]
-    return a * c * rd * sd >= rn * sn * b * d
+        M = [[(n * dr * dc * pn - nr * nc * pd * d, d * dr * dc * pn) if pn and nr else (n, d)
+              for (n, d), (nc, dc) in zip(rest, row)] for (nr, dr), *rest in M[1:]]
+    return True
 
 
 def psd_on_tangent(R, norms_sq, eps) -> bool:
     """Exact test that y^T H y >= -eps ||y||^2 for all y in the span of a
     frame, from R = B^T H B on the frame B and the frame's squared norms:
-    M = R + eps diag(norms_sq) is PSD.  A frame has at most two vectors, so
-    the test is closed form: M's diagonal is >= 0 and, for two vectors,
-    det M >= 0, each decided by cross-multiplication.  ValueError for a
-    frame of three or more vectors."""
+    M = R + eps diag(norms_sq) is PSD, decided by elimination (_psd_ratios)
+    in any order, each pivot's sign by cross-multiplication."""
     return _psd_ratios(_ratio_rows(R), norms_sq, to_ratio(eps))
 
 
 def second_order_test(hess, frame: FaceFrame, eps_h) -> tuple[bool, list]:
     """(psd_on_tangent on the frame, R = B^T H B as exact ratios): the
     second-order test of verify_sosp and snap_solver's curvature direction;
-    ValueError unless eps_h >= 0 and H is symmetric, and for a frame of
-    three or more vectors.  The frame of no rows (every interior point) is
-    the unit vectors, so there R is H itself."""
+    ValueError unless eps_h >= 0 and H is symmetric.  The frame of no rows
+    (every interior point) is the unit vectors, so there R is H itself."""
     eps = checked_ratio(eps_h, "eps_h")
     H = _symmetric(_ratio_rows(hess))
     R = _tangent_ratios(H, frame.basis) if frame.indices else H

@@ -111,6 +111,16 @@ def test_refuses_the_degenerate_line_of_sosps():
     assert not gradient_bounded(patch, EPS0)
 
 
+def test_refuses_when_the_budget_runs_out(monkeypatch):
+    """Cell (1, 1) of the unit (2, 2) instance is proved within the budget of
+    64 sub-boxes, and needs more than one: with a budget of 1 the enclosure
+    refuses it, since a proof must close every sub-box it opened."""
+    patch = build(IterInstance(1, (2, 2)), ScaleMode.UNIT).patch(1, 1)
+    assert gradient_bounded(patch, POLISH_TOL)
+    monkeypatch.setattr(bernstein, "BUDGET", 1)
+    assert not gradient_bounded(patch, POLISH_TOL)
+
+
 def _criterion_6_keys(certification_reports):
     """(patch, worst sample) for each non-X key of criterion 6's reports,
     keyed as certification_report keys them; the worst sample is the exact

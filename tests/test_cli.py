@@ -51,6 +51,17 @@ def test_gen_rejects_a_boolean_node(runner, tmp_path):
     assert "invalid instance file" in res.output
 
 
+def test_gen_rejects_a_short_table_of_a_large_n(runner, tmp_path):
+    """n = 20000 with two entries is a usage error that names n, not
+    Python's limit on converting a 6021-digit 2^n to a string."""
+    bad = tmp_path / "big.json"
+    bad.write_text('{"n": 20000, "C": [2, 2]}')
+    res = runner.invoke(main, ["gen", "--instance", str(bad)])
+    assert res.exit_code == 2
+    assert "2^n entries for n = 20000, got 2" in res.output
+    assert "limit" not in res.output
+
+
 def test_verify_rejects_point_outside_domain(runner, n1_file):
     res = runner.invoke(main, ["verify", "--instance", str(n1_file),
                                "-x", "99", "-y", "0"])
@@ -230,10 +241,21 @@ def test_reduce_dim_1_contract_holds(runner):
     assert payload["dim"] == 1 and payload["violations"] == 0
 
 
-def test_reduce_refuses_dim_3(runner):
-    """Curvature is computed on null spaces of dimension <= 2, and the
-    interior of a 3-D box has a 3-D one: a usage error, not a crash."""
-    res = runner.invoke(main, ["reduce", "--dim", "3", "--samples", "5"])
+@pytest.mark.parametrize("dim", ["3", "5"])
+def test_reduce_runs_in_dimensions_3_to_5(runner, dim):
+    """The SOSP verdict is decided on a face of any dimension, so the bowl
+    of dimension 3 and 5 is checked: every sample gets a verdict and none
+    is a violation."""
+    res = runner.invoke(main, ["reduce", "--dim", dim, "--samples", "5"])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    assert payload["dim"] == int(dim) and payload["violations"] == 0
+    assert sum(payload["verdicts"].values()) == 5
+
+
+def test_reduce_refuses_dim_6(runner):
+    """--dim covers the orders the tests cover, 1 to 5: 6 is a usage error."""
+    res = runner.invoke(main, ["reduce", "--dim", "6", "--samples", "5"])
     assert res.exit_code == 2
     assert "--dim" in res.output
 

@@ -86,3 +86,15 @@ def test_load_rejects_bad_payload(tmp_path, payload):
     path.write_text(payload)
     with pytest.raises(ValueError):
         load_instance(path)
+
+
+@pytest.mark.parametrize("n", [100, 20000])
+def test_load_names_the_table_size_by_n(tmp_path, n):
+    """A table of the wrong length is refused by naming 2^n through n: 2^n
+    in decimal has 31 digits at n = 100 and, at n = 20000, more than
+    Python's int-to-string limit, which raised in place of this message."""
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"n": {n}, "C": [2, 2]}}')
+    with pytest.raises(ValueError) as err:
+        load_instance(path)
+    assert str(err.value) == f"table must have 2^n entries for n = {n}, got 2"

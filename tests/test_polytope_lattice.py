@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lattice_reference
-from sospgrid import polytope_lattice
+from sospgrid import polytope_lattice, stationarity
 from sospgrid._precision import hp
 from sospgrid.localopt_reduction import ReductionInstance, Verdict
 from sospgrid.polytope_lattice import (
@@ -448,25 +448,43 @@ def test_improvement_check_at_the_off_grid_cases_returns_a_verdict():
         assert ri.on_grid(verdict.g_x)
 
 
-def test_improvement_check_refuses_faces_of_dimension_three_or_more():
-    """The curvature test reads null spaces of dimension at most 2.  With
-    the bowl ||x||^2 / 2, eps = 10 and L = L1 = L2 = 1, the first-order test
-    passes at the rounding of each off-grid case, and improvement_check
-    raises ValueError exactly where its face has dimension 3 or more: at 10
-    of the 17 cases.  At the other 7 it returns a verdict."""
-    refused = 0
+def test_improvement_check_decides_faces_of_any_dimension():
+    """With the bowl ||x||^2 / 2, eps = 10 and L = L1 = L2 = 1, the
+    first-order test passes at the rounding of each off-grid case, and the
+    second-order test is decided on its face whatever the face's dimension:
+    improvement_check returns a verdict at all 17 cases, 10 of them on a
+    face of dimension 3 to 5."""
+    high = 0
     for seed, kind, delta in OFF_GRID_CASES:
         poly, x = grid_case(seed, kind, 0, delta)
         ri = ReductionInstance(_bowl([0] * poly.d, 1), poly, GRID_EPS[0], GRID_EPS[0],
                                1, 1, 1)
         y = ri.round_point(x)
-        if active_set(poly, y).dim >= 3:
-            refused += 1
-            with pytest.raises(ValueError, match="null spaces of dimension <= 2"):
-                ri.improvement_check(y)
-        else:
-            assert isinstance(ri.improvement_check(y), Verdict)
-    assert refused == 10
+        high += active_set(poly, y).dim >= 3
+        assert ri.improvement_check(y).kind == "solution"
+    assert high == 10
+
+
+def test_improvement_check_projects_a_far_step_without_enumerating_faces(monkeypatch):
+    """A bowl 5 ||x - c||^2 with c = (100, 101, ...) far outside each
+    off-grid case's polytope sends every gradient step out of it, so the
+    first-order test projects off the box at each of the 17 rounded points.
+    The active-set walk has improvement_check build 108 face frames there in
+    all; enumerating the row subsets built 8747."""
+    built = []
+    build = stationarity._build_face_frame
+    monkeypatch.setattr(stationarity, "_build_face_frame",
+                        lambda poly, I: built.append(I) or build(poly, I))
+    frames = 0
+    for seed, kind, delta in OFF_GRID_CASES:
+        poly, x = grid_case(seed, kind, 0, delta)
+        ri = ReductionInstance(_bowl([100 + i for i in range(poly.d)], 10), poly,
+                               GRID_EPS[0], GRID_EPS[0], 10, 10, 10)
+        y = ri.round_point(x)
+        before = len(built)
+        assert ri.improvement_check(y).kind == "improved-C2"
+        frames += len(built) - before
+    assert frames <= 150
 
 
 def test_grid_test_agrees_with_criterion_9_on_rounded_points():

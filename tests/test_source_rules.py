@@ -143,19 +143,34 @@ def test_eigen_2x2_is_the_only_eigen_solver():
     assert hits == []
 
 
-# The names of the second and third face builders and of the general PSD
-# test, which the face frame and the closed-form 2x2 test replaced.
+# The names of the second and third face builders and of a second PSD
+# test, which the face frame and _psd_ratios replaced.
 NOT_FACE_FRAME = re.compile(r"\b(independent_rows|tangent_frame|ActiveSet|is_psd)\b")
 
 
 def test_face_frame_is_the_only_face_builder():
     """The active set, the lattice face and the affine projection all read
-    stationarity.face_frame: no second null-space or rank routine and no
-    general PSD test appears in the source."""
+    stationarity.face_frame: no second null-space or rank routine appears
+    in the source, and the one PSD test is stationarity._psd_ratios."""
     hits = [f"{path.name}:{lineno}"
             for path in sorted(SRC.glob("*.py"))
             for lineno, line in enumerate(path.read_text().splitlines(), 1)
             if NOT_FACE_FRAME.search(line)]
+    assert hits == []
+
+
+SUBSET_ENUMERATION = re.compile(r"\bcombinations\b")
+
+
+def test_no_subset_enumeration():
+    """The projection walks its active set and the PSD test eliminates, so
+    no module enumerates row or index subsets: itertools.combinations
+    appears nowhere in the source (its brute-force uses are the tests'
+    references)."""
+    hits = [f"{path.name}:{lineno}"
+            for path in sorted(SRC.glob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), 1)
+            if SUBSET_ENUMERATION.search(line)]
     assert hits == []
 
 

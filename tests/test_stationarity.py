@@ -4,6 +4,7 @@ restricted Hessian and its eigenvalues, and the SOSP verifier."""
 from __future__ import annotations
 
 import fractions
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -28,8 +29,9 @@ from sospgrid.stationarity import (
     second_order_test,
     verify_sosp,
 )
-from sospgrid.snap_solver import curvature_direction
+from sospgrid.snap_solver import curvature_direction, snap_update
 
+import test_polytope_lattice
 import verify_reference
 
 
@@ -97,7 +99,7 @@ def test_projection_variational_inequality():
         d = rng.randrange(1, 4)
         poly, center = random_cut_polytope(rng, d)
         v = tuple(Fraction(rng.randrange(-60, 61), 10) for _ in range(d))
-        p = project(poly, v)
+        p = project(poly, v, center)
         assert poly.contains(p)
         for _ in range(25):
             lo, hi = poly.box_bounds or ((None,), (None,))
@@ -110,11 +112,80 @@ def test_projection_variational_inequality():
             assert inner <= 0
 
 
+def walk_case(seed):
+    """(poly, w, start): a random_polytope draw, on some seeds cut once more
+    through a feasible vertex of its box (so that d + 1 rows meet there), a
+    target w near the centre, far from it or beyond that vertex, and a
+    feasible start: the centre, a random point or the vertex itself."""
+    rng = random.Random(seed)
+    poly, center = test_polytope_lattice.random_polytope(rng)
+    d = poly.d
+    lo, hi = [-b for b in poly.b[:d]], poly.b[d:2 * d]  # the box's rows come first
+    corners = [tuple(h if bit else l for l, h, bit in zip(lo, hi, bits))
+               for bits in itertools.product((0, 1), repeat=d)]
+    vertex = rng.choice([v for v in corners if poly.contains(v)] or [center])
+    row = [Fraction(rng.randrange(-3, 4)) for _ in range(d)]
+    lift = sum(a * (v - c) for a, v, c in zip(row, vertex, center))
+    if rng.random() < 0.5 and lift:
+        row = [a if lift > 0 else -a for a in row]
+        poly = poly.with_cut(row, sum(a * v for a, v in zip(row, vertex)))
+    kind = rng.randrange(3)
+    if kind == 2:
+        w = [v + (1 if v == h else -1) * Fraction(rng.randrange(0, 7), 2)
+             for v, h in zip(vertex, hi)]
+    else:
+        w = [c + Fraction(rng.randrange(-90, 91), 10 * (1 + 9 * kind)) for c in center]
+    start = rng.choice([center, vertex,
+                        test_polytope_lattice.random_feasible_point(rng, poly, center)])
+    return poly, w, start
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**32))
+def test_projection_walk_equals_the_subset_reference(seed):
+    """Off the box, project's active-set walk returns exactly the nearest of
+    the projections onto every independent row subset's affine set that
+    are feasible (verify_reference.project), from any feasible start."""
+    poly, w, start = walk_case(seed)
+    assert project(poly, w, start) == tuple(verify_reference.project(poly, w))
+
+
+def test_projection_walk_cases_reach_degenerate_vertices():
+    """The cases of test_projection_walk_equals_the_subset_reference reach
+    targets outside the polytope, starts and projections where more than d
+    rows are active, and dimensions 1 to 5; each equals the reference here
+    too."""
+    seen = set()
+    for seed in range(24):
+        poly, w, start = walk_case(seed)
+        p = project(poly, w, start)
+        assert p == tuple(verify_reference.project(poly, w))
+        seen.add(f"d {poly.d}")
+        if not poly.contains(w):
+            seen.add("outside")
+        if len(poly.active_rows(start)) > poly.d:
+            seen.add("degenerate start")
+        if len(poly.active_rows(p)) > poly.d:
+            seen.add("degenerate projection")
+    assert seen == {"d 1", "d 2", "d 3", "d 4", "d 5", "outside", "degenerate start",
+                    "degenerate projection"}
+
+
+def test_projection_off_the_box_needs_a_feasible_start():
+    """A target outside is walked to from start, which must be feasible; a
+    target inside is its own projection, whatever start is."""
+    cut = Polytope.box((0, 0), (1, 1)).with_cut((1, 1), 1)
+    assert project(cut, (1, 1), (0, 0)) == (Fraction(1, 2), Fraction(1, 2))
+    assert project(cut, (0, 0), (1, 1)) == (0, 0)
+    with pytest.raises(ValueError, match="feasible start"):
+        project(cut, (1, 1), (1, 1))
+
+
 def test_box_projection_is_clamping():
     poly = Polytope.box((0, 0), (1, 1))
-    assert project(poly, (Fraction(3, 2), Fraction(-1, 2))) == (1, 0)
-    assert project(poly, (Fraction(1, 3), Fraction(2, 3))) == (Fraction(1, 3),
-                                                               Fraction(2, 3))
+    assert project(poly, (Fraction(3, 2), Fraction(-1, 2)), (0, 0)) == (1, 0)
+    assert project(poly, (Fraction(1, 3), Fraction(2, 3)), (0, 0)) \
+        == (Fraction(1, 3), Fraction(2, 3))
 
 
 CLAMP_BOXES = (Polytope.box((Fraction(1, 3), Fraction(-2, 7)), (Fraction(5, 3), Fraction(1, 2))),
@@ -133,7 +204,7 @@ def assert_box_clamp(box, point):
     coordinate, returned as Fractions."""
     lo, hi = box.box_bounds
     want = tuple(min(max(to_fraction(c), l), h) for c, l, h in zip(point, lo, hi))
-    got = project(box, point)
+    got = project(box, point, lo)
     assert got == want and all(type(c) is Fraction for c in got)
 
 
@@ -153,7 +224,8 @@ def test_box_projection_of_hp_values_is_the_exact_clamp():
                 assert_box_clamp(box, (cx, cy))
     third = to_fraction(hp(Fraction(1, 3)))
     assert third != Fraction(1, 3)  # though mpmath compares them equal
-    assert project(CLAMP_BOXES[0], (hp(Fraction(1, 3)), 0))[0] == max(third, Fraction(1, 3))
+    assert project(CLAMP_BOXES[0], (hp(Fraction(1, 3)), 0), CLAMP_BOXES[0].box_bounds[0])[0] \
+        == max(third, Fraction(1, 3))
 
 
 @settings(deadline=None, max_examples=100)
@@ -191,7 +263,7 @@ def test_proximal_gradient_hp_off_box_projects_the_exact_step():
     grad = (hp(-L1) / 3, hp(L1) / 7)  # the step leaves the box and the cut
     gpi = proximal_gradient(x, grad, L1, poly)
     step = tuple(c - to_fraction(g) / L1 for c, g in zip(x, grad))
-    proj = project(poly, step)
+    proj = project(poly, step, x)
     assert not poly.contains(step)
     for got, c, p in zip(gpi, x, proj):
         assert got == L1 * (p - c)
@@ -435,10 +507,56 @@ def test_curvature_on_three_dimensional_null_space_is_refused():
         frame_min_eig(H, [], 3)
 
 
-def test_psd_on_tangent_refuses_three_vectors():
-    R = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    with pytest.raises(ValueError):
-        psd_on_tangent(R, (1, 1, 1), 0)
+@st.composite
+def psd_cases(draw):
+    """(R, norms_sq, eps) of order 0 to 5: R = sum_t s_t v_t v_t^T over at
+    most k vectors and signs, so often singular or semidefinite, with a
+    diagonal shift on some draws; norms_sq > 0."""
+    k = draw(st.integers(0, 5))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    vectors = draw(st.lists(st.lists(small, min_size=k, max_size=k), max_size=k))
+    signs = draw(st.lists(st.sampled_from([1, 1, 1, -1]), min_size=len(vectors),
+                          max_size=len(vectors)))
+    shift = draw(st.lists(st.sampled_from([0, 0, 0, Fraction(-1, 3), 1]),
+                          min_size=k, max_size=k))
+    R = [[sum((s * v[i] * v[j] for s, v in zip(signs, vectors)), Fraction(0))
+          + (shift[i] if i == j else 0) for j in range(k)] for i in range(k)]
+    norms_sq = draw(st.lists(st.fractions(min_value=Fraction(1, 4), max_value=4,
+                                          max_denominator=4), min_size=k, max_size=k))
+    return R, norms_sq, draw(st.sampled_from([0, 0, Fraction(1, 5), 1]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(psd_cases())
+@example(([[0, 0], [0, -1]], [1, 1], 0))  # a zero pivot, then a negative one
+@example(([[0, 1], [1, 100]], [1, 1], 0))  # a zero pivot, its row not zero
+@example(([[0, 0], [0, 1]], [1, 1], 0))  # a zero pivot with a zero row is skipped
+@example(([[0, 0, 0], [0, 1, 2], [0, 2, 1]], [1, 1, 1], 0))  # skipped, then 1 - 4 < 0
+@example(([[-1, 0], [0, 1]], [2, 1], Fraction(1, 2)))  # -1 + eps * 2 = 0
+def test_psd_test_equals_principal_minors(case):
+    """psd_on_tangent, elimination with diagonal pivots in integer ratios,
+    decides M = R + eps diag(norms_sq) >= 0 as every principal minor of M
+    being >= 0 does, in every order up to 5."""
+    R, norms_sq, eps = case
+    norms_sq = [Fraction(n) for n in norms_sq]
+    assert psd_on_tangent(R, norms_sq, eps) == verify_reference.psd_on_tangent(R, norms_sq, eps)
+
+
+def test_negative_curvature_on_a_three_dimensional_face_raises():
+    """The second-order test decides a face of any dimension, but the
+    curvature direction is read on null spaces of dimension at most 2: at
+    the centre of the unit cube with H = -I, the test refuses, and the
+    negative-curvature step of snap_update raises ValueError."""
+    cube = Polytope.box((0, 0, 0), (1, 1, 1))
+    x = (Fraction(1, 2),) * 3
+    hess = [[-int(i == j) for j in range(3)] for i in range(3)]
+
+    def obj(y):
+        return -sum(c * c for c in y) / 2, tuple(-c for c in y), hess
+
+    assert second_order_test(hess, active_set(cube, x), 0)[0] is False
+    with pytest.raises(ValueError, match="dimension <= 2"):
+        snap_update(obj, cube, x, (0, 0, 0), hess, 1, Fraction(1, 2), 1, 1)
 
 
 def test_psd_on_tangent_agrees_with_lambda_min():

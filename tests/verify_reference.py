@@ -2,9 +2,11 @@
 
 Every number is normalised to a Fraction and both orders are decided in
 Fraction arithmetic, as verify_sosp decided them before it compared integer
-ratios.  It shares the polytope's face frames and the exact projection off
-the box with stationarity, and no arithmetic of the verdict, so that a test
-comparing the two checks the integer kernel against something else.  The
+ratios.  It shares the polytope's face frames with stationarity, and no
+arithmetic of the verdict: off the box it projects by enumerating row
+subsets (project), and it decides PSD by principal minors
+(psd_on_tangent), so that a test comparing the two checks the integer
+kernel, the active-set walk and the elimination against something else.  The
 curvature figures (lambda_min and the solver's curvature direction) are
 rounded from the Fraction R, as they were before they read R's ratios; they
 share only the closed-form eigen_2x2 with the package.
@@ -12,10 +14,12 @@ share only the closed-form eigen_2x2 with the package.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 from sospgrid._precision import hp, hp_sqrt, to_fraction
-from sospgrid.stationarity import eigen_2x2, face_frame, project
+from sospgrid.stationarity import eigen_2x2, face_frame
 
 
 def active_rows(poly, x) -> tuple[int, ...]:
@@ -24,6 +28,35 @@ def active_rows(poly, x) -> tuple[int, ...]:
     slacks = [bj - sum(a * c for a, c in zip(row, x)) for row, bj in zip(poly.A, poly.b)]
     assert all(s >= 0 for s in slacks)
     return tuple(j for j, s in enumerate(slacks) if s == 0)
+
+
+def project(poly, w) -> list[Fraction]:
+    """pi_X(w): w if feasible, else the nearest feasible point among the
+    projections of w onto the affine sets {x : A_S x = b_S} of every
+    consistent, independent row subset S of at most d rows."""
+    w = [to_fraction(c) for c in w]
+    if poly.contains(w):
+        return w
+    best = None
+    for size in range(1, poly.d + 1):
+        for subset in itertools.combinations(range(poly.m), size):
+            try:
+                frame = face_frame(poly, subset)
+            except ValueError:
+                continue
+            if frame.dim != poly.d - size:
+                continue
+            cand = list(frame.x_ref)
+            for v, nsq in zip(frame.basis, frame.norms_sq):
+                coeff = sum(a * c for a, c in zip(w, v)) / nsq
+                cand = [c + coeff * a for c, a in zip(cand, v)]
+            if not poly.contains(cand):
+                continue
+            dist = sum((a - b) * (a - b) for a, b in zip(cand, w))
+            if best is None or dist < best[0]:
+                best = dist, cand
+    assert best is not None, "the polytope is empty"
+    return best[1]
 
 
 def proximal_gradient(x, grad, L1, poly) -> tuple:
@@ -46,13 +79,24 @@ def tangent_hessian(H, basis) -> list[list[Fraction]]:
              for bj in basis] for bi in basis]
 
 
+def determinant(M) -> Fraction:
+    """det M by the Leibniz sum over permutations."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(M))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(M)), 2))
+        total += (-1) ** inversions * math.prod((M[i][p] for i, p in enumerate(perm)),
+                                                start=Fraction(1))
+    return total
+
+
 def psd_on_tangent(R, norms_sq, eps) -> bool:
-    """R + eps diag(norms_sq) is PSD: diagonal >= 0, then det >= 0."""
+    """R + eps diag(norms_sq) is PSD: every principal minor is >= 0."""
     eps = to_fraction(eps)
-    diag = [R[i][i] + eps * nsq for i, nsq in enumerate(norms_sq)]
-    if any(m < 0 for m in diag):
-        return False
-    return len(diag) < 2 or diag[0] * diag[1] >= R[0][1] * R[1][0]
+    k = len(norms_sq)
+    M = [[to_fraction(R[i][j]) + (eps * norms_sq[i] if i == j else 0) for j in range(k)]
+         for i in range(k)]
+    return all(determinant([[M[i][j] for j in S] for i in S]) >= 0
+               for size in range(1, k + 1) for S in itertools.combinations(range(k), size))
 
 
 def min_eig(R, basis, norms_sq):
